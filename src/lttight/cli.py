@@ -15,8 +15,8 @@ from .equiv import check_equivalence, check_proposition3
 from .fixtures import builtin_fixture, fixture_names
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
-    ResourceGuardError, desugar, ground_program, ground_to_str, is_sm_model,
-    parse_interpretation,
+    ResourceGuardError, desugar, ground_program, ground_to_str, guard_ceiling,
+    is_sm_model, parse_interpretation,
 )
 from .tightness import (
     COUNTERMODEL, ENTAILED, chain_formula, chain_to_str, chains,
@@ -62,12 +62,32 @@ def _load_gamma(path, default):
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-def _load_interp(path):
+def _load_interp(path, prog):
+    """Read an interpretation literal and check it against the program:
+    every constant mapped, every tuple of the program's arity."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_interpretation(handle.read())
+            interp = parse_interpretation(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    mapped = dict(interp.consts)
+    for name in sorted(prog.constants):
+        if name not in mapped:
+            raise UsageError(f"interpretation leaves constant {name} unmapped")
+    extensions = dict(interp.extensions)
+    for p, arity in sorted(prog.predicates):
+        for t in extensions.get(p, ()):
+            if len(t) != arity:
+                raise UsageError(
+                    f"interpretation gives {p}/{arity} a tuple of length {len(t)}")
+    return interp
+
+
+def _check_guard_ceiling():
+    try:
+        guard_ceiling()
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -204,6 +224,7 @@ def _dispatch(args) -> int:
     if cmd == "check-gamma-tight":
         if args.n < 1:
             raise UsageError("--n must be at least 1")
+        _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         verdict = check_gamma_tight(prog, gamma, args.n, args.bound)
         if verdict.status == ENTAILED:
@@ -217,12 +238,12 @@ def _dispatch(args) -> int:
         print(f"unknown (universe bound {verdict.bound} exhausted)")
         return EXIT_OK
     if cmd == "ground":
-        interp = _load_interp(args.interp)
+        interp = _load_interp(args.interp, prog)
         _, gf = ground_program(desugar(prog), interp)
         print(ground_to_str(gf))
         return EXIT_OK
     if cmd == "stable":
-        interp = _load_interp(args.interp)
+        interp = _load_interp(args.interp, prog)
         if is_sm_model(prog, interp):
             print("stable")
             return EXIT_OK
@@ -231,6 +252,7 @@ def _dispatch(args) -> int:
     if cmd == "check-equiv":
         if args.m_max < 1:
             raise UsageError("--m-max must be at least 1")
+        _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         mode = "exhaustive" if args.sample is None else "sampled"
         report = check_equivalence(

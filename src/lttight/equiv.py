@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional
 
-from .completion import completion
+from .completion import completion, desugar
 from .fixtures import (
     Fixture, builtin_fixture, moving_constraint_formulas,
     moving_successor_state_formulas,
@@ -56,7 +56,8 @@ def _gamma_desc(gamma) -> str:
 
 
 def _compare(prog: Program, comp_sentences, gamma, interp: Interpretation):
-    """None when both sides agree, else the disagreement kind."""
+    """None when both sides agree, else the disagreement kind.  ``prog``
+    is desugared once by the caller."""
     if not all(satisfies_fo(interp, g) for g in gamma):
         return "skip"
     sm = is_sm_model(prog, interp)
@@ -78,6 +79,7 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     comp_sentences = completion(prog).sentences()
+    desugared = desugar(prog)
     gamma = list(gamma)
     disagreements = []
     checked = 0
@@ -85,7 +87,7 @@ def check_equivalence(prog: Program, gamma, m_max: int,
         mode_desc = f"exhaustive m<={m_max}"
         for m in range(1, m_max + 1):
             for interp in enumerate_interpretations(prog.signature, m):
-                outcome = _compare(prog, comp_sentences, gamma, interp)
+                outcome = _compare(desugared, comp_sentences, gamma, interp)
                 if outcome == "skip":
                     continue
                 checked += 1
@@ -98,7 +100,7 @@ def check_equivalence(prog: Program, gamma, m_max: int,
         for i in range(sample_count):
             m = sizes[i % len(sizes)]
             interp = sample_interpretation(prog.signature, m, rng)
-            outcome = _compare(prog, comp_sentences, gamma, interp)
+            outcome = _compare(desugared, comp_sentences, gamma, interp)
             if outcome == "skip":
                 continue
             checked += 1
@@ -170,7 +172,7 @@ def check_proposition3(k: int, mode: str = "sampled",
     if k < 0:
         raise ValueError("step bound must be nonnegative")
     fixture = builtin_fixture(f"moving({k})")
-    prog = fixture.program
+    prog = desugar(fixture.program)
     rhs = moving_constraint_formulas(k) + moving_successor_state_formulas(k)
     disagreements = []
     checked = 0

@@ -1,5 +1,5 @@
-"""Finite first-order interpretations, grounding, reducts, and
-stable/supported/tight-on checks.
+"""Finite first-order interpretations, direct first-order evaluation,
+grounding, reducts, and stable/supported/tight-on checks.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from random import Random
 from typing import Iterator, Optional
 
-from .completion import desugar
+from .completion import desugar, is_desugared
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    ObjectConstant, Or, Program, Signature, Variable,
+    Or, Program, Signature, Variable,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -29,11 +29,17 @@ class ResourceGuardError(Exception):
     """Raised when a requested search exceeds the configured ceiling."""
 
 
-def _guard_ceiling(default: int = DEFAULT_ENUMERATION_CEILING) -> int:
+def guard_ceiling(default: int = DEFAULT_ENUMERATION_CEILING) -> int:
+    """The enumeration ceiling: LT_TIGHT_GUARD_CEILING when set, else
+    ``default``.  A value that is not an integer raises ValueError."""
     value = os.environ.get("LT_TIGHT_GUARD_CEILING")
-    if value:
+    if not value:
+        return default
+    try:
         return int(value)
-    return default
+    except ValueError:
+        raise ValueError(
+            f"LT_TIGHT_GUARD_CEILING must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +119,21 @@ class Interpretation:
     universe: int
     consts: tuple       # tuple[(name, element), ...] sorted by name
     extensions: tuple   # tuple[(predicate, tuple[tuple[int,...], ...]), ...]
+    # Indexes built once from the two tuples above: name -> element and
+    # predicate -> frozenset of tuples.
+    _consts: dict = field(init=False, repr=False, compare=False)
+    _exts: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_consts", dict(self.consts))
+        object.__setattr__(self, "_exts",
+                           {p: frozenset(ts) for p, ts in self.extensions})
 
     def const(self, name: str) -> int:
-        for n, e in self.consts:
-            if n == name:
-                return e
-        raise KeyError(name)
+        return self._consts[name]
 
     def extension(self, predicate: str) -> frozenset:
-        for p, tuples in self.extensions:
-            if p == predicate:
-                return frozenset(tuples)
-        raise KeyError(predicate)
+        return self._exts[predicate]
 
     def true_atoms(self) -> frozenset:
         out = set()
@@ -211,7 +220,7 @@ def enumerate_interpretations(sig: Signature, m: int,
     guard ceiling (see LT_TIGHT_GUARD_CEILING); use sampling instead."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
-    limit = ceiling if ceiling is not None else _guard_ceiling()
+    limit = ceiling if ceiling is not None else guard_ceiling()
     total = interpretation_count(sig, m)
     if total > limit:
         raise ResourceGuardError(
@@ -372,9 +381,83 @@ def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# First-order evaluation
+
+_UNBOUND = object()
+
+
+def _value(t, interp: Interpretation, env: dict) -> int:
+    # The evaluator's env is keyed by variable name: hashing a str is
+    # much cheaper than hashing a Variable dataclass.
+    try:
+        if isinstance(t, Variable):
+            return env[t.name]
+        return interp._consts[t.name]
+    except KeyError:
+        if isinstance(t, Variable):
+            raise GroundingError(f"unbound variable {t.name}") from None
+        raise GroundingError(
+            f"constant {t.name} is not mapped by the interpretation") from None
+
+
+def _holds(f, interp: Interpretation, env: dict) -> bool:
+    """Whether ``f`` is true in the interpretation under ``env`` (variable
+    name -> element), evaluated left to right with short-circuiting."""
+    if isinstance(f, Atom):
+        try:
+            args = tuple(env[t.name] if isinstance(t, Variable)
+                         else interp._consts[t.name] for t in f.args)
+        except KeyError:
+            # the slow path names the unbound variable or unmapped constant
+            args = tuple(_value(t, interp, env) for t in f.args)
+        return args in interp._exts.get(f.predicate, ())
+    if isinstance(f, (And, Or)):
+        # Walk the whole chain of one connective with an explicit stack,
+        # so long conjunctions and disjunctions cost no recursion depth.
+        cls = type(f)
+        stop = cls is Or      # And stops at the first false item, Or at a true one
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is cls:
+                stack.append(g.right)
+                stack.append(g.left)
+            elif _holds(g, interp, env) is stop:
+                return stop
+        return not stop
+    if isinstance(f, Implies):
+        return not _holds(f.left, interp, env) or _holds(f.right, interp, env)
+    if isinstance(f, Equality):
+        return _value(f.left, interp, env) == _value(f.right, interp, env)
+    if isinstance(f, (Forall, Exists)):
+        stop = isinstance(f, Exists)
+        name = f.var.name
+        saved = env.get(name, _UNBOUND)
+        try:
+            for e in range(interp.universe):
+                env[name] = e
+                if _holds(f.body, interp, env) is stop:
+                    return stop
+            return not stop
+        finally:
+            if saved is _UNBOUND:
+                del env[name]
+            else:
+                env[name] = saved
+    if isinstance(f, Bot):
+        return False
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def satisfies_fo(interp: Interpretation, sentence) -> bool:
-    """First-order satisfaction, via grounding."""
-    return satisfies(interp.true_atoms(), ground(sentence, interp))
+    """First-order satisfaction, evaluated directly on the interpretation.
+
+    Connectives and quantifiers short-circuit: evaluation stops at the
+    first false conjunct or instance of a universal, and at the first
+    true disjunct or instance of an existential.  Nothing is grounded.
+    Touching an unmapped constant raises GroundingError."""
+    return _holds(sentence, interp, {})
 
 
 def is_sm_model(prog: Program, interp: Interpretation,
@@ -382,9 +465,17 @@ def is_sm_model(prog: Program, interp: Interpretation,
     """Whether the interpretation is a stable model of the program.
 
     The program is desugared (choice rules and extensional predicates
-    become double-negation rules), grounded relative to the
-    interpretation, and checked for stability of its atom set."""
-    d = desugar(prog)
+    become double-negation rules) unless it already is; callers checking
+    many interpretations pass the desugared program.  Cheap rejections
+    come first: every constraint, then every rule read classically as
+    the universal closure of ``body -> head``, stopping at the first
+    violated instance.  Only an interpretation that passes is grounded,
+    and its atom set checked for stability against the reduct."""
+    d = prog if is_desugared(prog) else desugar(prog)
+    rules = [r for r in d.rules if r.kind == CONSTRAINT]
+    rules += [r for r in d.rules if r.kind != CONSTRAINT]
+    if not all(satisfies_fo(interp, r.sentence()) for r in rules):
+        return False
     _, gf = ground_program(d, interp)
     return is_stable(gf, interp.true_atoms(), cap)
 

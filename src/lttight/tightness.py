@@ -383,7 +383,7 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     for c in chains(prog, n):
         fc = chain_formula(c)
         if not refute_chain_formula(fc, gamma, comp):
-            open_chains.append((c, fc))
+            open_chains.append((c, existential_closure(fc)))
     if not open_chains:
         return TightnessVerdict(ENTAILED, n, universe_bound)
     targets = list(gamma) + comp.sentences()
@@ -391,8 +391,8 @@ def check_gamma_tight(prog: Program, gamma, n: int,
         for interp in enumerate_interpretations(prog.signature, m):
             if not all(satisfies_fo(interp, s) for s in targets):
                 continue
-            for c, fc in open_chains:
-                if satisfies_fo(interp, existential_closure(fc)):
+            for c, closed in open_chains:
+                if satisfies_fo(interp, closed):
                     return TightnessVerdict(COUNTERMODEL, n, universe_bound,
                                             chain=c, interpretation=interp)
     return TightnessVerdict(UNKNOWN, n, universe_bound)

@@ -130,6 +130,36 @@ def test_ground_and_stable(tmp_path, capsys):
     assert (code, out.strip()) == (1, "not stable")
 
 
+def test_interp_with_unmapped_constant_is_usage_error(tmp_path, capsys):
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=2; a=e0; p={(e0)}; q={}\n")
+    for command in ("stable", "ground"):
+        code, out, err = invoke(capsys, command, "fixture:prog1",
+                                "--interp", str(interp))
+        assert (code, out) == (2, "")
+        assert err == "error: interpretation leaves constant b unmapped\n"
+
+
+def test_interp_with_wrong_arity_is_usage_error(tmp_path, capsys):
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=2; a=e0; b=e1; p={(e0,e1)}; q={}\n")
+    for command in ("stable", "ground"):
+        code, out, err = invoke(capsys, command, "fixture:prog1",
+                                "--interp", str(interp))
+        assert (code, out) == (2, "")
+        assert err == "error: interpretation gives p/1 a tuple of length 2\n"
+
+
+def test_non_integer_guard_ceiling_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "lots")
+    for argv in (("check-equiv", "fixture:prog1", "--m-max", "1"),
+                 ("check-gamma-tight", "fixture:prog2", "--n", "1")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: LT_TIGHT_GUARD_CEILING must be an integer, "
+                       "not 'lots'\n")
+
+
 def test_check_equiv_agree_and_disagree(capsys):
     code, out, _ = invoke(capsys, "check-equiv", "fixture:prog1",
                           "--m-max", "2")

@@ -9,8 +9,8 @@ from lttight.completion import completion, desugar, simplify
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula
 from lttight.semantics import (
-    enumerate_interpretations, ground, ground_program, is_tight_on, reduct,
-    sample_interpretation, satisfies, satisfies_fo,
+    enumerate_interpretations, ground, ground_program, is_sm_model, is_stable,
+    is_tight_on, reduct, sample_interpretation, satisfies, satisfies_fo,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -58,6 +58,14 @@ def random_formula(rng: Random, depth: int):
     return cls(rng.choice(VARS), random_formula(rng, depth - 1))
 
 
+def random_sentence(rng: Random, depth: int):
+    """A random formula closed by a random quantifier per free variable."""
+    f = random_formula(rng, depth)
+    for v in sorted(free_variables(f), key=lambda v: v.name):
+        f = rng.choice((Forall, Exists))(v, f)
+    return f
+
+
 def random_env(rng: Random, f, m: int) -> dict:
     return {v: rng.randrange(m) for v in free_variables(f)}
 
@@ -81,6 +89,54 @@ def test_grounding_matches_direct_evaluation():
         via_ground = satisfies(interp.true_atoms(), ground(f, interp, env))
         assert direct == via_ground, formula_to_str(f)
     print("grounding faithfulness: 1000 cases")
+
+
+def test_evaluation_matches_oracles():
+    """The short-circuiting evaluator against the direct evaluator and
+    the grounding path, on sampled interpretations (constants merge
+    freely) and on every interpretation at m <= 2."""
+    rng = Random(SEED + 6)
+    merged = 0
+
+    def check(f, interp):
+        expected = fo_eval(f, interp)
+        assert satisfies_fo(interp, f) == expected, formula_to_str(f)
+        assert satisfies(interp.true_atoms(), ground(f, interp)) == expected
+
+    for i in range(1000):
+        interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
+        merged += interp.const("a") == interp.const("b")
+        check(random_sentence(rng, 4), interp)
+    assert merged > 100
+    for m in (1, 2):
+        for interp in enumerate_interpretations(SIG, m):
+            for _ in range(3):
+                check(random_sentence(rng, 3), interp)
+    print("evaluator vs oracles: 1000 sampled cases plus 3 per enumerated "
+          "interpretation")
+
+
+def test_is_sm_model_matches_grounding_reference():
+    """The staged stable-model check against grounding the whole
+    desugared program and testing stability directly, for every
+    interpretation at m <= 2 of the small fixtures."""
+    total = stable = 0
+    for name in ("prog1", "prog2", "prog4", "ex1", "ex2", "example1",
+                 "example2", "example3"):
+        prog = builtin_fixture(name).program
+        d = desugar(prog)
+        for m in (1, 2):
+            for interp in enumerate_interpretations(prog.signature, m):
+                _, gf = ground_program(d, interp)
+                expected = is_stable(gf, interp.true_atoms())
+                assert is_sm_model(prog, interp) == expected, \
+                    (name, interp.literal())
+                assert is_sm_model(d, interp) == expected
+                total += 1
+                stable += expected
+    assert stable > 20
+    print(f"is_sm_model vs grounding reference: {total} interpretations, "
+          f"{stable} stable")
 
 
 def test_substitution_commutes_with_evaluation():

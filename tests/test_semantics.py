@@ -185,6 +185,46 @@ def test_satisfies_fo():
     assert not satisfies_fo(interp, parse_formula("forall X (p(X))"))
 
 
+def test_interpretation_lookups():
+    interp = herbrand2(p=[(1,)])
+    assert interp.const("b") == 1
+    assert interp.extension("p") == frozenset({(1,)})
+    with pytest.raises(KeyError):
+        interp.const("c")
+    with pytest.raises(KeyError):
+        interp.extension("r")
+    # the indexes take no part in equality or hashing
+    assert interp == herbrand2(p=[(1,)])
+    assert len({interp, herbrand2(p=[(1,)])}) == 1
+
+
+def test_satisfies_fo_short_circuits_before_unmapped_constant():
+    interp = herbrand2(p=[(0,)])
+    # the left conjunct is false, so p(c) is never evaluated
+    assert not satisfies_fo(interp, parse_formula("p(b) & p(c)"))
+    with pytest.raises(GroundingError):
+        satisfies_fo(interp, parse_formula("p(a) & p(c)"))
+    with pytest.raises(GroundingError):
+        satisfies_fo(interp, parse_formula("a = c"))
+
+
+def test_satisfies_fo_deep_conjunction():
+    body = ", ".join(["p(X)"] * 1500)
+    sentence = parse_formula(f"forall X (q(X) -> {body})")
+    assert satisfies_fo(herbrand2(p=[(0,), (1,)], q=[(0,)]), sentence)
+    assert not satisfies_fo(herbrand2(p=[(1,)], q=[(0,)]), sentence)
+    disjunction = parse_formula(" | ".join(["p(b)"] * 1500 + ["p(a)"]))
+    assert satisfies_fo(herbrand2(p=[(0,)]), disjunction)
+
+
+def test_is_sm_model_deep_rule_body_rejects_classically():
+    body = ", ".join(["q(X)"] * 600)
+    prog = parse_program(f"p(X) :- {body}. {{q(X)}} :- X = X.")
+    # q(e0) holds, so the body holds at e0, but p(e0) does not
+    breaks_rule = make_interpretation(1, {}, {"p": [], "q": [(0,)]})
+    assert not is_sm_model(prog, breaks_rule)
+
+
 # ---------------------------------------------------------------------------
 # supportedness, Pnn/Nnn, tight-on
 
