@@ -10,12 +10,12 @@ import argparse
 import sys
 
 from . import __version__
-from .completion import completion, simplify_completion
+from .completion import completion, desugar, simplify_completion
 from .equiv import check_equivalence, check_proposition3
 from .fixtures import builtin_fixture, fixture_names
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
-    ResourceGuardError, desugar, ground_program, ground_to_str, guard_ceiling,
+    ResourceGuardError, ground_program, ground_to_str, guard_ceiling,
     is_sm_model, parse_interpretation,
 )
 from .tightness import (
@@ -108,8 +108,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p = with_input(sub.add_parser("complete", help="print the completion"))
     p.add_argument("--simplify", action="store_true")
     with_input(sub.add_parser("tight", help="decide tightness"))
-    p = with_input(sub.add_parser("graph", help="predicate dependency graph"))
-    p.add_argument("--dot", action="store_true", default=True)
+    with_input(sub.add_parser("graph", help="predicate dependency graph"))
     p = with_input(sub.add_parser("chains", help="enumerate chains"))
     p.add_argument("--n", type=int, required=True)
     p = with_input(sub.add_parser("chain-formulas", help="chain formulas"))

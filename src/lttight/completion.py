@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Bot, Equality, Exists,
-    Forall, Implies, Or, Program, Rule, Variable, all_variables, conjoin,
-    disjoin, flatten_and, neg, substitute, universal_closure,
-    universal_closure_ordered,
+    BASIC, BOT, CHOICE, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
+    Or, Program, Rule, Variable, conjoin, disjoin, flatten_and, iff, neg,
+    substitute, universal_closure, universal_closure_ordered,
 )
 
 
@@ -112,12 +111,8 @@ def definition_of(prog: Program, p: str) -> Rule:
 
 def completed_definition(prog: Program, p: str):
     """Universal closure of ``p(x) <-> D`` with the biconditional expanded."""
-    arity = prog.arity(p)
-    head_vars = _fresh_head_vars(prog, arity)
-    body = _definition_body(prog, p, head_vars)
-    head = Atom(p, tuple(head_vars))
-    inner = And(Implies(head, body), Implies(body, head))
-    return universal_closure_ordered(inner, head_vars)
+    d = definition_of(prog, p)
+    return universal_closure_ordered(iff(d.head, d.body), list(d.head.args))
 
 
 def completion(prog: Program) -> CompletionResult:

@@ -6,6 +6,7 @@ check and the completion check must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Iterable, Optional
 
@@ -15,13 +16,15 @@ from .fixtures import (
     moving_successor_state_formulas,
 )
 from .semantics import (
-    Interpretation, enumerate_interpretations, is_sm_model,
-    make_interpretation, sample_interpretation, satisfies_fo,
+    Interpretation, ResourceGuardError, enumerate_interpretations,
+    is_sm_model, make_interpretation, sample_interpretation, satisfies_fo,
 )
 from .syntax import Program
 
 SM_ONLY = "sm_only"
 COMP_ONLY = "comp_only"
+GAMMA_SKIP = "gamma_skip"   # the interpretation fails Gamma
+GUARD_SKIP = "guard_skip"   # its minimality check exceeds the stability cap
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,7 @@ class EquivReport:
     mode_desc: str
     checked: int
     disagreements: tuple   # tuple[(kind, Interpretation), ...]
+    guard_skipped: int = 0
 
     @property
     def verdict(self) -> str:
@@ -44,6 +48,8 @@ class EquivReport:
         ]
         for kind, interp in self.disagreements:
             lines.append(f"DISAGREE {kind} {interp.literal()}")
+        if self.guard_skipped:
+            lines.append(f"GUARD_SKIPPED count={self.guard_skipped}")
         lines.append(f"VERDICT {self.verdict} count={len(self.disagreements)}")
         return "\n".join(lines)
 
@@ -56,15 +62,47 @@ def _gamma_desc(gamma) -> str:
 
 
 def _compare(prog: Program, comp_sentences, gamma, interp: Interpretation):
-    """None when both sides agree, else the disagreement kind.  ``prog``
-    is desugared once by the caller."""
+    """None when both sides agree, else the disagreement kind or the
+    reason the interpretation is skipped.  ``prog`` is desugared once by
+    the caller."""
     if not all(satisfies_fo(interp, g) for g in gamma):
-        return "skip"
-    sm = is_sm_model(prog, interp)
+        return GAMMA_SKIP
+    try:
+        sm = is_sm_model(prog, interp)
+    except ResourceGuardError:
+        return GUARD_SKIP
     comp_ok = all(satisfies_fo(interp, s) for s in comp_sentences)
     if sm == comp_ok:
         return None
     return SM_ONLY if sm else COMP_ONLY
+
+
+def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
+           mode_desc: str) -> EquivReport:
+    """Compare every interpretation of the source ``interps`` that
+    satisfies Gamma; one whose stability check trips the cap is counted
+    as guard-skipped instead of checked."""
+    disagreements = []
+    checked = guard_skipped = 0
+    for interp in interps:
+        outcome = _compare(prog, comp_sentences, gamma, interp)
+        if outcome == GAMMA_SKIP:
+            continue
+        if outcome == GUARD_SKIP:
+            guard_skipped += 1
+            continue
+        checked += 1
+        if outcome is not None:
+            disagreements.append((outcome, interp))
+    return EquivReport(program_id, _gamma_desc(gamma), mode_desc, checked,
+                       tuple(disagreements), guard_skipped)
+
+
+def _sampled(sig, sizes: list, count: int, seed: int):
+    """``count`` seeded samples, cycling through the universe ``sizes``."""
+    rng = Random(seed)
+    for i in range(count):
+        yield sample_interpretation(sig, sizes[i % len(sizes)], rng)
 
 
 def check_equivalence(prog: Program, gamma, m_max: int,
@@ -78,38 +116,19 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     identically."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    comp_sentences = completion(prog).sentences()
-    desugared = desugar(prog)
-    gamma = list(gamma)
-    disagreements = []
-    checked = 0
     if mode == "exhaustive":
         mode_desc = f"exhaustive m<={m_max}"
-        for m in range(1, m_max + 1):
-            for interp in enumerate_interpretations(prog.signature, m):
-                outcome = _compare(desugared, comp_sentences, gamma, interp)
-                if outcome == "skip":
-                    continue
-                checked += 1
-                if outcome is not None:
-                    disagreements.append((outcome, interp))
+        interps = chain.from_iterable(
+            enumerate_interpretations(prog.signature, m)
+            for m in range(1, m_max + 1))
     elif mode == "sampled":
         mode_desc = f"sampled(seed={seed}, count={sample_count}) m<={m_max}"
-        rng = Random(seed)
-        sizes = list(range(1, m_max + 1))
-        for i in range(sample_count):
-            m = sizes[i % len(sizes)]
-            interp = sample_interpretation(prog.signature, m, rng)
-            outcome = _compare(desugared, comp_sentences, gamma, interp)
-            if outcome == "skip":
-                continue
-            checked += 1
-            if outcome is not None:
-                disagreements.append((outcome, interp))
+        interps = _sampled(prog.signature, list(range(1, m_max + 1)),
+                           sample_count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return EquivReport(program_id, _gamma_desc(gamma), mode_desc,
-                       checked, tuple(disagreements))
+    return _check(desugar(prog), completion(prog).sentences(), list(gamma),
+                  interps, program_id, mode_desc)
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +193,19 @@ def check_proposition3(k: int, mode: str = "sampled",
     fixture = builtin_fixture(f"moving({k})")
     prog = desugar(fixture.program)
     rhs = moving_constraint_formulas(k) + moving_successor_state_formulas(k)
-    disagreements = []
-    checked = 0
-
-    def compare(interp):
-        nonlocal checked
-        checked += 1
-        sm = is_sm_model(prog, interp)
-        fo = all(satisfies_fo(interp, s) for s in rhs)
-        if sm != fo:
-            disagreements.append((SM_ONLY if sm else COMP_ONLY, interp))
-
     if directed is None and k == 1:
         directed = successor_state_interpretations(k)
-    for interp in directed or []:
-        compare(interp)
+    directed = directed or []
     if mode == "sampled":
-        rng = Random(seed)
         sizes = list(universe_sizes)
-        for i in range(sample_count):
-            interp = sample_interpretation(prog.signature, sizes[i % len(sizes)], rng)
-            compare(interp)
         mode_desc = (f"sampled(seed={seed}, count={sample_count}) "
-                     f"m in {sorted(set(sizes))} + {len(directed or [])} directed")
+                     f"m in {sorted(set(sizes))} + {len(directed)} directed")
+        interps = chain(directed,
+                        _sampled(prog.signature, sizes, sample_count, seed))
     elif mode == "directed":
-        mode_desc = f"{len(directed or [])} directed"
+        mode_desc = f"{len(directed)} directed"
+        interps = directed
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return EquivReport(f"moving({k}) vs successor-state formulas",
-                       _gamma_desc(()), mode_desc, checked, tuple(disagreements))
+    return _check(prog, rhs, (), interps,
+                  f"moving({k}) vs successor-state formulas", mode_desc)

@@ -520,6 +520,32 @@ def pnn(g) -> frozenset:
     return pnn_nnn(g)[0]
 
 
+def is_acyclic(succ: dict) -> bool:
+    """Whether the directed graph ``succ`` (vertex -> successors, each
+    successor itself a vertex) has no cycle; a self-loop is a cycle.
+    Depth-first search with an explicit stack, so long paths cost no
+    recursion depth."""
+    color = dict.fromkeys(succ, 0)      # 0 unseen, 1 on the path, 2 done
+    for start in succ:
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == 1:
+                    return False
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return True
+
+
 def is_tight_on(gp: GroundProgram, j) -> bool:
     """Acyclicity of the parent relation: A' is a parent of A when some
     rule with head A has a body satisfied by j in which A' occurs as a
@@ -530,25 +556,4 @@ def is_tight_on(gp: GroundProgram, j) -> bool:
     for r in gp.rules:
         if r.head in j and satisfies(j, r.body):
             parents[r.head] |= pnn(r.body) & j
-    # iterative DFS, white/grey/black
-    color = {a: 0 for a in j}
-    for start in j:
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(sorted(parents[start], key=_atom_key)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(parents[nxt], key=_atom_key))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return True
+    return is_acyclic(parents)

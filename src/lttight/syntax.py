@@ -129,17 +129,28 @@ def disjoin(fs: Iterable[Formula]) -> Formula:
     return out
 
 
+def _flatten(f: Formula, cls: type) -> list:
+    """Operands of the ``cls`` chain at the top of ``f``, left to right,
+    collected with an explicit stack so long chains cost no recursion
+    depth."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, cls):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
+
+
 def flatten_and(f: Formula) -> list:
     """Top-level conjuncts of ``f``, left to right."""
-    if isinstance(f, And):
-        return flatten_and(f.left) + flatten_and(f.right)
-    return [f]
+    return _flatten(f, And)
 
 
 def flatten_or(f: Formula) -> list:
-    if isinstance(f, Or):
-        return flatten_or(f.left) + flatten_or(f.right)
-    return [f]
+    return _flatten(f, Or)
 
 
 # ---------------------------------------------------------------------------
@@ -149,63 +160,59 @@ def _term_vars(t: Term) -> set:
     return {t} if isinstance(t, Variable) else set()
 
 
+_NO_VARIABLES = frozenset()
+
+
+def _variables(formulas, free: bool) -> dict:
+    """Variables of ``formulas`` as the keys of a dict, in order of first
+    occurrence, left to right.  With ``free``, only free occurrences
+    count (quantifiers bind); otherwise bound variables count too.  The
+    walk keeps an explicit stack, so deep formulas cost no recursion
+    depth."""
+    seen: dict = {}
+    stack = [(f, _NO_VARIABLES) for f in reversed(formulas)]
+    push = stack.append
+    while stack:
+        f, bound = stack.pop()
+        cls = type(f)
+        if cls is Atom:
+            terms = f.args
+        elif cls is And or cls is Or or cls is Implies:
+            push((f.right, bound))
+            push((f.left, bound))
+            continue
+        elif cls is Forall or cls is Exists:
+            if free:
+                bound = bound | {f.var}
+            else:
+                seen[f.var] = None
+            push((f.body, bound))
+            continue
+        elif cls is Equality:
+            terms = (f.left, f.right)
+        elif cls is Bot:
+            continue
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        for t in terms:
+            if type(t) is Variable and t not in bound:
+                seen[t] = None
+    return seen
+
+
 def free_variables(f: Formula) -> set:
     """Set of free variables of ``f``; quantifiers bind."""
-    if isinstance(f, Bot):
-        return set()
-    if isinstance(f, Atom):
-        out = set()
-        for t in f.args:
-            out |= _term_vars(t)
-        return out
-    if isinstance(f, Equality):
-        return _term_vars(f.left) | _term_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return set(_variables((f,), free=True))
 
 
 def ordered_free_variables(f: Formula) -> list:
     """Free variables in order of first occurrence."""
-    seen: list = []
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            for t in g.args:
-                if isinstance(t, Variable) and t not in bound and t not in seen:
-                    seen.append(t)
-        elif isinstance(g, Equality):
-            for t in (g.left, g.right):
-                if isinstance(t, Variable) and t not in bound and t not in seen:
-                    seen.append(t)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, set())
-    return seen
+    return list(_variables((f,), free=True))
 
 
 def all_variables(f: Formula) -> set:
     """All variables of ``f``, free and bound."""
-    if isinstance(f, Bot):
-        return set()
-    if isinstance(f, Atom):
-        out = set()
-        for t in f.args:
-            out |= _term_vars(t)
-        return out
-    if isinstance(f, Equality):
-        return _term_vars(f.left) | _term_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return all_variables(f.left) | all_variables(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return all_variables(f.body) | {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return set(_variables((f,), free=False))
 
 
 def fresh_variable(base: str, avoid: set) -> Variable:
@@ -304,25 +311,16 @@ class Rule:
         else:
             assert self.head is not None
 
+    def _formulas(self) -> tuple:
+        return (self.body,) if self.head is None else (self.head, self.body)
+
     def variables(self) -> set:
         """All variables of the rule, free and bound."""
-        out = all_variables(self.body)
-        if self.head is not None:
-            for t in self.head.args:
-                out |= _term_vars(t)
-        return out
+        return set(_variables(self._formulas(), free=False))
 
     def free_vars(self) -> list:
         """Free variables in order of first occurrence (head, then body)."""
-        seen: list = []
-        if self.head is not None:
-            for t in self.head.args:
-                if isinstance(t, Variable) and t not in seen:
-                    seen.append(t)
-        for v in ordered_free_variables(self.body):
-            if v not in seen:
-                seen.append(v)
-        return seen
+        return list(_variables(self._formulas(), free=True))
 
     def sentence(self) -> Formula:
         """The rule read as a sentence: the universal closure of body -> head."""
@@ -353,15 +351,6 @@ class Signature:
     predicates: tuple  # tuple[(name, arity), ...] sorted by name
     constants: tuple   # tuple[str, ...] sorted
 
-    def arity(self, name: str) -> int:
-        for p, k in self.predicates:
-            if p == name:
-                return k
-        raise KeyError(name)
-
-    def has_predicate(self, name: str) -> bool:
-        return any(p == name for p, _ in self.predicates)
-
 
 @dataclass(frozen=True)
 class Program:
@@ -375,7 +364,7 @@ class Program:
         return Signature(tuple(sorted(self.predicates)), tuple(sorted(self.constants)))
 
     def arity(self, name: str) -> int:
-        return self.signature.arity(name)
+        return dict(self.predicates)[name]
 
     def basic_rules(self) -> list:
         return [r for r in self.rules if r.kind == BASIC]

@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 
 from .completion import CompletionResult, completion, desugar, simplify
 from .semantics import (
-    Interpretation, enumerate_interpretations, satisfies_fo,
+    Interpretation, enumerate_interpretations, is_acyclic, satisfies_fo,
 )
 from .syntax import (
     BASIC, BOT, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
@@ -103,19 +103,7 @@ def is_tight(prog: Program) -> bool:
     succ: dict = {v: [] for v in graph.vertices}
     for p, q, _ in graph.edges:
         succ[p].append(q)
-    color = {v: 0 for v in graph.vertices}
-
-    def dfs(v) -> bool:
-        color[v] = 1
-        for w in succ[v]:
-            if color[w] == 1:
-                return False
-            if color[w] == 0 and not dfs(w):
-                return False
-        color[v] = 2
-        return True
-
-    return all(dfs(v) for v in graph.vertices if color[v] == 0)
+    return is_acyclic(succ)
 
 
 # ---------------------------------------------------------------------------

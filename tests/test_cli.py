@@ -108,6 +108,21 @@ def test_check_gamma_tight_gamma_file(tmp_path, capsys):
     assert (code, out.strip()) == (0, "entailed (syntactic)")
 
 
+def test_tight_long_acyclic_chain(tmp_path, capsys):
+    path = tmp_path / "chain.lp"
+    path.write_text("".join(f"p{i}(X) :- p{i + 1}(X).\n" for i in range(1200)))
+    code, out, _ = invoke(capsys, "tight", str(path))
+    assert (code, out) == (0, "tight\n")
+
+
+def test_check_gamma_tight_long_gamma_sentence(tmp_path, capsys):
+    path = tmp_path / "gamma.txt"
+    path.write_text(" & ".join(["a != b"] * 1199 + ["c != d"]) + ".\n")
+    code, out, _ = invoke(capsys, "check-gamma-tight", "fixture:example2",
+                          "--n", "1", "--gamma", str(path))
+    assert (code, out) == (0, "entailed (syntactic)\n")
+
+
 def test_check_gamma_tight_rejects_bad_n(capsys):
     code, _, err = invoke(capsys, "check-gamma-tight", "fixture:prog1", "--n", "0")
     assert code == 2
@@ -184,6 +199,28 @@ def test_check_equiv_resource_guard(capsys):
                           "--m-max", "2")
     assert code == 3
     assert "resource guard" in err
+
+
+def test_stability_cap_counts_guard_skipped(tmp_path, capsys):
+    path = tmp_path / "choice.lp"
+    path.write_text("{p(X,Y,Z)}.\n")
+    # at m=4 the two samples hold 28 and 37 atoms, over the stability cap
+    # of 24: they are counted and reported, and the rest of the report
+    # stands
+    code, out, _ = invoke(capsys, "check-equiv", str(path), "--m-max", "4",
+                          "--sample", "8", "--seed", "3")
+    assert (code, out) == (0, f"program={path}\n"
+                              "gamma=(empty)\n"
+                              "mode=sampled(seed=3, count=8) m<=4\n"
+                              "GUARD_SKIPPED count=2\n"
+                              "VERDICT agree count=0\n")
+    # below the cap the report has no GUARD_SKIPPED line
+    code, out, _ = invoke(capsys, "check-equiv", str(path), "--m-max", "3",
+                          "--sample", "8", "--seed", "3")
+    assert (code, out) == (0, f"program={path}\n"
+                              "gamma=(empty)\n"
+                              "mode=sampled(seed=3, count=8) m<=3\n"
+                              "VERDICT agree count=0\n")
 
 
 def test_check_equiv_sampled(capsys):

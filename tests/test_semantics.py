@@ -12,9 +12,9 @@ from lttight.semantics import (
     DEFAULT_STABILITY_CAP, G_BOT, G_TOP, GAnd, GAtom, GImplies, GOr,
     GroundProgram, GroundRule, GroundingError, Interpretation,
     ResourceGuardError, enumerate_interpretations, ground, ground_program,
-    ground_to_str, interpretation_count, is_sm_model, is_stable, is_supported,
-    is_tight_on, make_interpretation, parse_interpretation, pnn, pnn_nnn,
-    reduct, sample_interpretation, satisfies, satisfies_fo,
+    ground_to_str, interpretation_count, is_acyclic, is_sm_model, is_stable,
+    is_supported, is_tight_on, make_interpretation, parse_interpretation, pnn,
+    pnn_nnn, reduct, sample_interpretation, satisfies, satisfies_fo,
 )
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
@@ -260,3 +260,16 @@ def test_is_tight_on():
     # negated occurrences are not parents
     negloop = GroundProgram((GroundRule(P, GImplies(GImplies(P, G_BOT), G_BOT)),))
     assert is_tight_on(negloop, {P})
+
+
+def test_is_acyclic_long_paths():
+    path = {i: [i + 1] for i in range(1200)}
+    path[1200] = []
+    assert is_acyclic(path)
+    path[1200] = [0]
+    assert not is_acyclic(path)
+    assert not is_acyclic({0: [0]})
+    chain = GroundProgram(tuple(GroundRule(GAtom("p", (i,)), GAtom("p", (i + 1,)))
+                                for i in range(1200)))
+    atoms = {GAtom("p", (i,)) for i in range(1201)}
+    assert is_tight_on(chain, atoms)

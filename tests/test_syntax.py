@@ -38,6 +38,18 @@ def test_free_variables_and_order():
     assert all_variables(f) == {X, Y, Z}
 
 
+def test_variable_walk_on_deep_formulas():
+    xs = [Variable(f"X{i}") for i in range(1200)]
+    f = conjoin(Atom("p", (x,)) for x in xs)
+    assert flatten_and(f) == [Atom("p", (x,)) for x in xs]
+    assert ordered_free_variables(f) == xs
+    closed = f
+    for x in reversed(xs):
+        closed = Exists(x, closed)
+    assert free_variables(closed) == set()
+    assert all_variables(closed) == set(xs)
+
+
 def test_universal_closure_order():
     f = parse_formula("q(Y, X)")
     assert universal_closure(f) == Forall(Y, Forall(X, f))
