@@ -157,22 +157,10 @@ def _simplify_exists(var: Variable, body):
 def _simplify_once(f):
     if isinstance(f, (Bot, Atom, Equality)):
         return f
-    if isinstance(f, And):
-        left = _simplify_once(f.left)
-        right = _simplify_once(f.right)
-        if left == TOP:
-            return right
-        if right == TOP:
-            return left
-        return And(left, right)
-    if isinstance(f, Or):
-        left = _simplify_once(f.left)
-        right = _simplify_once(f.right)
-        if left == BOT:
-            return right
-        if right == BOT:
-            return left
-        return Or(left, right)
+    if isinstance(f, (And, Or)):
+        unit, join = (TOP, conjoin) if isinstance(f, And) else (BOT, disjoin)
+        items = [_simplify_once(g) for g in f.items]
+        return join([g for g in items if g != unit])
     if isinstance(f, Implies):
         if f == TOP:
             return f

@@ -22,10 +22,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
-    Implies, ObjectConstant, Or, Program, Rule, Variable, free_variables, iff,
-    neg,
+    BASIC, BOT, CHOICE, CONSTRAINT, TOP, Atom, Equality, Exists, Forall,
+    Implies, ObjectConstant, Program, Rule, Variable, conjoin, disjoin,
+    free_variables, iff, neg,
 )
+
+
+# Deepest nesting a formula may have, counting parentheses, ``not``,
+# quantifiers and right-nested ``->``.  The parser, the printers and the
+# evaluators recurse per level; this keeps them inside Python's default
+# limit of 1,000 frames.
+MAX_NESTING = 50
 
 
 class ParseError(Exception):
@@ -93,6 +100,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.arities: dict = {}
         self.constants: set = set()
         self.extensional: dict = {}
@@ -124,6 +132,15 @@ class _Parser:
     def error(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def nested(self, parse):
+        """``parse()`` one nesting level down; see MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     # -- signature bookkeeping
 
@@ -213,27 +230,27 @@ class _Parser:
     def impl(self):
         f = self.disj()
         if self.accept("ARROW"):
-            return Implies(f, self.impl())
+            return Implies(f, self.nested(self.impl))
         return f
 
     def disj(self):
-        f = self.conj()
+        items = [self.conj()]
         while self.accept("|"):
-            f = Or(f, self.conj())
-        return f
+            items.append(self.conj())
+        return disjoin(items)
 
     def conj(self):
-        f = self.unary()
+        items = [self.unary()]
         while self.peek().kind in (",", "&"):
             self.next()
-            f = And(f, self.unary())
-        return f
+            items.append(self.unary())
+        return conjoin(items)
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "KEYWORD" and tok.value == "not":
             self.next()
-            return neg(self.unary())
+            return neg(self.nested(self.unary))
         return self.primary()
 
     def primary(self):
@@ -249,14 +266,14 @@ class _Parser:
                 self.next()
                 var_tok = self.expect("VAR", "variable")
                 self.expect("(")
-                body = self.formula()
+                body = self.nested(self.formula)
                 self.expect(")")
                 cls = Forall if tok.value == "forall" else Exists
                 return cls(Variable(var_tok.value), body)
             self.error(f"unexpected keyword {tok.value!r}")
         if tok.kind == "(":
             self.next()
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")")
             return f
         if tok.kind == "VAR":

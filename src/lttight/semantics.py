@@ -285,10 +285,9 @@ def ground(f, interp: Interpretation, env: Optional[dict] = None):
     if isinstance(f, Equality):
         same = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
         return G_TOP if same else G_BOT
-    if isinstance(f, And):
-        return GAnd((ground(f.left, interp, env), ground(f.right, interp, env)))
-    if isinstance(f, Or):
-        return GOr((ground(f.left, interp, env), ground(f.right, interp, env)))
+    if isinstance(f, (And, Or)):
+        cls = GAnd if isinstance(f, And) else GOr
+        return cls(tuple(ground(g, interp, env) for g in f.items))
     if isinstance(f, Implies):
         return GImplies(ground(f.left, interp, env), ground(f.right, interp, env))
     if isinstance(f, (Forall, Exists)):
@@ -413,17 +412,9 @@ def _holds(f, interp: Interpretation, env: dict) -> bool:
             args = tuple(_value(t, interp, env) for t in f.args)
         return args in interp._exts.get(f.predicate, ())
     if isinstance(f, (And, Or)):
-        # Walk the whole chain of one connective with an explicit stack,
-        # so long conjunctions and disjunctions cost no recursion depth.
-        cls = type(f)
-        stop = cls is Or      # And stops at the first false item, Or at a true one
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is cls:
-                stack.append(g.right)
-                stack.append(g.left)
-            elif _holds(g, interp, env) is stop:
+        stop = isinstance(f, Or)  # And stops at the first false item, Or at a true one
+        for g in f.items:
+            if _holds(g, interp, env) is stop:
                 return stop
         return not stop
     if isinstance(f, Implies):

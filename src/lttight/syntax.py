@@ -64,16 +64,27 @@ class Equality(Formula):
     right: Term
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Junction(Formula):
+    """Two or more operands.  A leading operand of the same connective is
+    spliced in, so ``And(And(p, q), r) == And(p, q, r)``; a later one
+    stays nested, as in ``p & (q & r)``."""
+
+    def __init__(self, *items):
+        if len(items) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        if type(items[0]) is type(self):
+            items = items[0].items + items[1:]
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class And(_Junction):
+    items: tuple
+
+
+@dataclass(frozen=True, init=False)
+class Or(_Junction):
+    items: tuple
 
 
 @dataclass(frozen=True)
@@ -108,37 +119,29 @@ def iff(f: Formula, g: Formula) -> Formula:
 
 
 def conjoin(fs: Iterable[Formula]) -> Formula:
-    """Left-associated conjunction; empty conjunction is ``true``."""
-    fs = list(fs)
-    if not fs:
-        return TOP
-    out = fs[0]
-    for f in fs[1:]:
-        out = And(out, f)
-    return out
+    """Conjunction of ``fs``; one operand is itself, none is ``true``."""
+    fs = tuple(fs)
+    if len(fs) > 1:
+        return And(*fs)
+    return fs[0] if fs else TOP
 
 
 def disjoin(fs: Iterable[Formula]) -> Formula:
-    """Left-associated disjunction; empty disjunction is ``false``."""
-    fs = list(fs)
-    if not fs:
-        return BOT
-    out = fs[0]
-    for f in fs[1:]:
-        out = Or(out, f)
-    return out
+    """Disjunction of ``fs``; one operand is itself, none is ``false``."""
+    fs = tuple(fs)
+    if len(fs) > 1:
+        return Or(*fs)
+    return fs[0] if fs else BOT
 
 
 def _flatten(f: Formula, cls: type) -> list:
-    """Operands of the ``cls`` chain at the top of ``f``, left to right,
-    collected with an explicit stack so long chains cost no recursion
-    depth."""
+    """Operands of ``f`` read as a ``cls`` chain, left to right, with
+    nested ``cls`` operands flattened too."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
         if isinstance(g, cls):
-            stack.append(g.right)
-            stack.append(g.left)
+            stack.extend(reversed(g.items))
         else:
             out.append(g)
     return out
@@ -178,8 +181,8 @@ def _variables(formulas, free: bool) -> dict:
         if cls is Atom:
             terms = f.args
         elif cls is And or cls is Or or cls is Implies:
-            push((f.right, bound))
-            push((f.left, bound))
+            children = f.items if cls is not Implies else (f.left, f.right)
+            stack.extend([(g, bound) for g in reversed(children)])
             continue
         elif cls is Forall or cls is Exists:
             if free:
@@ -250,16 +253,14 @@ def substitute(f: Formula, binding: Mapping[Variable, Term]) -> Formula:
         return Atom(f.predicate, tuple(_subst_term(t, binding) for t in f.args))
     if isinstance(f, Equality):
         return Equality(_subst_term(f.left, binding), _subst_term(f.right, binding))
-    if isinstance(f, And):
-        return And(substitute(f.left, binding), substitute(f.right, binding))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, binding), substitute(f.right, binding))
+    if isinstance(f, (And, Or)):
+        return type(f)(*[substitute(g, binding) for g in f.items])
     if isinstance(f, Implies):
         return Implies(substitute(f.left, binding), substitute(f.right, binding))
     if isinstance(f, (Forall, Exists)):
         cls = type(f)
-        relevant = {v: t for v, t in binding.items()
-                    if v != f.var and v in free_variables(f.body)}
+        free = free_variables(f.body)
+        relevant = {v: t for v, t in binding.items() if v != f.var and v in free}
         if not relevant:
             return f
         captured = set()
@@ -282,9 +283,10 @@ def rename_all(f: Formula, mapping: Mapping[Variable, Variable]) -> Formula:
         return Atom(f.predicate, tuple(_subst_term(t, mapping) for t in f.args))
     if isinstance(f, Equality):
         return Equality(_subst_term(f.left, mapping), _subst_term(f.right, mapping))
-    if isinstance(f, (And, Or, Implies)):
-        cls = type(f)
-        return cls(rename_all(f.left, mapping), rename_all(f.right, mapping))
+    if isinstance(f, (And, Or)):
+        return type(f)(*[rename_all(g, mapping) for g in f.items])
+    if isinstance(f, Implies):
+        return Implies(rename_all(f.left, mapping), rename_all(f.right, mapping))
     if isinstance(f, (Forall, Exists)):
         cls = type(f)
         return cls(mapping.get(f.var, f.var), rename_all(f.body, mapping))
@@ -379,10 +381,7 @@ def rename_apart(rule: Rule, tag: int) -> Rule:
     Rules renamed with distinct tags share no variables.
     """
     mapping = {v: Variable(f"{v.name}_{tag}") for v in rule.variables()}
-    head = None
-    if rule.head is not None:
-        head = Atom(rule.head.predicate,
-                    tuple(_subst_term(t, mapping) for t in rule.head.args))
+    head = None if rule.head is None else rename_all(rule.head, mapping)
     return Rule(rule.kind, head, rename_all(rule.body, mapping))
 
 
@@ -421,12 +420,12 @@ def _fmt_level(f: Formula):
             return f"not {_fmt(f.left, _LEVEL_NOT)}", _LEVEL_NOT
         return (f"{_fmt(f.left, _LEVEL_IMPL + 1)} -> {_fmt(f.right, _LEVEL_IMPL)}",
                 _LEVEL_IMPL)
-    if isinstance(f, And):
-        return (f"{_fmt(f.left, _LEVEL_AND)} & {_fmt(f.right, _LEVEL_AND + 1)}",
-                _LEVEL_AND)
-    if isinstance(f, Or):
-        return (f"{_fmt(f.left, _LEVEL_OR)} | {_fmt(f.right, _LEVEL_OR + 1)}",
-                _LEVEL_OR)
+    if isinstance(f, (And, Or)):
+        # a later operand of the same connective is nested: parenthesize it
+        level, op = (_LEVEL_AND, " & ") if isinstance(f, And) else (_LEVEL_OR, " | ")
+        first, *rest = f.items
+        return (op.join([_fmt(first, level)] + [_fmt(g, level + 1) for g in rest]),
+                level)
     if isinstance(f, Forall):
         return f"forall {f.var} ({_fmt(f.body, 0)})", _LEVEL_ATOM
     if isinstance(f, Exists):

@@ -28,7 +28,8 @@ from .syntax import (
 @dataclass(frozen=True)
 class OccurrenceInfo:
     predicate: str
-    position: tuple     # path of child indices into the formula AST
+    position: tuple     # path of child indices into the formula AST; an
+                        # And/Or child is indexed by its place in ``items``
     atom: Atom
     positive: bool      # even number of enclosing implication antecedents
     negated: bool       # inside a subformula of the form F -> false
@@ -42,23 +43,22 @@ def classify_occurrences(f) -> list:
     implication whose consequent is falsity; those implications also
     count toward the antecedent parity."""
     out: list = []
-
-    def walk(g, path, antecedents, negated):
+    stack = [(f, (), 0, False)]
+    while stack:
+        g, path, antecedents, negated = stack.pop()
         if isinstance(g, Atom):
             out.append(OccurrenceInfo(g.predicate, path, g,
                                       antecedents % 2 == 0, negated))
         elif isinstance(g, (And, Or)):
-            walk(g.left, path + (0,), antecedents, negated)
-            walk(g.right, path + (1,), antecedents, negated)
+            stack.extend((x, path + (i,), antecedents, negated)
+                         for i, x in reversed(list(enumerate(g.items))))
         elif isinstance(g, Implies):
-            walk(g.left, path + (0,), antecedents + 1,
-                 negated or g.right == BOT)
-            walk(g.right, path + (1,), antecedents, negated)
+            stack.append((g.right, path + (1,), antecedents, negated))
+            stack.append((g.left, path + (0,), antecedents + 1,
+                          negated or g.right == BOT))
         elif isinstance(g, (Forall, Exists)):
-            walk(g.body, path + (0,), antecedents, negated)
+            stack.append((g.body, path + (0,), antecedents, negated))
         # Bot and Equality carry no atom occurrences
-
-    walk(f, (), 0, False)
     return out
 
 
@@ -331,8 +331,8 @@ def refute_chain_formula(fc, gamma, comp: CompletionResult, depth: int = 4) -> b
             head_vars.append(f.var)
             f = f.body
         # f is (p(x) -> D) & (D -> p(x)); use the forward direction
-        if isinstance(f, And) and isinstance(f.left, Implies):
-            defs[p] = (head_vars, simplify(f.left.right))
+        if isinstance(f, And) and isinstance(f.items[0], Implies):
+            defs[p] = (head_vars, simplify(f.items[0].right))
     gamma_diseqs = _ground_disequalities(gamma)
     return _refute(flatten_and(fc), gamma_diseqs, defs, frozenset(), depth)
 
@@ -433,10 +433,14 @@ def _tptp_formula(f) -> str:
                 return f"({_tptp_term(f.left.left)} != {_tptp_term(f.left.right)})"
             return f"~{_tptp_formula(f.left)}"
         return f"({_tptp_formula(f.left)} => {_tptp_formula(f.right)})"
-    if isinstance(f, And):
-        return f"({_tptp_formula(f.left)} & {_tptp_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({_tptp_formula(f.left)} | {_tptp_formula(f.right)})"
+    if isinstance(f, (And, Or)):
+        # left-folded into binary TPTP: p & q & r is ((p & q) & r)
+        op = " & " if isinstance(f, And) else " | "
+        first, *rest = f.items
+        out = _tptp_formula(first)
+        for g in rest:
+            out = f"({out}{op}{_tptp_formula(g)})"
+        return out
     if isinstance(f, Forall):
         return f"(![{f.var.name}]: {_tptp_formula(f.body)})"
     if isinstance(f, Exists):

@@ -32,9 +32,9 @@ def fo_eval(f, interp, env=None):
     if isinstance(f, Equality):
         return term(f.left) == term(f.right)
     if isinstance(f, And):
-        return fo_eval(f.left, interp, env) and fo_eval(f.right, interp, env)
+        return all(fo_eval(g, interp, env) for g in f.items)
     if isinstance(f, Or):
-        return fo_eval(f.left, interp, env) or fo_eval(f.right, interp, env)
+        return any(fo_eval(g, interp, env) for g in f.items)
     if isinstance(f, Implies):
         return (not fo_eval(f.left, interp, env)) or fo_eval(f.right, interp, env)
     if isinstance(f, (Forall, Exists)):

@@ -264,3 +264,43 @@ def test_version(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0
     assert __version__ in out
+
+
+LONG_BODY_RUNS = [
+    pytest.param(sep, 1200, argv, id=f"{name}-{argv[0]}")
+    for name, sep in (("and", ", "), ("or", " | "))
+    for argv in (["parse"], ["complete", "--simplify"], ["tight"],
+                 ["chains", "--n", "1"], ["check-gamma-tight", "--n", "1"])
+] + [pytest.param(", ", 600, [command, "--interp"], id=f"and-{command}")
+     for command in ("stable", "ground")]
+
+
+@pytest.mark.parametrize("sep, n, argv", LONG_BODY_RUNS)
+def test_long_rule_body(tmp_path, capsys, sep, n, argv):
+    # r has no rule, so only q links: one chain, whose formula holds the
+    # whole body
+    body = sep.join(["q(X)"] + ["r(X)"] * (n - 1))
+    path = tmp_path / "long.lp"
+    path.write_text(f"p(X) :- {body}.\n{{q(X)}} :- X = X.\n")
+    if argv[-1] == "--interp":
+        # passes the classical check, so the program is grounded
+        interp = tmp_path / "i.txt"
+        interp.write_text("universe=1; p={}; q={(e0)}; r={}\n")
+        argv = argv + [str(interp)]
+    code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+    assert code in (0, 1) and err == ""
+    if argv[0] == "stable":
+        assert out == "stable\n"
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 1200 + "q" + ")" * 1200,
+    "not " * 1200 + "q",
+    " -> ".join(["q"] * 1201),
+], ids=["parens", "not", "arrow"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, body):
+    path = tmp_path / "deep.lp"
+    path.write_text(f"p :- {body}.\n")
+    code, out, err = invoke(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1

@@ -2,10 +2,12 @@
 
 import pytest
 
-from lttight.parser import ParseError, parse_formula, parse_program, parse_sentences
+from lttight.parser import (
+    MAX_NESTING, ParseError, parse_formula, parse_program, parse_sentences,
+)
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
-    Or, Variable, neg,
+    Or, Variable, formula_to_str, neg,
 )
 
 
@@ -103,3 +105,26 @@ def test_parse_formula_accepts_trailing_period():
 def test_zero_arity_predicates():
     prog = parse_program("win :- not lose. lose :- not win.")
     assert prog.predicates == (("lose", 0), ("win", 0))
+
+
+# Each shape nests its argument one level deeper.
+NESTING_SHAPES = ["({})", "not {}", "q -> {}", "forall X ({})", "exists Y (p | q & {})"]
+
+
+def nested(shape: str, depth: int) -> str:
+    text = "r"
+    for _ in range(depth):
+        text = shape.format(text)
+    return text
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_nesting_up_to_the_bound_parses_and_prints(shape):
+    f = parse_formula(nested(shape, MAX_NESTING))
+    assert parse_formula(formula_to_str(f)) == f
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_nesting_past_the_bound_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels"):
+        parse_formula(nested(shape, MAX_NESTING + 1))

@@ -273,3 +273,12 @@ def test_is_acyclic_long_paths():
                                 for i in range(1200)))
     atoms = {GAtom("p", (i,)) for i in range(1201)}
     assert is_tight_on(chain, atoms)
+
+
+def test_ground_prints_a_conjunction_flat():
+    # The body is one n-ary And, so its ground form is one GAnd, printed
+    # like the program conjunction around it.
+    prog = parse_program("p :- q, r, s.")
+    interp = parse_interpretation("universe=1; p={()}; q={()}; r={()}; s={()}")
+    _, gf = ground_program(prog, interp)
+    assert ground_to_str(gf) == "(((q & r & s) -> p))"

@@ -1,6 +1,9 @@
 """Syntax layer: variable bookkeeping, substitution, renaming,
 printing."""
 
+import pytest
+
+from lttight.completion import CompletionResult, completion, simplify_completion
 from lttight.parser import parse_formula, parse_program
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -9,6 +12,7 @@ from lttight.syntax import (
     ordered_free_variables, pretty_print, rename_apart, rule_to_str,
     substitute, universal_closure,
 )
+from lttight.tightness import export_tptp
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = ObjectConstant("a"), ObjectConstant("b")
@@ -130,3 +134,45 @@ def test_rule_to_str_forms():
     assert rule_to_str(prog.rules[1]) == "{q(X)} :- p(X)."
     assert rule_to_str(prog.rules[2]) == "{r}."
     assert rule_to_str(prog.rules[3]) == ":- q(b)."
+
+
+def test_junctions_splice_only_a_leading_operand():
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    assert And(And(p, q), r) == And(p, q, r)
+    assert And(And(p, q), r).items == (p, q, r)
+    assert And(p, And(q, r)).items == (p, And(q, r))
+    assert Or(Or(p, q), r).items == (p, q, r)
+    assert conjoin([p]) == p and disjoin([p]) == p
+    with pytest.raises(ValueError):
+        And(p)
+
+
+# Printed by the binary And/Or this AST had before it became n-ary; the
+# printers must keep every character.
+PINNED_PRINTS = [
+    ("p & q & r", "p & q & r", "((p & q) & r)"),
+    ("p & (q & r)", "p & (q & r)", "(p & (q & r))"),
+    ("(p | q) & r", "(p | q) & r", "((p | q) & r)"),
+]
+
+
+@pytest.mark.parametrize("text, printed, tptp", PINNED_PRINTS)
+def test_printed_shapes_are_pinned(text, printed, tptp):
+    f = parse_formula(text)
+    assert formula_to_str(f) == printed
+    problem = export_tptp((f,), CompletionResult((), ()), TOP)
+    assert problem.splitlines()[0] == f"fof(gamma_1, axiom, {tptp})."
+
+
+PINNED_COMPLETION_TPTP = (
+    "(![X1]: ((p(X1) => (((q(X1) & r(X1)) & s(X1)) | ((X1 = a) & ((r(a) | s(a)) | q(a)))))"
+    " & ((((q(X1) & r(X1)) & s(X1)) | ((X1 = a) & ((r(a) | s(a)) | q(a)))) => p(X1))))")
+
+
+def test_simplified_completion_prints_are_pinned():
+    prog = parse_program("p(X) :- q(X), r(X), s(X). p(a) :- r(a) | s(a) | q(a).")
+    comp = simplify_completion(completion(prog))
+    assert formula_to_str(comp.definition_for("p")) == (
+        "forall X1 ((p(X1) -> q(X1) & r(X1) & s(X1) | X1 = a & (r(a) | s(a) | q(a)))"
+        " & (q(X1) & r(X1) & s(X1) | X1 = a & (r(a) | s(a) | q(a)) -> p(X1)))")
+    assert f"fof(comp_p, axiom, {PINNED_COMPLETION_TPTP})." in export_tptp((), comp, TOP)
