@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from random import Random
 from typing import Iterator, Optional
 
@@ -361,23 +361,156 @@ def _atom_key(a: GAtom):
     return (a.predicate, a.args)
 
 
+def _folded_reduct(g, canon: dict):
+    """The reduct of ``g`` relative to j, constant-folded, where
+    ``canon`` maps each atom of j to itself.  A subformula that j does
+    not satisfy becomes ``G_BOT`` and every other one folds to a formula
+    without ``G_BOT`` (j satisfies its reduct), so the result is
+    ``G_BOT``, ``G_TOP`` or a formula with neither inside it, built from
+    j's own atom objects.  Nested conjunctions and disjunctions are
+    flattened."""
+    if isinstance(g, GAtom):
+        return canon.get(g, G_BOT)
+    if isinstance(g, GImplies):
+        left = _folded_reduct(g.left, canon)
+        if left is G_BOT:
+            return G_TOP
+        right = _folded_reduct(g.right, canon)
+        if left is G_TOP or right is G_BOT:
+            return right
+        return G_TOP if right is G_TOP else GImplies(left, right)
+    if isinstance(g, (GAnd, GOr)):
+        cls = type(g)
+        unit, zero = (G_TOP, G_BOT) if cls is GAnd else (G_BOT, G_TOP)
+        items = []
+        for x in g.items:
+            x = _folded_reduct(x, canon)
+            if x is zero:
+                return zero
+            if type(x) is cls:
+                items.extend(x.items)
+            elif x is not unit:
+                items.append(x)
+        if not items:
+            return unit
+        return items[0] if len(items) == 1 else cls(tuple(items))
+    if isinstance(g, GBot):
+        return G_BOT
+    raise TypeError(f"not a ground formula: {g!r}")
+
+
+def _kleene(f, val: dict):
+    """Three-valued (Kleene) value of a folded formula under the partial
+    assignment ``val`` (atom -> bool): True, False, or None while it
+    depends on an unassigned atom."""
+    if isinstance(f, GAtom):
+        return val.get(f)
+    if isinstance(f, GImplies):
+        left = _kleene(f.left, val)
+        if left is False:
+            return True
+        right = _kleene(f.right, val)
+        if right is True or (left is True and right is False):
+            return right
+        return None
+    stop = isinstance(f, GOr)   # the item value that decides the whole
+    out = not stop
+    for x in f.items:
+        v = _kleene(x, val)
+        if v is stop:
+            return stop
+        if v is None:
+            out = None
+    return out
+
+
+def _force(f, val: dict):
+    """Extend ``val`` with the atoms that ``f`` being true forces true
+    (an atom, the items of a conjunction, the consequent of an
+    implication whose antecedent is already true), and return the value
+    of ``f`` afterwards: True, None while still open, or False on a
+    conflict."""
+    v = _kleene(f, val)
+    if v is not None:
+        return v
+    if isinstance(f, GAtom):
+        val[f] = True
+        return True
+    if isinstance(f, GAnd):
+        for x in f.items:
+            _force(x, val)
+    elif isinstance(f, GImplies) and _kleene(f.left, val) is True:
+        _force(f.right, val)
+    else:
+        return None
+    return _kleene(f, val)
+
+
+def _propagate(conjuncts, val: dict):
+    """Extend ``val`` with what every conjunct being true forces, up to a
+    fixpoint, and return the conjuncts still open, or None on a
+    conflict.  On definite rules this computes the least model of what
+    ``val`` already makes true."""
+    while True:
+        size = len(val)
+        still_open = []
+        for c in conjuncts:
+            v = _force(c, val)
+            if v is False:
+                return None
+            if v is None:
+                still_open.append(c)
+        if len(val) == size:
+            return still_open
+        conjuncts = still_open
+
+
+def _has_smaller_model(r, atoms: list) -> bool:
+    """Whether some proper subset of ``atoms`` satisfies the folded
+    formula ``r``, whose atoms are all among them.  Depth-first search
+    over the atoms in order, false first, propagating what ``r``'s
+    conjuncts force; a branch ends as soon as ``r`` is decided."""
+
+    def search(conjuncts, val: dict, i: int) -> bool:
+        conjuncts = _propagate(conjuncts, val)
+        if conjuncts is None:
+            return False
+        if not conjuncts:
+            # r is true: so is every completion of val, and one is a
+            # proper subset iff some atom is false or still unassigned
+            return len(val) < len(atoms) or False in val.values()
+        while atoms[i] in val:
+            i += 1
+        a = atoms[i]
+        return (search(conjuncts, {**val, a: False}, i + 1)
+                or search(conjuncts, {**val, a: True}, i + 1))
+
+    return search(r.items if isinstance(r, GAnd) else (r,), {}, 0)
+
+
 def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of g relative to j and no proper
-    subset of j does.  Minimality is checked by exhaustive subset
-    enumeration in increasing cardinality with early exit."""
+    subset of j does.
+
+    Minimality is decided by a search for a model of the reduct that is
+    a proper subset of j, not by enumerating subsets.  The reduct is
+    constant-folded (its atoms all lie in j); then a depth-first search
+    assigns j's atoms in ``_atom_key`` order, false first, propagates
+    what the reduct's conjuncts force, and ends a branch as soon as the
+    three-valued value of the reduct is decided.  The search is
+    complete for arbitrary ground formulas.  More than ``cap`` atoms
+    raise ResourceGuardError."""
     j = frozenset(j)
     if not satisfies(j, g):
         return False
-    r = reduct(g, j)
+    r = _folded_reduct(g, {a: a for a in j})
     atoms = sorted(j, key=_atom_key)
     if len(atoms) > cap:
         raise ResourceGuardError(
             f"minimality check over {len(atoms)} atoms exceeds the cap of {cap}")
-    for size in range(len(atoms)):
-        for subset in combinations(atoms, size):
-            if satisfies(frozenset(subset), r):
-                return False
-    return True
+    if not atoms:
+        return True
+    return not _has_smaller_model(r, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def _refute(conjuncts, gamma_diseqs, defs, split_done: frozenset, depth: int) ->
         return False
     # case split over multi-disjunct definitions
     pos_atoms, _, _, _ = _split_literals(conjuncts)
-    for atom in pos_atoms:
+    for atom in dict.fromkeys(pos_atoms):
         if atom in split_done:
             continue
         disjuncts = _expand_atom(atom, defs)
@@ -318,22 +318,39 @@ def _refute(conjuncts, gamma_diseqs, defs, split_done: frozenset, depth: int) ->
     return False
 
 
+def _refuter_tables(gamma, comp: CompletionResult):
+    """The refuter's definition table (predicate -> head variables and
+    simplified forward body of its completed definition) and Gamma's
+    ground disequalities.  ``check_gamma_tight`` refutes every chain
+    against one completion and Gamma, so both are computed once and kept
+    on the completion, the disequalities with the Gamma they came from."""
+    defs = comp.derived.get("refuter_defs")
+    if defs is None:
+        defs = {}
+        for p, sentence in comp.completed_definitions:
+            f = sentence
+            head_vars = []
+            while isinstance(f, Forall):
+                head_vars.append(f.var)
+                f = f.body
+            # f is (p(x) -> D) & (D -> p(x)); use the forward direction
+            if isinstance(f, And) and isinstance(f.items[0], Implies):
+                defs[p] = (head_vars, simplify(f.items[0].right))
+        comp.derived["refuter_defs"] = defs
+    gamma = tuple(gamma)
+    cached = comp.derived.get("refuter_gamma")
+    if cached is None or cached[0] != gamma:
+        cached = comp.derived["refuter_gamma"] = (
+            gamma, _ground_disequalities(gamma))
+    return defs, cached[1]
+
+
 def refute_chain_formula(fc, gamma, comp: CompletionResult, depth: int = 4) -> bool:
     """Sound syntactic refutation of a chain formula: literal clash and
     congruence closure over the chain's equalities, with bounded
     expansion of atoms through their (simplified) completed definitions.
     Gamma contributes its ground disequalities."""
-    defs = {}
-    for p, sentence in comp.completed_definitions:
-        f = sentence
-        head_vars = []
-        while isinstance(f, Forall):
-            head_vars.append(f.var)
-            f = f.body
-        # f is (p(x) -> D) & (D -> p(x)); use the forward direction
-        if isinstance(f, And) and isinstance(f.items[0], Implies):
-            defs[p] = (head_vars, simplify(f.items[0].right))
-    gamma_diseqs = _ground_disequalities(gamma)
+    defs, gamma_diseqs = _refuter_tables(gamma, comp)
     return _refute(flatten_and(fc), gamma_diseqs, defs, frozenset(), depth)
 
 

@@ -6,11 +6,13 @@ consequence of chain refutation."""
 from random import Random
 
 from lttight.completion import completion, desugar, simplify
+from lttight.equiv import successor_state_interpretations
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula
 from lttight.semantics import (
-    enumerate_interpretations, ground, ground_program, is_sm_model, is_stable,
-    is_tight_on, reduct, sample_interpretation, satisfies, satisfies_fo,
+    GAtom, enumerate_interpretations, ground, ground_program, is_sm_model,
+    is_stable, is_tight_on, make_interpretation, reduct, sample_interpretation,
+    satisfies, satisfies_fo,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -19,7 +21,8 @@ from lttight.syntax import (
 )
 from lttight.tightness import ENTAILED, check_gamma_tight
 
-from conftest import fo_eval, random_ground_formula
+from conftest import fo_eval, random_ground_formula, random_ground_program
+from test_acceptance import _oracle_stable
 
 SEED = 97
 SIG = Signature(predicates=(("p", 1), ("q", 2), ("r", 0)),
@@ -224,3 +227,71 @@ def test_chain_refutation_implies_tight_on():
                 total += 1
     assert total > 20
     print(f"refuted chains imply tight groundings: {total} models checked")
+
+
+def test_is_stable_matches_subset_sweep_oracle():
+    """The minimality search against the acceptance suite's independent
+    stability oracle (own evaluator, own reduct, full subset sweep) on
+    random ground formulas and programs over 6-12 atoms.  Half the cases
+    draw J at random; the other half steer J towards stable pairs
+    without consulting is_stable: a formula's random model is shrunk
+    greedily, and a program's J is iterated through the program's
+    immediate-consequence operator."""
+    rng = Random(SEED + 6)
+    stable = large_stable = 0
+    cases = 1200
+    for k in range(cases):
+        atoms = [GAtom(f"a{i}") for i in range(rng.randint(6, 12))]
+        j = frozenset(a for a in atoms if rng.random() < 0.5)
+        steer = k % 4 < 2
+        if k % 2:
+            f = random_ground_formula(rng, atoms, 4)
+            if steer and satisfies(j, f):
+                for a in sorted(j, key=lambda a: a.predicate):
+                    if satisfies(j - {a}, f):
+                        j -= {a}
+        else:
+            gp, f = random_ground_program(rng, atoms, 12)
+            if steer:
+                for _ in atoms:
+                    j = frozenset(r.head for r in gp.rules
+                                  if satisfies(j, r.body))
+        expected = _oracle_stable(f, j)
+        assert is_stable(f, j) == expected, (f, j)
+        stable += expected
+        large_stable += expected and len(j) >= 4
+    assert stable >= 300 and large_stable >= 30
+    assert cases - stable >= 300
+    print(f"is_stable vs subset-sweep oracle: {cases} cases, {stable} "
+          f"stable, {large_stable} of them with |J| >= 4")
+
+
+def _drift(interp):
+    """The interpretation with its last ``at`` atom relocated to the next
+    place, or with ``at(e0, e0, e0)`` added when it has none."""
+    exts = {p: list(ts) for p, ts in interp.extensions}
+    if exts["at"]:
+        o, y, s = exts["at"].pop()
+        exts["at"].append((o, (y + 1) % interp.universe, s))
+    else:
+        exts["at"].append((0, 0, 0))
+    return make_interpretation(interp.universe, dict(interp.consts), exts)
+
+
+def test_is_sm_model_on_directed_interpretations_matches_oracle():
+    """Every directed moving(1) interpretation and one drift of each,
+    through is_sm_model, against the subset-sweep oracle on its ground
+    program."""
+    d = desugar(builtin_fixture("moving(1)").program)
+    outcomes = []
+    for base in successor_state_interpretations(1):
+        drift = _drift(base)
+        assert drift != base
+        for interp in (base, drift):
+            _, gf = ground_program(d, interp)
+            expected = _oracle_stable(gf, interp.true_atoms())
+            assert is_sm_model(d, interp) == expected, interp.literal()
+            outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+    print(f"is_sm_model vs oracle on directed moving(1): {len(outcomes)} "
+          f"interpretations, {sum(outcomes)} stable")

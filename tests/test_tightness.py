@@ -133,6 +133,23 @@ def test_refuter_is_sound_on_prog2():
         assert not refute_chain_formula(chain_formula(c), (), comp)
 
 
+
+def test_refuter_tables_follow_gamma_on_a_shared_completion():
+    """The refuter keeps its tables on the completion; reusing one
+    completion with and without Gamma, alternately, must give the same
+    verdicts as a fresh completion for each call."""
+    fx = builtin_fixture("example3")
+    shared = completion(fx.program)
+    verdicts = []
+    for c in chains(fx.program, 1):
+        fc = chain_formula(c)
+        for gamma in (fx.gamma, (), list(fx.gamma), ()):
+            got = refute_chain_formula(fc, gamma, shared)
+            assert got == refute_chain_formula(fc, gamma,
+                                               completion(fx.program))
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
 def test_gamma_disequalities_matter():
     """example3 is prog2's rules; without a != b the same chain that the
     refuter closes has a genuine countermodel."""
