@@ -34,6 +34,13 @@ from .syntax import (
 # limit of 1,000 frames.
 MAX_NESTING = 50
 
+# Deepest nesting of ``<->`` along one path of a formula.  ``F <-> G``
+# becomes ``(F -> G) & (G -> F)``, two copies of each side, so each atom
+# of the input is copied at most 2**MAX_IFF_NESTING times.  At 8, ``chains
+# --n 1`` on a body ``q(X) <-> q(X) <-> ...`` of that depth takes 1.3 s
+# (2-core Xeon VM, Python 3.11), and each further level four times more.
+MAX_IFF_NESTING = 8
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -101,6 +108,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.iff_depth = 0      # deepest <-> nesting in the current formula
         self.arities: dict = {}
         self.constants: set = set()
         self.extensional: dict = {}
@@ -222,9 +230,19 @@ class _Parser:
     # -- formulas
 
     def formula(self):
+        outer, self.iff_depth = self.iff_depth, 0
         f = self.impl()
-        while self.accept("IFF"):
-            f = iff(f, self.impl())
+        depth = self.iff_depth
+        while self.peek().kind == "IFF":
+            tok = self.next()
+            self.iff_depth = 0
+            g = self.impl()
+            depth = 1 + max(depth, self.iff_depth)
+            if depth > MAX_IFF_NESTING:
+                self.error(f"'<->' nested more than {MAX_IFF_NESTING} "
+                           "levels deep", tok)
+            f = iff(f, g)
+        self.iff_depth = max(outer, depth)
         return f
 
     def impl(self):

@@ -188,9 +188,40 @@ def chain_to_str(c: Chain) -> str:
 # ---------------------------------------------------------------------------
 # Syntactic refutation of chain formulas
 
-class _UnionFind:
+# The refuter's two limits.  A node saturates for at most
+# MAX_SATURATION_ROUNDS rounds, each adding one unit expansion, and case
+# splits nest at most MAX_SPLIT_DEPTH deep.  A chain still open at a
+# limit stays open: the limits can turn ``entailed`` into ``unknown``,
+# never the other way round.
+MAX_SATURATION_ROUNDS = 200
+MAX_SPLIT_DEPTH = 4
+
+
+class _Node:
+    """The refuter's state at one node of its case-split tree: the set of
+    conjuncts, split into positive atoms (in first-occurrence order),
+    negated atoms and disequalities, and a union-find over the terms of
+    the equalities.  Conjuncts are only ever added; a case-split child
+    starts from a copy."""
+
     def __init__(self):
+        self.conjuncts: set = set()
+        self.pos: list = []
+        self.neg: list = []
+        self.diseqs: list = []
         self.parent: dict = {}
+        self.expanded = 0       # pos[:expanded] have had their unit expansion
+
+    def child(self, conjuncts) -> "_Node":
+        node = _Node()
+        node.conjuncts = set(self.conjuncts)
+        node.pos = list(self.pos)
+        node.neg = list(self.neg)
+        node.diseqs = list(self.diseqs)
+        node.parent = dict(self.parent)
+        node.expanded = self.expanded
+        node.add(conjuncts)
+        return node
 
     def find(self, x):
         self.parent.setdefault(x, x)
@@ -201,27 +232,42 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    def add(self, conjuncts) -> bool:
+        """Add the conjuncts not present yet; True when there was one."""
+        added = False
+        for c in conjuncts:
+            if c in self.conjuncts:
+                continue
+            self.conjuncts.add(c)
+            added = True
+            if isinstance(c, Atom):
+                self.pos.append(c)
+            elif isinstance(c, Equality):
+                ra, rb = self.find(c.left), self.find(c.right)
+                if ra != rb:
+                    self.parent[ra] = rb
+            elif isinstance(c, Implies) and c.right == BOT:
+                if isinstance(c.left, Atom):
+                    self.neg.append(c.left)
+                elif isinstance(c.left, Equality):
+                    self.diseqs.append(c.left)
+            # other shapes are opaque to the refuter (sound: ignoring
+            # conjuncts only weakens the refutation)
+        return added
 
-
-def _split_literals(conjuncts):
-    pos_atoms, neg_atoms, eqs, diseqs = [], [], [], []
-    for c in conjuncts:
-        if isinstance(c, Atom):
-            pos_atoms.append(c)
-        elif isinstance(c, Equality):
-            eqs.append(c)
-        elif isinstance(c, Implies) and c.right == BOT:
-            if isinstance(c.left, Atom):
-                neg_atoms.append(c.left)
-            elif isinstance(c.left, Equality):
-                diseqs.append(c.left)
-        # other shapes are opaque to the refuter (sound: ignoring
-        # conjuncts only weakens the refutation)
-    return pos_atoms, neg_atoms, eqs, diseqs
+    def clashes(self, gamma_diseqs) -> bool:
+        """A disequality between congruent terms, or an atom both
+        asserted and negated up to congruence."""
+        find = self.find
+        for e in self.diseqs + gamma_diseqs:
+            if find(e.left) == find(e.right):
+                return True
+        for b in self.neg:
+            for a in self.pos:
+                if a.predicate == b.predicate and all(
+                        find(s) == find(t) for s, t in zip(a.args, b.args)):
+                    return True
+        return False
 
 
 def _ground_disequalities(gamma) -> list:
@@ -244,8 +290,8 @@ _SUPPORTED_LITERAL = (Atom, Equality)
 
 
 def _expand_atom(atom: Atom, defs: dict):
-    """Instantiated completed-definition body of the atom as a list of
-    disjuncts (each a list of literal conjuncts), or None when the
+    """Instantiated completed-definition body of the atom as a tuple of
+    disjuncts (each a tuple of literal conjuncts), or None when the
     definition's shape is not usable by the refuter."""
     if atom.predicate not in defs:
         return None
@@ -255,7 +301,7 @@ def _expand_atom(atom: Atom, defs: dict):
     for d in flatten_or(inst):
         if d == BOT:
             continue
-        conjuncts = flatten_and(d)
+        conjuncts = tuple(flatten_and(d))
         for c in conjuncts:
             if isinstance(c, _SUPPORTED_LITERAL):
                 continue
@@ -264,54 +310,51 @@ def _expand_atom(atom: Atom, defs: dict):
                 continue
             return None
         disjuncts.append(conjuncts)
-    return disjuncts
+    return tuple(disjuncts)
 
 
-def _refute(conjuncts, gamma_diseqs, defs, split_done: frozenset, depth: int) -> bool:
-    conjuncts = list(conjuncts)
-    unit_done: set = set()
-    for _ in range(200):
-        pos_atoms, neg_atoms, eqs, diseqs = _split_literals(conjuncts)
-        uf = _UnionFind()
-        for e in eqs:
-            uf.union(e.left, e.right)
-        for e in diseqs + gamma_diseqs:
-            if uf.find(e.left) == uf.find(e.right):
-                return True
-        for a in pos_atoms:
-            for b in neg_atoms:
-                if a.predicate == b.predicate and all(
-                        uf.find(s) == uf.find(t) for s, t in zip(a.args, b.args)):
-                    return True
-        # saturate with single-disjunct (unit) expansions
+class _Expansions(dict):
+    """Atom -> ``_expand_atom`` of it, computed on first lookup.  An
+    expansion depends only on the atom and the completion, so one table
+    serves every chain and every Gamma checked against that completion."""
+
+    def __init__(self, defs: dict):
+        super().__init__()
+        self.defs = defs
+
+    def __missing__(self, atom):
+        value = self[atom] = _expand_atom(atom, self.defs)
+        return value
+
+
+def _refute(node: _Node, gamma_diseqs, expansions, split_done: frozenset,
+            depth: int) -> bool:
+    for _ in range(MAX_SATURATION_ROUNDS):
+        if node.clashes(gamma_diseqs):
+            return True
+        # saturate with single-disjunct (unit) expansions, one per round
         progressed = False
-        for atom in pos_atoms:
-            if atom in unit_done:
-                continue
-            disjuncts = _expand_atom(atom, defs)
-            unit_done.add(atom)
+        while node.expanded < len(node.pos):
+            disjuncts = expansions[node.pos[node.expanded]]
+            node.expanded += 1
             if disjuncts is None:
                 continue
             if not disjuncts:
                 return True   # empty definition body: the atom is impossible
-            if len(disjuncts) == 1:
-                new = [c for c in disjuncts[0] if c not in conjuncts]
-                if new:
-                    conjuncts.extend(new)
-                    progressed = True
-                    break
+            if len(disjuncts) == 1 and node.add(disjuncts[0]):
+                progressed = True
+                break
         if not progressed:
             break
     if depth <= 0:
         return False
     # case split over multi-disjunct definitions
-    pos_atoms, _, _, _ = _split_literals(conjuncts)
-    for atom in dict.fromkeys(pos_atoms):
+    for atom in node.pos:
         if atom in split_done:
             continue
-        disjuncts = _expand_atom(atom, defs)
+        disjuncts = expansions[atom]
         if disjuncts and len(disjuncts) > 1:
-            if all(_refute(conjuncts + d, gamma_diseqs, defs,
+            if all(_refute(node.child(d), gamma_diseqs, expansions,
                            split_done | {atom}, depth - 1)
                    for d in disjuncts):
                 return True
@@ -319,13 +362,14 @@ def _refute(conjuncts, gamma_diseqs, defs, split_done: frozenset, depth: int) ->
 
 
 def _refuter_tables(gamma, comp: CompletionResult):
-    """The refuter's definition table (predicate -> head variables and
-    simplified forward body of its completed definition) and Gamma's
-    ground disequalities.  ``check_gamma_tight`` refutes every chain
-    against one completion and Gamma, so both are computed once and kept
-    on the completion, the disequalities with the Gamma they came from."""
-    defs = comp.derived.get("refuter_defs")
-    if defs is None:
+    """The refuter's expansion table, over its definition table
+    (predicate -> head variables and simplified forward body of its
+    completed definition), and Gamma's ground disequalities.
+    ``check_gamma_tight`` refutes every chain against one completion and
+    Gamma, so both are kept on the completion, the disequalities with
+    the Gamma they came from."""
+    expansions = comp.derived.get("refuter_expansions")
+    if expansions is None:
         defs = {}
         for p, sentence in comp.completed_definitions:
             f = sentence
@@ -336,22 +380,31 @@ def _refuter_tables(gamma, comp: CompletionResult):
             # f is (p(x) -> D) & (D -> p(x)); use the forward direction
             if isinstance(f, And) and isinstance(f.items[0], Implies):
                 defs[p] = (head_vars, simplify(f.items[0].right))
-        comp.derived["refuter_defs"] = defs
+        expansions = comp.derived["refuter_expansions"] = _Expansions(defs)
     gamma = tuple(gamma)
     cached = comp.derived.get("refuter_gamma")
     if cached is None or cached[0] != gamma:
         cached = comp.derived["refuter_gamma"] = (
             gamma, _ground_disequalities(gamma))
-    return defs, cached[1]
+    return expansions, cached[1]
 
 
-def refute_chain_formula(fc, gamma, comp: CompletionResult, depth: int = 4) -> bool:
+def refute_chain_formula(fc, gamma, comp: CompletionResult,
+                         depth: int = MAX_SPLIT_DEPTH) -> bool:
     """Sound syntactic refutation of a chain formula: literal clash and
     congruence closure over the chain's equalities, with bounded
     expansion of atoms through their (simplified) completed definitions.
-    Gamma contributes its ground disequalities."""
-    defs, gamma_diseqs = _refuter_tables(gamma, comp)
-    return _refute(flatten_and(fc), gamma_diseqs, defs, frozenset(), depth)
+    Gamma contributes its ground disequalities.
+
+    Atoms whose definition has one disjunct are expanded in place, for at
+    most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
+    each multi-disjunct definition, nested at most ``depth`` deep.  Each
+    atom is expanded once per completion, and a split's children carry
+    their parent's conjuncts and congruence classes forward."""
+    expansions, gamma_diseqs = _refuter_tables(gamma, comp)
+    root = _Node()
+    root.add(flatten_and(fc))
+    return _refute(root, gamma_diseqs, expansions, frozenset(), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,16 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, body):
     code, out, err = invoke(capsys, "parse", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("links", [10, 1200])
+@pytest.mark.parametrize("command", [["parse"], ["chains", "--n", "1"]],
+                         ids=["parse", "chains"])
+def test_long_iff_chain_is_a_parse_error(tmp_path, capsys, links, command):
+    path = tmp_path / "iff.lp"
+    path.write_text("p(X) :- " + " <-> ".join(["q(X)"] * (links + 1))
+                    + ".  {q(X)}.\n")
+    code, out, err = invoke(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "'<->' nested more than" in err and "Traceback" not in err

@@ -3,11 +3,12 @@
 import pytest
 
 from lttight.parser import (
-    MAX_NESTING, ParseError, parse_formula, parse_program, parse_sentences,
+    MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
+    parse_sentences,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
-    Or, Variable, formula_to_str, neg,
+    Or, Variable, flatten_and, formula_to_str, neg,
 )
 
 
@@ -128,3 +129,34 @@ def test_nesting_up_to_the_bound_parses_and_prints(shape):
 def test_nesting_past_the_bound_is_a_parse_error(shape):
     with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels"):
         parse_formula(nested(shape, MAX_NESTING + 1))
+
+
+# Each shape puts its argument under one more <->.
+IFF_SHAPES = ["{} <-> q", "q <-> ({})", "not ({} <-> q)",
+              "forall X (p(X) <-> {})"]
+
+
+@pytest.mark.parametrize("shape", IFF_SHAPES)
+def test_iff_nesting_up_to_the_bound_parses_and_prints(shape):
+    f = parse_formula(nested(shape, MAX_IFF_NESTING))
+    assert parse_formula(formula_to_str(f)) == f
+
+
+@pytest.mark.parametrize("shape", IFF_SHAPES)
+def test_iff_nesting_past_the_bound_is_a_parse_error(shape):
+    with pytest.raises(ParseError,
+                       match=f"'<->' nested more than {MAX_IFF_NESTING} levels"):
+        parse_formula(nested(shape, MAX_IFF_NESTING + 1))
+
+
+def test_iff_bound_counts_one_path_not_every_iff():
+    """<-> side by side, or nested inside both operands of one <->, adds
+    no depth beyond the deepest path."""
+    side_by_side = " & ".join(["(p <-> q)"] * (2 * MAX_IFF_NESTING))
+    assert len(flatten_and(parse_formula(side_by_side))) == 4 * MAX_IFF_NESTING
+    both = "r"
+    for _ in range(MAX_IFF_NESTING - 1):
+        both = f"({both}) <-> ({both.replace('r', 'q')})"
+    parse_formula(both)
+    with pytest.raises(ParseError):
+        parse_formula(f"({both}) <-> (q <-> {both})")
