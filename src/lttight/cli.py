@@ -31,6 +31,10 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
+STATS_HELP = ("also print, as one line on stderr, how many interpretations "
+              "were examined, skipped and checked")
+
+
 class UsageError(Exception):
     pass
 
@@ -130,11 +134,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="sample count (default: exhaustive)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p = sub.add_parser("check-prop3",
                        help="moving-objects program vs successor-state formulas")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sample", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p = with_input(sub.add_parser("export-tptp",
                                   help="FOF obligations for the chain formulas"))
     p.add_argument("--n", type=int, required=True)
@@ -163,6 +169,13 @@ def run(argv) -> int:
         return EXIT_GUARD
 
 
+def _print_equiv_report(report, stats: bool) -> int:
+    print(report.render())
+    if stats:
+        print(report.stats_line(), file=sys.stderr)
+    return EXIT_OK if report.verdict == "agree" else EXIT_FOUND
+
+
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "fixture":
@@ -181,8 +194,7 @@ def _dispatch(args) -> int:
             raise UsageError("--k must be nonnegative")
         report = check_proposition3(args.k, sample_count=args.sample,
                                     seed=args.seed)
-        print(report.render())
-        return EXIT_OK if report.verdict == "agree" else EXIT_FOUND
+        return _print_equiv_report(report, args.stats)
 
     prog, fixture_gamma = _load_program(args.input)
 
@@ -258,8 +270,7 @@ def _dispatch(args) -> int:
             prog, gamma, args.m_max, mode=mode,
             sample_count=args.sample or 0, seed=args.seed,
             program_id=args.input)
-        print(report.render())
-        return EXIT_OK if report.verdict == "agree" else EXIT_FOUND
+        return _print_equiv_report(report, args.stats)
     if cmd == "export-tptp":
         if args.n < 0:
             raise UsageError("--n must be nonnegative")

@@ -16,15 +16,14 @@ from .fixtures import (
     moving_successor_state_formulas,
 )
 from .semantics import (
-    Interpretation, ResourceGuardError, enumerate_interpretations,
-    is_sm_model, make_interpretation, sample_interpretation, satisfies_fo,
+    ResourceGuardError, compile_sentence, enumerate_interpretations,
+    is_sm_model, make_interpretation, sample_interpretation,
+    satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
-from .syntax import Program
+from .syntax import Program, conjoin
 
 SM_ONLY = "sm_only"
 COMP_ONLY = "comp_only"
-GAMMA_SKIP = "gamma_skip"   # the interpretation fails Gamma
-GUARD_SKIP = "guard_skip"   # its minimality check exceeds the stability cap
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,17 @@ class EquivReport:
     checked: int
     disagreements: tuple   # tuple[(kind, Interpretation), ...]
     guard_skipped: int = 0
+    gamma_skipped: int = 0
+    both_accept: int = 0   # checked, and stable and a completion model
+    both_reject: int = 0   # checked, and neither
 
     @property
     def verdict(self) -> str:
         return "agree" if not self.disagreements else "disagree"
+
+    @property
+    def examined(self) -> int:
+        return self.gamma_skipped + self.guard_skipped + self.checked
 
     def render(self) -> str:
         lines = [
@@ -53,6 +59,15 @@ class EquivReport:
         lines.append(f"VERDICT {self.verdict} count={len(self.disagreements)}")
         return "\n".join(lines)
 
+    def stats_line(self) -> str:
+        """How the examined interpretations were spent, on one line."""
+        return (f"stats: examined={self.examined} "
+                f"gamma_skipped={self.gamma_skipped} "
+                f"guard_skipped={self.guard_skipped} checked={self.checked} "
+                f"both_accept={self.both_accept} "
+                f"both_reject={self.both_reject} "
+                f"disagree={len(self.disagreements)}")
+
 
 def _gamma_desc(gamma) -> str:
     from .syntax import formula_to_str
@@ -61,41 +76,37 @@ def _gamma_desc(gamma) -> str:
     return "; ".join(formula_to_str(g) for g in gamma)
 
 
-def _compare(prog: Program, comp_sentences, gamma, interp: Interpretation):
-    """None when both sides agree, else the disagreement kind or the
-    reason the interpretation is skipped.  ``prog`` is desugared once by
-    the caller."""
-    if not all(satisfies_fo(interp, g) for g in gamma):
-        return GAMMA_SKIP
-    try:
-        sm = is_sm_model(prog, interp)
-    except ResourceGuardError:
-        return GUARD_SKIP
-    comp_ok = all(satisfies_fo(interp, s) for s in comp_sentences)
-    if sm == comp_ok:
-        return None
-    return SM_ONLY if sm else COMP_ONLY
-
-
 def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
            mode_desc: str) -> EquivReport:
     """Compare every interpretation of the source ``interps`` that
     satisfies Gamma; one whose stability check trips the cap is counted
-    as guard-skipped instead of checked."""
+    as guard-skipped instead of checked.  ``prog`` is desugared by the
+    caller, so it keeps its compiled rules for the whole check, and
+    Gamma and the completion are compiled once here."""
+    gamma_holds = compile_sentence(conjoin(gamma))
+    comp_holds = compile_sentence(conjoin(comp_sentences))
     disagreements = []
-    checked = guard_skipped = 0
+    checked = gamma_skipped = guard_skipped = both_accept = both_reject = 0
     for interp in interps:
-        outcome = _compare(prog, comp_sentences, gamma, interp)
-        if outcome == GAMMA_SKIP:
+        if not gamma_holds(interp):
+            gamma_skipped += 1
             continue
-        if outcome == GUARD_SKIP:
+        try:
+            sm = is_sm_model(prog, interp)
+        except ResourceGuardError:
             guard_skipped += 1
             continue
         checked += 1
-        if outcome is not None:
-            disagreements.append((outcome, interp))
+        comp_ok = comp_holds(interp)
+        if sm != comp_ok:
+            disagreements.append((SM_ONLY if sm else COMP_ONLY, interp))
+        elif sm:
+            both_accept += 1
+        else:
+            both_reject += 1
     return EquivReport(program_id, _gamma_desc(gamma), mode_desc, checked,
-                       tuple(disagreements), guard_skipped)
+                       tuple(disagreements), guard_skipped, gamma_skipped,
+                       both_accept, both_reject)
 
 
 def _sampled(sig, sizes: list, count: int, seed: int):

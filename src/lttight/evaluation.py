@@ -1,0 +1,171 @@
+"""First-order evaluation on finite interpretations, compiled to Python.
+
+A formula is translated once into the source of a Python function of an
+interpretation (see ``semantics.Interpretation``), which is compiled and
+then called on every interpretation a check examines.  The checks of
+``equiv``, ``semantics.is_sm_model`` and ``tightness`` compile their
+sentences once each; ``tests/conftest.py::fo_eval`` is the independent
+oracle the tests hold the compiled functions to.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from .syntax import And, Atom, Bot, Equality, Exists, Forall, Implies, Or, Variable
+
+
+class GroundingError(Exception):
+    """A formula reached a constant the interpretation does not map, or
+    a variable nothing binds."""
+
+
+def _unbound(name: str):
+    raise GroundingError(f"unbound variable {name}")
+
+
+def _unmapped(name: str) -> GroundingError:
+    return GroundingError(f"constant {name} is not mapped by the interpretation")
+
+
+# Python's tokenizer refuses more than 200 nested brackets in one
+# statement, and a formula the parser accepts can need more (an
+# implication or an atom opens several per level).  A subexpression
+# nested deeper than this becomes a call of a helper function of its
+# own, so no generated statement nests much past it.
+MAX_CODE_DEPTH = 40
+
+
+class _Codegen:
+    """Python source for a formula evaluated on an interpretation.
+
+    Connectives become ``and``/``or``/``not``, a run of like quantifiers
+    becomes one ``all``/``any`` over ``range(m)`` (or its product), an
+    atom a tuple membership test in the predicate's extension, read once
+    per call, and a constant a lookup in ``_consts`` made where it is
+    evaluated.  Python evaluates left to right and short-circuits, so
+    evaluation stops where ``fo_eval`` could first tell the value, and
+    an unmapped constant fails only when it is reached.  Variables
+    become locals ``v0, v1, ...``; user names appear only as ``repr``
+    string literals.
+
+    ``expr`` returns the source with its bracket depth; past
+    MAX_CODE_DEPTH the source moves into a helper ``h0, h1, ...`` that
+    takes the locals it may read as arguments."""
+
+    def __init__(self):
+        self.extensions: dict = {}    # predicate -> local name
+        self.locals = 0
+        self.helpers: list = []
+
+    def fresh(self) -> str:
+        self.locals += 1
+        return f"v{self.locals - 1}"
+
+    def term(self, t, scope: dict) -> tuple:
+        if type(t) is Variable:
+            if t.name in scope:
+                return scope[t.name], 0
+            return f"_unbound({t.name!r})", 1
+        return f"C[{t.name!r}]", 1
+
+    def expr(self, f, scope: dict) -> tuple:
+        source, depth = self.node(f, scope)
+        if depth <= MAX_CODE_DEPTH:
+            return source, depth
+        params = ", ".join(["C", "R", *self.extensions.values(), *scope.values()])
+        name = f"h{len(self.helpers)}"
+        self.helpers.append(f"def {name}({params}):\n    return {source}\n")
+        return f"{name}({params})", 1
+
+    def node(self, f, scope: dict) -> tuple:
+        cls = type(f)
+        if cls is Atom:
+            ext = self.extensions.setdefault(f.predicate,
+                                             f"e{len(self.extensions)}")
+            args = [self.term(t, scope) for t in f.args]
+            source = "".join(a + ", " for a, _ in args)
+            return f"(({source}) in {ext})", 2 + max((d for _, d in args), default=0)
+        if cls is And or cls is Or:
+            items = [self.expr(g, scope) for g in f.items]
+            op = " and " if cls is And else " or "
+            return ("(" + op.join(s for s, _ in items) + ")",
+                    1 + max(d for _, d in items))
+        if cls is Implies:
+            left, dl = self.expr(f.left, scope)
+            if type(f.right) is Bot:
+                return f"(not {left})", 1 + dl
+            right, dr = self.expr(f.right, scope)
+            return f"(not {left} or {right})", 1 + max(dl, dr)
+        if cls is Equality:
+            left, dl = self.term(f.left, scope)
+            right, dr = self.term(f.right, scope)
+            return f"({left} == {right})", 1 + max(dl, dr)
+        if cls is Forall or cls is Exists:
+            names = []
+            while type(f) is cls:
+                scope = {**scope, f.var.name: self.fresh()}
+                names.append(scope[f.var.name])
+                f = f.body
+            body, depth = self.expr(f, scope)
+            return (f"{'all' if cls is Forall else 'any'}({body} "
+                    f"for {self.loop(names)})", 1 + max(depth, 1))
+        if cls is Bot:
+            return "False", 0
+        raise TypeError(f"not a formula: {f!r}")
+
+    @staticmethod
+    def loop(names: list) -> str:
+        if len(names) == 1:
+            return f"{names[0]} in R"
+        targets = "".join(n + ", " for n in names)
+        return f"({targets}) in _product(R, repeat={len(names)})"
+
+    def function(self, result: str) -> str:
+        lines = ["def compiled(I):",
+                 "    C = I._consts",
+                 "    R = range(I.universe)",
+                 "    X = I._exts"]
+        lines += [f"    {ext} = X.get({p!r}, ())"
+                  for p, ext in self.extensions.items()]
+        lines += ["    try:",
+                  f"        return {result}",
+                  "    except KeyError as exc:",
+                  "        raise _unmapped(exc.args[0]) from None"]
+        return "".join(self.helpers) + "\n".join(lines) + "\n"
+
+
+def _build(source: str):
+    namespace = {"_product": product, "_unbound": _unbound, "_unmapped": _unmapped}
+    exec(compile(source, "<lttight formula>", "exec"), namespace)
+    return namespace["compiled"]
+
+
+def compile_sentence(sentence):
+    """A function of an interpretation that tells whether it satisfies
+    ``sentence``: the evaluator, compiled once to Python so that a check
+    can call it on every interpretation it examines.
+
+    Connectives and quantifiers short-circuit: evaluation stops at the
+    first false conjunct or instance of a universal, and at the first
+    true disjunct or instance of an existential.  Nothing is grounded.
+    Reaching an unmapped constant or a free variable raises
+    GroundingError."""
+    gen = _Codegen()
+    body, _ = gen.expr(sentence, {})
+    return _build(gen.function(body))
+
+
+def compile_bindings(f, variables: list):
+    """A function of an interpretation that lists the value tuples of
+    ``variables`` (over the universe, in ``product`` order) under which
+    ``f`` holds.  Other free variables of ``f`` raise GroundingError
+    when reached."""
+    gen = _Codegen()
+    names = [gen.fresh() for _ in variables]
+    scope = {v.name: n for v, n in zip(variables, names)}
+    body, _ = gen.expr(f, scope)
+    params = "".join(n + ", " for n in names)
+    return _build(gen.function(
+        f"[({params}) for ({params}) in _product(R, repeat={len(names)}) "
+        f"if {body}]"))

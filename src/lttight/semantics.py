@@ -1,5 +1,6 @@
-"""Finite first-order interpretations, direct first-order evaluation,
-grounding, reducts, and stable/supported/tight-on checks.
+"""Finite first-order interpretations, grounding, reducts, and
+stable/supported/tight-on checks.  First-order sentences are evaluated
+by functions compiled in ``evaluation``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -16,9 +17,10 @@ from random import Random
 from typing import Iterator, Optional
 
 from .completion import desugar, is_desugared
+from .evaluation import GroundingError, compile_bindings, compile_sentence
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    Or, Program, Signature, Variable,
+    Or, Program, Signature, Variable, conjoin,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -226,20 +228,19 @@ def enumerate_interpretations(sig: Signature, m: int,
         raise ResourceGuardError(
             f"{total} interpretations at universe size {m} exceeds the "
             f"ceiling of {limit}; use sampling mode")
-    const_names = list(sig.constants)
-    pred_tuples = [(p, list(product(range(m), repeat=arity)))
-                   for p, arity in sig.predicates]
+    # Built in make_interpretation's order without its sorting: the
+    # signature lists names sorted, and product() yields tuples, and so
+    # each subset of them, in order.
     ext_choices = []
-    for p, tuples in pred_tuples:
-        subsets = []
-        for mask in range(2 ** len(tuples)):
-            subsets.append([t for i, t in enumerate(tuples) if mask >> i & 1])
-        ext_choices.append(subsets)
-    for cvals in product(range(m), repeat=len(const_names)):
-        consts = dict(zip(const_names, cvals))
-        for chosen in product(*ext_choices):
-            extensions = {p: subset for (p, _), subset in zip(pred_tuples, chosen)}
-            yield make_interpretation(m, consts, extensions)
+    for p, arity in sig.predicates:
+        tuples = list(product(range(m), repeat=arity))
+        ext_choices.append([
+            (p, tuple(t for i, t in enumerate(tuples) if mask >> i & 1))
+            for mask in range(2 ** len(tuples))])
+    for cvals in product(range(m), repeat=len(sig.constants)):
+        consts = tuple(zip(sig.constants, cvals))
+        for extensions in product(*ext_choices):
+            yield Interpretation(m, consts, extensions)
 
 
 def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation:
@@ -255,10 +256,6 @@ def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation
 
 # ---------------------------------------------------------------------------
 # Grounding
-
-class GroundingError(Exception):
-    pass
-
 
 def _term_value(t, interp: Interpretation, env: dict) -> int:
     if isinstance(t, Variable):
@@ -514,74 +511,55 @@ def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# First-order evaluation
-
-_UNBOUND = object()
-
-
-def _value(t, interp: Interpretation, env: dict) -> int:
-    # The evaluator's env is keyed by variable name: hashing a str is
-    # much cheaper than hashing a Variable dataclass.
-    try:
-        if isinstance(t, Variable):
-            return env[t.name]
-        return interp._consts[t.name]
-    except KeyError:
-        if isinstance(t, Variable):
-            raise GroundingError(f"unbound variable {t.name}") from None
-        raise GroundingError(
-            f"constant {t.name} is not mapped by the interpretation") from None
-
-
-def _holds(f, interp: Interpretation, env: dict) -> bool:
-    """Whether ``f`` is true in the interpretation under ``env`` (variable
-    name -> element), evaluated left to right with short-circuiting."""
-    if isinstance(f, Atom):
-        try:
-            args = tuple(env[t.name] if isinstance(t, Variable)
-                         else interp._consts[t.name] for t in f.args)
-        except KeyError:
-            # the slow path names the unbound variable or unmapped constant
-            args = tuple(_value(t, interp, env) for t in f.args)
-        return args in interp._exts.get(f.predicate, ())
-    if isinstance(f, (And, Or)):
-        stop = isinstance(f, Or)  # And stops at the first false item, Or at a true one
-        for g in f.items:
-            if _holds(g, interp, env) is stop:
-                return stop
-        return not stop
-    if isinstance(f, Implies):
-        return not _holds(f.left, interp, env) or _holds(f.right, interp, env)
-    if isinstance(f, Equality):
-        return _value(f.left, interp, env) == _value(f.right, interp, env)
-    if isinstance(f, (Forall, Exists)):
-        stop = isinstance(f, Exists)
-        name = f.var.name
-        saved = env.get(name, _UNBOUND)
-        try:
-            for e in range(interp.universe):
-                env[name] = e
-                if _holds(f.body, interp, env) is stop:
-                    return stop
-            return not stop
-        finally:
-            if saved is _UNBOUND:
-                del env[name]
-            else:
-                env[name] = saved
-    if isinstance(f, Bot):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
-
+# First-order satisfaction and the stable-model check
 
 def satisfies_fo(interp: Interpretation, sentence) -> bool:
-    """First-order satisfaction, evaluated directly on the interpretation.
+    """First-order satisfaction of ``sentence``, compiled and evaluated
+    directly on the interpretation; see ``compile_sentence``.  A check
+    over many interpretations compiles its sentences once instead."""
+    return compile_sentence(sentence)(interp)
 
-    Connectives and quantifiers short-circuit: evaluation stops at the
-    first false conjunct or instance of a universal, and at the first
-    true disjunct or instance of an existential.  Nothing is grounded.
-    Touching an unmapped constant raises GroundingError."""
-    return _holds(sentence, interp, {})
+
+def _sm_tables(prog: Program):
+    """The compiled tables ``is_sm_model`` needs, built from the
+    desugared program and kept on ``prog``: one function for the
+    classical check (every constraint, then every rule, read as a
+    sentence) and, per basic rule, its free variables and the bindings
+    under which its body holds."""
+    tables = prog.derived.get("sm_model")
+    if tables is None:
+        d = prog if is_desugared(prog) else desugar(prog)
+        rules = [r for r in d.rules if r.kind == CONSTRAINT]
+        rules += [r for r in d.rules if r.kind != CONSTRAINT]
+        classical = compile_sentence(conjoin(r.sentence() for r in rules))
+        bodies = []
+        for r in d.rules:
+            if r.kind == BASIC:
+                free = r.free_vars()
+                bodies.append((r, free, compile_bindings(r.body, free)))
+        tables = prog.derived["sm_model"] = (classical, bodies)
+    return tables
+
+
+def ground_relevant(prog: Program, interp: Interpretation) -> GAnd:
+    """The conjunction of ``body -> head`` over the instances of the
+    desugared program's basic rules whose body the interpretation
+    satisfies, in the order of ``ground_program``.
+
+    When the interpretation satisfies every rule, this formula and
+    ``ground_program(desugar(prog), interp)[1]`` have the same reduct,
+    constant folded: every instance left out has a body the
+    interpretation does not satisfy, so its reduct ``false -> head``
+    folds away.  This is relevance-driven grounding, as in gringo."""
+    _, bodies = _sm_tables(prog)
+    conjuncts = []
+    for r, free, bindings in bodies:
+        for values in bindings(interp):
+            env = dict(zip(free, values))
+            head = GAtom(r.head.predicate,
+                         tuple(_term_value(t, interp, env) for t in r.head.args))
+            conjuncts.append(GImplies(ground(r.body, interp, env), head))
+    return GAnd(tuple(conjuncts))
 
 
 def is_sm_model(prog: Program, interp: Interpretation,
@@ -589,19 +567,18 @@ def is_sm_model(prog: Program, interp: Interpretation,
     """Whether the interpretation is a stable model of the program.
 
     The program is desugared (choice rules and extensional predicates
-    become double-negation rules) unless it already is; callers checking
-    many interpretations pass the desugared program.  Cheap rejections
-    come first: every constraint, then every rule read classically as
-    the universal closure of ``body -> head``, stopping at the first
-    violated instance.  Only an interpretation that passes is grounded,
-    and its atom set checked for stability against the reduct."""
-    d = prog if is_desugared(prog) else desugar(prog)
-    rules = [r for r in d.rules if r.kind == CONSTRAINT]
-    rules += [r for r in d.rules if r.kind != CONSTRAINT]
-    if not all(satisfies_fo(interp, r.sentence()) for r in rules):
+    become double-negation rules), and its rule sentences and bodies
+    compiled, on the first call; the program keeps them for the calls
+    that follow.  Cheap rejections come first: every constraint, then
+    every rule read classically as the universal closure of
+    ``body -> head``, stopping at the first violated instance.  An
+    interpretation that passes has its atom set checked for stability
+    against the reduct of ``ground_relevant``: only the rule instances
+    whose body it satisfies are grounded."""
+    classical, _ = _sm_tables(prog)
+    if not classical(interp):
         return False
-    _, gf = ground_program(d, interp)
-    return is_stable(gf, interp.true_atoms(), cap)
+    return is_stable(ground_relevant(prog, interp), interp.true_atoms(), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from typing import Iterator, Optional
 
 from .completion import CompletionResult, completion, desugar, simplify
 from .semantics import (
-    Interpretation, enumerate_interpretations, is_acyclic, satisfies_fo,
+    Interpretation, compile_sentence, enumerate_interpretations, is_acyclic,
+    satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
 from .syntax import (
     BASIC, BOT, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
@@ -444,13 +445,15 @@ def check_gamma_tight(prog: Program, gamma, n: int,
             open_chains.append((c, existential_closure(fc)))
     if not open_chains:
         return TightnessVerdict(ENTAILED, n, universe_bound)
-    targets = list(gamma) + comp.sentences()
+    # compiled only now: a search that never runs compiles nothing
+    targets = compile_sentence(conjoin(list(gamma) + comp.sentences()))
+    open_chains = [(c, compile_sentence(closed)) for c, closed in open_chains]
     for m in range(1, universe_bound + 1):
         for interp in enumerate_interpretations(prog.signature, m):
-            if not all(satisfies_fo(interp, s) for s in targets):
+            if not targets(interp):
                 continue
-            for c, closed in open_chains:
-                if satisfies_fo(interp, closed):
+            for c, holds in open_chains:
+                if holds(interp):
                     return TightnessVerdict(COUNTERMODEL, n, universe_bound,
                                             chain=c, interpretation=interp)
     return TightnessVerdict(UNKNOWN, n, universe_bound)

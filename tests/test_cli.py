@@ -243,6 +243,31 @@ def test_stable_interpretation_under_the_cap_is_fast(tmp_path, capsys):
                               "VERDICT agree count=0\n")
     assert elapsed < 10, f"took {elapsed:.1f} s"
 
+
+def test_stats_shows_a_vacuous_sampled_check(capsys):
+    """README's sampled moving(1) check: Gamma rejects every sample, so
+    nothing is checked, which --stats shows on stderr; stdout is the
+    same with and without it."""
+    argv = ("check-equiv", "fixture:moving(1)", "--m-max", "2",
+            "--sample", "1000", "--seed", "7")
+    plain = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--stats")
+    assert plain == (code, out, "")
+    assert out.endswith("VERDICT agree count=0\n")
+    assert err == ("stats: examined=1000 gamma_skipped=1000 guard_skipped=0 "
+                   "checked=0 both_accept=0 both_reject=0 disagree=0\n")
+
+
+def test_stats_on_check_prop3(capsys):
+    argv = ("check-prop3", "--k", "1", "--sample", "20", "--seed", "2")
+    plain = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--stats")
+    assert plain == (code, out, "") and code == 0
+    # the 20 samples plus the 9 directed interpretations, 3 of them stable
+    assert err == ("stats: examined=29 gamma_skipped=0 guard_skipped=0 "
+                   "checked=29 both_accept=3 both_reject=26 disagree=0\n")
+
+
 def test_check_equiv_sampled(capsys):
     code, out, _ = invoke(capsys, "check-equiv", "fixture:moving(1)",
                           "--m-max", "2", "--sample", "25", "--seed", "9")
@@ -337,3 +362,26 @@ def test_long_iff_chain_is_a_parse_error(tmp_path, capsys, links, command):
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
     assert "'<->' nested more than" in err and "Traceback" not in err
+
+
+def test_deepest_body_gets_a_verdict(tmp_path, capsys):
+    # as deep as the parser allows, and several Python brackets per
+    # level once compiled: the checks still reach a verdict
+    body = "exists Y (p | q & r)"
+    for _ in range(49):
+        body = f"exists Y (p | q & {body} -> r)"
+    path = tmp_path / "deep.lp"
+    path.write_text(f"r.\np :- {body}.\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=1; p={()}; q={}; r={()}\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+    code, out, err = invoke(capsys, "check-equiv", str(path), "--m-max", "1",
+                            "--stats")
+    assert (code, out.splitlines()[-1]) == (0, "VERDICT agree count=0")
+    assert err == ("stats: examined=8 gamma_skipped=0 guard_skipped=0 "
+                   "checked=8 both_accept=1 both_reject=7 disagree=0\n")
+    code, out, err = invoke(capsys, "check-gamma-tight", str(path), "--n", "1",
+                            "--bound", "1")
+    assert (code, out.splitlines()[:2], err) == (
+        1, ["countermodel", "universe=1; p={()}; q={}; r={()}"], "")

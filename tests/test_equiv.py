@@ -9,6 +9,7 @@ from lttight.equiv import (
 )
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula
+from lttight.semantics import interpretation_count
 
 
 def test_report_render_format():
@@ -27,6 +28,20 @@ def test_exhaustive_checked_counts():
     report = check_equivalence(builtin_fixture("prog1").program, (), 2)
     assert report.checked == 68   # 4 at m=1 plus 64 at m=2
     assert report.verdict == "agree"
+
+
+def test_report_counts_every_examined_interpretation():
+    prog = builtin_fixture("prog2").program
+    report = check_equivalence(prog, (), 4)
+    assert report.examined == sum(interpretation_count(prog.signature, m)
+                                  for m in range(1, 5))
+    assert report.gamma_skipped == report.guard_skipped == 0
+    assert (report.both_accept + report.both_reject
+            + len(report.disagreements)) == report.checked == report.examined
+    assert report.both_accept > 0 and len(report.disagreements) == 10
+    gamma = [parse_formula("a != b")]
+    report = check_equivalence(prog, gamma, 2)
+    assert (report.examined, report.gamma_skipped, report.checked) == (68, 36, 32)
 
 
 def test_gamma_filters_interpretations():

@@ -1,17 +1,23 @@
 """Seeded randomized invariants beyond the core acceptance properties:
-printer/parser round trip, substitution and grounding against a direct
-first-order evaluator, simplification soundness, and the tight-on
-consequence of chain refutation."""
+printer/parser round trip, substitution, grounding and the compiled
+evaluator against a direct first-order evaluator, simplification
+soundness, the tight-on consequence of chain refutation, and the
+relevant grounding against the whole grounding."""
 
+from itertools import product
 from random import Random
 
 from lttight.completion import completion, desugar, simplify
 from lttight.equiv import successor_state_interpretations
 from lttight.fixtures import builtin_fixture
-from lttight.parser import parse_formula
+from lttight.parser import (
+    MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
+)
+from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.semantics import (
-    GAtom, enumerate_interpretations, ground, ground_program, is_sm_model,
-    is_stable, is_tight_on, make_interpretation, reduct, sample_interpretation,
+    GAtom, ResourceGuardError, _folded_reduct, enumerate_interpretations,
+    ground, ground_program, ground_relevant, is_sm_model, is_stable,
+    is_tight_on, make_interpretation, reduct, sample_interpretation,
     satisfies, satisfies_fo,
 )
 from lttight.syntax import (
@@ -23,8 +29,11 @@ from lttight.tightness import ENTAILED, check_gamma_tight
 
 from conftest import fo_eval, random_ground_formula, random_ground_program
 from test_acceptance import _oracle_stable
+from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
 
 SEED = 97
+SMALL_FIXTURES = ("prog1", "prog2", "prog4", "ex1", "ex2", "example1",
+                  "example2", "example3")
 SIG = Signature(predicates=(("p", 1), ("q", 2), ("r", 0)),
                 constants=("a", "b"))
 VARS = [Variable("X"), Variable("Y"), Variable("Z")]
@@ -124,8 +133,7 @@ def test_is_sm_model_matches_grounding_reference():
     desugared program and testing stability directly, for every
     interpretation at m <= 2 of the small fixtures."""
     total = stable = 0
-    for name in ("prog1", "prog2", "prog4", "ex1", "ex2", "example1",
-                 "example2", "example3"):
+    for name in SMALL_FIXTURES:
         prog = builtin_fixture(name).program
         d = desugar(prog)
         for m in (1, 2):
@@ -295,3 +303,186 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
     assert True in outcomes and False in outcomes
     print(f"is_sm_model vs oracle on directed moving(1): {len(outcomes)} "
           f"interpretations, {sum(outcomes)} stable")
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator and the relevant grounding against their oracles
+
+def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
+    """Each compiled sentence is evaluated on several sampled
+    interpretations (constants merge freely) and on an m <= 2 one."""
+    rng = Random(SEED + 7)
+    merged = 0
+    enumerated = [i for m in (1, 2) for i in enumerate_interpretations(SIG, m)]
+    for _ in range(1200):
+        f = random_sentence(rng, 4)
+        holds = compile_sentence(f)
+        for _ in range(3):
+            interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
+            merged += interp.const("a") == interp.const("b")
+            assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
+        interp = rng.choice(enumerated)
+        assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
+    assert merged > 300
+    print(f"compiled evaluator vs fo_eval: 1200 sentences, 4800 cases, "
+          f"{merged} with merged constants")
+
+
+def test_compiled_evaluator_matches_fo_eval_on_fixtures():
+    """Completion, rule and Gamma sentences and rule-body bindings of the
+    small fixtures, on every interpretation at m <= 2."""
+    total = 0
+    for name in SMALL_FIXTURES:
+        fx = builtin_fixture(name)
+        d = desugar(fx.program)
+        sentences = (completion(fx.program).sentences()
+                     + [r.sentence() for r in d.rules] + list(fx.gamma))
+        compiled = [(s, compile_sentence(s)) for s in sentences]
+        bodies = [(r.body, r.free_vars()) for r in d.rules]
+        bodies = [(b, free, compile_bindings(b, free)) for b, free in bodies]
+        for m in (1, 2):
+            for interp in enumerate_interpretations(fx.program.signature, m):
+                for s, holds in compiled:
+                    assert holds(interp) == fo_eval(s, interp), \
+                        (name, formula_to_str(s), interp.literal())
+                for body, free, bindings in bodies:
+                    assert bindings(interp) == [
+                        values for values in product(range(m), repeat=len(free))
+                        if fo_eval(body, interp, dict(zip(free, values)))]
+                total += 1
+    print(f"compiled evaluator vs fo_eval on fixtures: {total} interpretations")
+
+
+# Each shape opens several Python brackets per parser level once compiled.
+DEEP_CODE_SHAPES = ["exists Y (p | q & {} -> r)", "({} -> r) -> r",
+                    "not (s(a, b, c) & a = b | {} -> r)",
+                    "forall X (s(X, a, b) & (p -> ({} -> not r)))"]
+
+
+def deepest(shape: str, text: str) -> str:
+    """``shape`` around ``text`` as often as the parser allows."""
+    while True:
+        deeper = shape.format(text)
+        try:
+            parse_formula(deeper)
+        except ParseError:
+            return text
+        text = deeper
+
+
+def test_compiled_evaluator_at_the_nesting_bounds():
+    """Formulas nested as deep as the parser allows, their rule
+    sentences, rule-body bindings and completions compile and agree with
+    fo_eval on every interpretation of their signature at m = 1.  (At
+    m = 2, fifty nested quantifiers have 2**50 instances.)"""
+    texts = ([nested(shape, MAX_NESTING) for shape in NESTING_SHAPES]
+             + [nested(shape, MAX_IFF_NESTING) for shape in IFF_SHAPES]
+             + [deepest(shape, "exists Y (p | q & r)")
+                for shape in DEEP_CODE_SHAPES])
+    for text in texts:
+        prog = parse_program(f"goal :- {text}.")
+        rule = desugar(prog).rules[0]
+        sentences = ([parse_formula(text), rule.sentence()]
+                     + completion(prog).sentences())
+        compiled = [(s, compile_sentence(s)) for s in sentences]
+        bindings = compile_bindings(rule.body, [])
+        for interp in enumerate_interpretations(prog.signature, 1):
+            for s, holds in compiled:
+                assert holds(interp) == fo_eval(s, interp), text[:60]
+            holds = fo_eval(rule.body, interp)
+            assert bindings(interp) == ([()] if holds else []), text[:60]
+
+def _stability(g, j, cap):
+    try:
+        return is_stable(g, j, cap)
+    except ResourceGuardError:
+        return "over the cap"
+
+
+def _same_reduct(d, interp, cap):
+    """For an interpretation that satisfies every rule of the desugared
+    program ``d``, the relevant instances and the whole grounding have
+    the same folded reduct and the same stability verdict, which is
+    returned; None for any other interpretation."""
+    _, full = ground_program(d, interp)
+    j = interp.true_atoms()
+    if not satisfies(j, full):
+        return None
+    relevant = ground_relevant(d, interp)
+    canon = {a: a for a in j}
+    assert _folded_reduct(relevant, canon) == _folded_reduct(full, canon), \
+        interp.literal()
+    verdict = _stability(relevant, j, cap)
+    assert verdict == _stability(full, j, cap), interp.literal()
+    return verdict
+
+
+def random_program_text(rng: Random) -> str:
+    """A random first-order program in the style of
+    ``random_ground_program``: rules over SIG whose bodies are
+    conjunctions of literals, with some choice rules and constraints."""
+
+    def atom():
+        name, arity = rng.choice(SIG.predicates)
+        args = [rng.choice(("X", "Y", "a", "b")) for _ in range(arity)]
+        return f"{name}({', '.join(args)})" if args else name
+
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        body = [atom() if rng.random() < 0.6 else f"not {atom()}"
+                for _ in range(rng.randint(0, 3))]
+        roll = rng.random()
+        head = ":- " if roll < 0.1 else (f"{{{atom()}}}" if roll < 0.3 else atom())
+        if head == ":- " and not body:
+            body = [atom()]
+        rules.append(head + (" :- " if body and head != ":- " else "")
+                     + ", ".join(body) + ".")
+    return " ".join(rules)
+
+
+def test_relevant_grounding_has_the_same_reduct():
+    """ground_relevant against ground_program's formula: random programs
+    with J steered through the immediate-consequence operator, every
+    m <= 2 interpretation of the small fixtures, and the directed
+    moving(1) interpretations with one drift of each.  Small caps make
+    some atom sets trip ResourceGuardError on both."""
+    rng = Random(SEED + 8)
+    verdicts = []
+
+    def check(d, interp, cap):
+        verdict = _same_reduct(d, interp, cap)
+        if verdict is not None:
+            verdicts.append(verdict)
+
+    for _ in range(400):
+        prog = parse_program(random_program_text(rng))
+        d = desugar(prog)
+        m = rng.randint(1, 3)
+        interp = sample_interpretation(prog.signature, m, rng)
+        gp, _ = ground_program(d, interp)
+        j = interp.true_atoms()
+        for _ in range(4):
+            j = frozenset(r.head for r in gp.rules if satisfies(j, r.body))
+        exts = {p: [a.args for a in j if a.predicate == p]
+                for p, _ in prog.predicates}
+        interp = make_interpretation(m, dict(interp.consts), exts)
+        check(d, interp, rng.choice((1, 3, 24)))
+    random_verdicts = set(verdicts)
+    random_count = len(verdicts)
+    for name in SMALL_FIXTURES:
+        prog = builtin_fixture(name).program
+        d = desugar(prog)
+        for m in (1, 2):
+            for interp in enumerate_interpretations(prog.signature, m):
+                check(d, interp, 24)
+                check(d, interp, 2)
+    d = desugar(builtin_fixture("moving(1)").program)
+    for base in successor_state_interpretations(1):
+        for interp in (base, _drift(base)):
+            check(d, interp, 24)
+            check(d, interp, 8)
+    assert random_count > 100
+    assert random_verdicts == set(verdicts) == {True, False, "over the cap"}
+    print(f"relevant grounding vs ground_program: {len(verdicts)} classical "
+          f"models ({random_count} random), {verdicts.count(True)} stable, "
+          f"{verdicts.count('over the cap')} over the cap")

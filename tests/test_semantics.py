@@ -1,21 +1,29 @@
-"""Interpretations, grounding, reducts, stability, supportedness and
-the tight-on check."""
+"""Interpretations, compiled evaluation, grounding, reducts, stability,
+supportedness and the tight-on check."""
 
+from itertools import product
 from random import Random
 
 import pytest
 
 from lttight.completion import desugar
+from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     DEFAULT_STABILITY_CAP, G_BOT, G_TOP, GAnd, GAtom, GImplies, GOr,
     GroundProgram, GroundRule, GroundingError, Interpretation,
     ResourceGuardError, enumerate_interpretations, ground, ground_program,
-    ground_to_str, interpretation_count, is_acyclic, is_sm_model, is_stable,
+    ground_relevant, ground_to_str, interpretation_count, is_acyclic, is_sm_model, is_stable,
     is_supported, is_tight_on, make_interpretation, parse_interpretation, pnn,
     pnn_nnn, reduct, sample_interpretation, satisfies, satisfies_fo,
 )
+from lttight.syntax import (
+    And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or, Variable,
+    neg,
+)
+
+from conftest import fo_eval
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
 
@@ -49,6 +57,31 @@ def test_enumeration_guard():
         next(enumerate_interpretations(SIG2, 2, ceiling=10))
     with pytest.raises(ValueError):
         next(enumerate_interpretations(SIG2, 0))
+
+
+def _enumerate_by_make_interpretation(sig, m):
+    """Every interpretation at universe size m, each candidate built and
+    sorted by make_interpretation: the reference order."""
+    pred_tuples = [(p, list(product(range(m), repeat=arity)))
+                   for p, arity in sig.predicates]
+    ext_choices = [[[t for i, t in enumerate(tuples) if mask >> i & 1]
+                    for mask in range(2 ** len(tuples))]
+                   for _, tuples in pred_tuples]
+    for cvals in product(range(m), repeat=len(sig.constants)):
+        consts = dict(zip(sig.constants, cvals))
+        for chosen in product(*ext_choices):
+            yield make_interpretation(
+                m, consts, {p: subset for (p, _), subset in zip(pred_tuples, chosen)})
+
+
+@pytest.mark.parametrize("name", ["prog2", "ex2"])
+def test_enumeration_matches_make_interpretation(name):
+    sig = builtin_fixture(name).program.signature
+    for m in (1, 2, 3):
+        fast = list(enumerate_interpretations(sig, m))
+        slow = list(_enumerate_by_make_interpretation(sig, m))
+        assert fast == slow
+        assert [i.literal() for i in fast] == [i.literal() for i in slow]
 
 
 def test_literal_round_trip():
@@ -215,6 +248,63 @@ def test_satisfies_fo_deep_conjunction():
     assert not satisfies_fo(herbrand2(p=[(1,)], q=[(0,)]), sentence)
     disjunction = parse_formula(" | ".join(["p(b)"] * 1500 + ["p(a)"]))
     assert satisfies_fo(herbrand2(p=[(0,)]), disjunction)
+
+
+def test_compiled_names_are_data_not_code():
+    """Predicate, constant and variable names that are not Python
+    identifiers, some of them code, are evaluated as names."""
+    pred = "p') or (1"
+    other = "__import__('sys').exit(3)"
+    c, d = "a'] or C['b", "b\\\n\"; raise SystemExit(4) #"
+    X, Y = Variable("X') or (1"), Variable("e0")
+    sentences = [
+        Forall(X, Implies(Atom(pred, (X, ObjectConstant(c))),
+                          Exists(Y, And(Atom(other, (Y,)),
+                                        neg(Equality(Y, ObjectConstant(d))))))),
+        Or(Atom(other, (ObjectConstant(c),)),
+           Exists(X, Atom(pred, (X, X)))),
+        Equality(ObjectConstant(c), ObjectConstant(d)),
+    ]
+    compiled = [compile_sentence(f) for f in sentences]
+    bindings = compile_bindings(Atom(pred, (X, Y)), [Y, X])
+    rng = Random(11)
+    for _ in range(200):
+        m = rng.randint(1, 3)
+        interp = make_interpretation(
+            m, {c: rng.randrange(m), d: rng.randrange(m)},
+            {pred: [t for t in product(range(m), repeat=2) if rng.random() < 0.5],
+             other: [(e,) for e in range(m) if rng.random() < 0.5]})
+        for f, holds in zip(sentences, compiled):
+            assert holds(interp) == fo_eval(f, interp)
+        assert bindings(interp) == [(y, x) for y, x in product(range(m), repeat=2)
+                                    if (x, y) in interp.extension(pred)]
+    unmapped = make_interpretation(1, {}, {pred: [], other: []})
+    with pytest.raises(GroundingError, match=r"constant a'\] or C\['b is not"):
+        compiled[2](unmapped)
+
+
+def test_compiled_unbound_variable():
+    interp = herbrand2(p=[(0,)])
+    with pytest.raises(GroundingError, match="unbound variable Z"):
+        satisfies_fo(interp, parse_formula("p(a) & p(Z)"))
+    # short-circuits before the free variable is reached
+    assert not satisfies_fo(interp, parse_formula("p(b) & p(Z)"))
+
+
+def test_ground_relevant_keeps_instances_whose_body_holds():
+    d = desugar(parse_program("p(X) :- q(X). q(a). :- p(b), not q(b)."))
+    interp = make_interpretation(2, {"a": 0, "b": 1},
+                                 {"p": [(0,)], "q": [(0,)]})
+    relevant = ground_relevant(d, interp)
+    assert ground_to_str(relevant) == ("((q(e0) -> p(e0)) & "
+                                       "((false -> false) -> q(e0)))")
+    _, full = ground_program(d, interp)
+    assert len(full.items) == 4
+    assert is_stable(relevant, interp.true_atoms())
+    # a choice rule is grounded as its desugared double-negation rule
+    assert ground_to_str(ground_relevant(parse_program("{p}."),
+                                         make_interpretation(1, {}, {"p": [()]}))) \
+        == "((((p -> false) -> false) -> p))"
 
 
 def test_is_sm_model_deep_rule_body_rejects_classically():

@@ -3,6 +3,7 @@ refuter, and the exports."""
 
 import pytest
 
+from lttight import tightness
 from lttight.completion import completion
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
@@ -176,6 +177,24 @@ def test_check_gamma_tight_argument_validation():
         check_gamma_tight(prog, (), 1, universe_bound=0)
     with pytest.raises(ValueError):
         list(chains(prog, -1))
+
+
+def test_countermodel_search_compiles_only_when_it_runs(monkeypatch):
+    compiled = []
+
+    def counting(sentence):
+        compiled.append(sentence)
+        return compile_sentence(sentence)
+
+    compile_sentence = tightness.compile_sentence
+    monkeypatch.setattr(tightness, "compile_sentence", counting)
+    fx = builtin_fixture("moving(1)")
+    assert check_gamma_tight(fx.program, fx.gamma, 3).status == ENTAILED
+    assert compiled == []
+    # one conjunction of Gamma and the completion, one per open chain
+    verdict = check_gamma_tight(builtin_fixture("prog2").program, [], 1, 3)
+    assert verdict.status == COUNTERMODEL
+    assert len(compiled) == 1 + len(list(chains(builtin_fixture("prog2").program, 1)))
 
 
 def test_export_dot_predicate_graph():
