@@ -1,6 +1,7 @@
 """Finite first-order interpretations, grounding, reducts, and
 stable/supported/tight-on checks.  First-order sentences are evaluated
-by functions compiled in ``evaluation``.
+by functions compiled in ``evaluation``; reducts are folded over
+numbered atoms and searched for a smaller model in ``stability``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -18,6 +19,9 @@ from typing import Iterator, Optional
 
 from .completion import desugar, is_desugared
 from .evaluation import GroundingError, compile_bindings, compile_sentence
+from .stability import (
+    BOT, TOP, Conj, Disj, fold_instance, has_smaller_model, implies, junction,
+)
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
     Or, Program, Signature, Variable, conjoin,
@@ -121,6 +125,7 @@ class Interpretation:
     universe: int
     consts: tuple       # tuple[(name, element), ...] sorted by name
     extensions: tuple   # tuple[(predicate, tuple[tuple[int,...], ...]), ...]
+                        # sorted by predicate, each extension sorted
     # Indexes built once from the two tuples above: name -> element and
     # predicate -> frozenset of tuples.
     _consts: dict = field(init=False, repr=False, compare=False)
@@ -156,11 +161,13 @@ class Interpretation:
 
 
 def make_interpretation(universe: int, consts: dict, extensions: dict) -> Interpretation:
+    """An interpretation in canonical form: constants and predicates
+    sorted by name, each extension's tuples sorted and distinct."""
     return Interpretation(
         universe=universe,
         consts=tuple(sorted(consts.items())),
         extensions=tuple(sorted(
-            (p, tuple(sorted(tuple(t) for t in ts))) for p, ts in extensions.items())),
+            (p, tuple(sorted({tuple(t) for t in ts}))) for p, ts in extensions.items())),
     )
 
 
@@ -245,13 +252,14 @@ def enumerate_interpretations(sig: Signature, m: int,
 
 def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation:
     """One random interpretation: uniform constant map, each extension
-    tuple included independently with probability 1/2."""
-    consts = {name: rng.randrange(m) for name in sig.constants}
-    extensions = {}
-    for p, arity in sig.predicates:
-        extensions[p] = [t for t in product(range(m), repeat=arity)
-                         if rng.random() < 0.5]
-    return make_interpretation(m, consts, extensions)
+    tuple included independently with probability 1/2.  Built in
+    make_interpretation's order without its sorting, as in
+    ``enumerate_interpretations``."""
+    consts = tuple((name, rng.randrange(m)) for name in sig.constants)
+    extensions = tuple(
+        (p, tuple(t for t in product(range(m), repeat=arity) if rng.random() < 0.5))
+        for p, arity in sig.predicates)
+    return Interpretation(m, consts, extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -358,156 +366,63 @@ def _atom_key(a: GAtom):
     return (a.predicate, a.args)
 
 
-def _folded_reduct(g, canon: dict):
-    """The reduct of ``g`` relative to j, constant-folded, where
-    ``canon`` maps each atom of j to itself.  A subformula that j does
-    not satisfy becomes ``G_BOT`` and every other one folds to a formula
-    without ``G_BOT`` (j satisfies its reduct), so the result is
-    ``G_BOT``, ``G_TOP`` or a formula with neither inside it, built from
-    j's own atom objects.  Nested conjunctions and disjunctions are
-    flattened."""
+def ground_atom_numbers(j) -> dict:
+    """j's distinct atoms numbered in ``_atom_key`` order, the order in
+    which ``atom_numbers`` numbers an interpretation's true atoms."""
+    return {a: i for i, a in enumerate(sorted(set(j), key=_atom_key))}
+
+
+def folded_reduct(g, numbers: dict):
+    """The reduct of the ground formula ``g`` relative to j, constant
+    folded over atom numbers (see ``stability``), where ``numbers`` maps
+    each atom of j to its number.  A subformula that j does not satisfy
+    folds to ``BOT``, so the result is ``BOT`` exactly when j does not
+    satisfy ``g``."""
     if isinstance(g, GAtom):
-        return canon.get(g, G_BOT)
+        return numbers.get(g, BOT)
     if isinstance(g, GImplies):
-        left = _folded_reduct(g.left, canon)
-        if left is G_BOT:
-            return G_TOP
-        right = _folded_reduct(g.right, canon)
-        if left is G_TOP or right is G_BOT:
-            return right
-        return G_TOP if right is G_TOP else GImplies(left, right)
+        left = folded_reduct(g.left, numbers)
+        if left is BOT:
+            return TOP
+        return implies(left, folded_reduct(g.right, numbers))
     if isinstance(g, (GAnd, GOr)):
-        cls = type(g)
-        unit, zero = (G_TOP, G_BOT) if cls is GAnd else (G_BOT, G_TOP)
-        items = []
-        for x in g.items:
-            x = _folded_reduct(x, canon)
-            if x is zero:
-                return zero
-            if type(x) is cls:
-                items.extend(x.items)
-            elif x is not unit:
-                items.append(x)
-        if not items:
-            return unit
-        return items[0] if len(items) == 1 else cls(tuple(items))
+        return junction(Conj if isinstance(g, GAnd) else Disj,
+                        (folded_reduct(x, numbers) for x in g.items))
     if isinstance(g, GBot):
-        return G_BOT
+        return BOT
     raise TypeError(f"not a ground formula: {g!r}")
 
 
-def _kleene(f, val: dict):
-    """Three-valued (Kleene) value of a folded formula under the partial
-    assignment ``val`` (atom -> bool): True, False, or None while it
-    depends on an unassigned atom."""
-    if isinstance(f, GAtom):
-        return val.get(f)
-    if isinstance(f, GImplies):
-        left = _kleene(f.left, val)
-        if left is False:
-            return True
-        right = _kleene(f.right, val)
-        if right is True or (left is True and right is False):
-            return right
-        return None
-    stop = isinstance(f, GOr)   # the item value that decides the whole
-    out = not stop
-    for x in f.items:
-        v = _kleene(x, val)
-        if v is stop:
-            return stop
-        if v is None:
-            out = None
-    return out
-
-
-def _force(f, val: dict):
-    """Extend ``val`` with the atoms that ``f`` being true forces true
-    (an atom, the items of a conjunction, the consequent of an
-    implication whose antecedent is already true), and return the value
-    of ``f`` afterwards: True, None while still open, or False on a
-    conflict."""
-    v = _kleene(f, val)
-    if v is not None:
-        return v
-    if isinstance(f, GAtom):
-        val[f] = True
-        return True
-    if isinstance(f, GAnd):
-        for x in f.items:
-            _force(x, val)
-    elif isinstance(f, GImplies) and _kleene(f.left, val) is True:
-        _force(f.right, val)
-    else:
-        return None
-    return _kleene(f, val)
-
-
-def _propagate(conjuncts, val: dict):
-    """Extend ``val`` with what every conjunct being true forces, up to a
-    fixpoint, and return the conjuncts still open, or None on a
-    conflict.  On definite rules this computes the least model of what
-    ``val`` already makes true."""
-    while True:
-        size = len(val)
-        still_open = []
-        for c in conjuncts:
-            v = _force(c, val)
-            if v is False:
-                return None
-            if v is None:
-                still_open.append(c)
-        if len(val) == size:
-            return still_open
-        conjuncts = still_open
-
-
-def _has_smaller_model(r, atoms: list) -> bool:
-    """Whether some proper subset of ``atoms`` satisfies the folded
-    formula ``r``, whose atoms are all among them.  Depth-first search
-    over the atoms in order, false first, propagating what ``r``'s
-    conjuncts force; a branch ends as soon as ``r`` is decided."""
-
-    def search(conjuncts, val: dict, i: int) -> bool:
-        conjuncts = _propagate(conjuncts, val)
-        if conjuncts is None:
-            return False
-        if not conjuncts:
-            # r is true: so is every completion of val, and one is a
-            # proper subset iff some atom is false or still unassigned
-            return len(val) < len(atoms) or False in val.values()
-        while atoms[i] in val:
-            i += 1
-        a = atoms[i]
-        return (search(conjuncts, {**val, a: False}, i + 1)
-                or search(conjuncts, {**val, a: True}, i + 1))
-
-    return search(r.items if isinstance(r, GAnd) else (r,), {}, 0)
+def _decide(r, n: int, cap: int) -> bool:
+    """Whether the atoms numbered ``0 .. n-1`` are stable for a formula
+    whose reduct relative to them folds to ``r``: they satisfy it (``r``
+    is not ``BOT``) and no proper subset does.  More than ``cap`` atoms
+    raise ResourceGuardError, after the reduct is found satisfied and
+    before the search."""
+    if r is BOT:
+        return False
+    if n > cap:
+        raise ResourceGuardError(
+            f"minimality check over {n} atoms exceeds the cap of {cap}")
+    return n == 0 or not has_smaller_model(r, n)
 
 
 def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of g relative to j and no proper
     subset of j does.
 
-    Minimality is decided by a search for a model of the reduct that is
-    a proper subset of j, not by enumerating subsets.  The reduct is
-    constant-folded (its atoms all lie in j); then a depth-first search
-    assigns j's atoms in ``_atom_key`` order, false first, propagates
-    what the reduct's conjuncts force, and ends a branch as soon as the
-    three-valued value of the reduct is decided.  The search is
-    complete for arbitrary ground formulas.  More than ``cap`` atoms
-    raise ResourceGuardError."""
-    j = frozenset(j)
-    if not satisfies(j, g):
-        return False
-    r = _folded_reduct(g, {a: a for a in j})
-    atoms = sorted(j, key=_atom_key)
-    if len(atoms) > cap:
-        raise ResourceGuardError(
-            f"minimality check over {len(atoms)} atoms exceeds the cap of {cap}")
-    if not atoms:
-        return True
-    return not _has_smaller_model(r, atoms)
+    j's distinct atoms are numbered in ``_atom_key`` order
+    (``ground_atom_numbers``) and g's reduct is constant-folded over
+    those numbers (``folded_reduct``); a fold to ``BOT`` means j does
+    not satisfy g.  Minimality is decided by
+    ``stability.has_smaller_model``: a depth-first search that
+    assigns the atoms in number order, false first, propagates what the
+    reduct's conjuncts force, and ends a branch as soon as the
+    three-valued value of the reduct is decided.  The search is complete
+    for arbitrary ground formulas.  More than ``cap`` atoms raise
+    ResourceGuardError."""
+    numbers = ground_atom_numbers(j)
+    return _decide(folded_reduct(g, numbers), len(numbers), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +439,8 @@ def _sm_tables(prog: Program):
     """The compiled tables ``is_sm_model`` needs, built from the
     desugared program and kept on ``prog``: one function for the
     classical check (every constraint, then every rule, read as a
-    sentence) and, per basic rule, its free variables and the bindings
-    under which its body holds."""
+    sentence) and, per basic rule, its free variables' names and the
+    bindings under which its body holds."""
     tables = prog.derived.get("sm_model")
     if tables is None:
         d = prog if is_desugared(prog) else desugar(prog)
@@ -536,30 +451,47 @@ def _sm_tables(prog: Program):
         for r in d.rules:
             if r.kind == BASIC:
                 free = r.free_vars()
-                bodies.append((r, free, compile_bindings(r.body, free)))
+                bodies.append((r, [v.name for v in free],
+                               compile_bindings(r.body, free)))
         tables = prog.derived["sm_model"] = (classical, bodies)
     return tables
 
 
-def ground_relevant(prog: Program, interp: Interpretation) -> GAnd:
-    """The conjunction of ``body -> head`` over the instances of the
-    desugared program's basic rules whose body the interpretation
-    satisfies, in the order of ``ground_program``.
+def atom_numbers(interp: Interpretation) -> tuple:
+    """The interpretation's distinct true atoms numbered in ``_atom_key``
+    order, the order its sorted extensions list them in: a dict from
+    each predicate to a dict from its tuples to their numbers, and the
+    number of atoms."""
+    numbers, n = {}, 0
+    for p, tuples in interp.extensions:
+        own = numbers[p] = dict.fromkeys(tuples)
+        for t in own:
+            own[t] = n
+            n += 1
+    return numbers, n
 
-    When the interpretation satisfies every rule, this formula and
-    ``ground_program(desugar(prog), interp)[1]`` have the same reduct,
-    constant folded: every instance left out has a body the
-    interpretation does not satisfy, so its reduct ``false -> head``
-    folds away.  This is relevance-driven grounding, as in gringo."""
+
+def relevant_reduct(prog: Program, interp: Interpretation, numbers: dict):
+    """The reduct, relative to the interpretation's atoms numbered by
+    ``numbers`` (see ``atom_numbers``), of the desugared program's basic
+    rule instances whose body the interpretation satisfies, constant
+    folded over those numbers (see ``stability``).  Each instance is
+    ground straight into folded form, in the order of
+    ``ground_program``.
+
+    When the interpretation satisfies every rule, this equals the folded
+    reduct of ``ground_program(desugar(prog), interp)[1]``: every
+    instance left out has a body the interpretation does not satisfy, so
+    its reduct ``false -> head`` folds away.  This is relevance-driven
+    grounding, as in gringo."""
     _, bodies = _sm_tables(prog)
-    conjuncts = []
-    for r, free, bindings in bodies:
+    instances = []
+    for r, names, bindings in bodies:
         for values in bindings(interp):
-            env = dict(zip(free, values))
-            head = GAtom(r.head.predicate,
-                         tuple(_term_value(t, interp, env) for t in r.head.args))
-            conjuncts.append(GImplies(ground(r.body, interp, env), head))
-    return GAnd(tuple(conjuncts))
+            env = dict(zip(names, values))
+            instances.append(implies(fold_instance(r.body, interp, env, numbers),
+                                     fold_instance(r.head, interp, env, numbers)))
+    return junction(Conj, instances)
 
 
 def is_sm_model(prog: Program, interp: Interpretation,
@@ -572,13 +504,16 @@ def is_sm_model(prog: Program, interp: Interpretation,
     that follow.  Cheap rejections come first: every constraint, then
     every rule read classically as the universal closure of
     ``body -> head``, stopping at the first violated instance.  An
-    interpretation that passes has its atom set checked for stability
-    against the reduct of ``ground_relevant``: only the rule instances
-    whose body it satisfies are grounded."""
+    interpretation that passes has its distinct true atoms numbered
+    (``atom_numbers``), only the rule instances whose body it satisfies
+    are ground, each straight into its folded reduct over those numbers
+    (``relevant_reduct``), and the same minimality search as
+    ``is_stable`` runs on the result.  No ground formula is built."""
     classical, _ = _sm_tables(prog)
     if not classical(interp):
         return False
-    return is_stable(ground_relevant(prog, interp), interp.true_atoms(), cap)
+    numbers, n = atom_numbers(interp)
+    return _decide(relevant_reduct(prog, interp, numbers), n, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,20 @@ def test_ground_and_stable(tmp_path, capsys):
     assert (code, out.strip()) == (1, "not stable")
 
 
+@pytest.mark.parametrize("program, literal", [
+    ("q(a).", "universe=1; a=e0; q={(e0),(e0)}"),
+    ("p.", "universe=1; p={(),()}"),
+], ids=["q(a)", "p"])
+def test_stable_with_a_duplicated_tuple(tmp_path, capsys, program, literal):
+    # a tuple listed twice is one atom
+    path = tmp_path / "prog.lp"
+    path.write_text(program + "\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text(literal + "\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+
+
 def test_interp_with_unmapped_constant_is_usage_error(tmp_path, capsys):
     interp = tmp_path / "i.txt"
     interp.write_text("universe=2; a=e0; p={(e0)}; q={}\n")

@@ -15,10 +15,10 @@ from lttight.parser import (
 )
 from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.semantics import (
-    GAtom, ResourceGuardError, _folded_reduct, enumerate_interpretations,
-    ground, ground_program, ground_relevant, is_sm_model, is_stable,
-    is_tight_on, make_interpretation, reduct, sample_interpretation,
-    satisfies, satisfies_fo,
+    GAtom, ResourceGuardError, atom_numbers, enumerate_interpretations,
+    folded_reduct, ground, ground_atom_numbers, ground_program, is_sm_model,
+    is_stable, is_tight_on, make_interpretation, reduct, relevant_reduct,
+    sample_interpretation, satisfies, satisfies_fo,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -392,28 +392,35 @@ def test_compiled_evaluator_at_the_nesting_bounds():
             holds = fo_eval(rule.body, interp)
             assert bindings(interp) == ([()] if holds else []), text[:60]
 
-def _stability(g, j, cap):
+def _stability(decide):
     try:
-        return is_stable(g, j, cap)
+        return decide()
     except ResourceGuardError:
         return "over the cap"
 
 
 def _same_reduct(d, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
-    program ``d``, the relevant instances and the whole grounding have
-    the same folded reduct and the same stability verdict, which is
-    returned; None for any other interpretation."""
+    program ``d``: its atoms are numbered in sorted order, the relevant
+    instances ground straight into folded form equal the fold of the
+    whole grounding under that numbering, and is_sm_model gives
+    is_stable's verdict on the whole grounding, which is returned.  None
+    for any other interpretation."""
     _, full = ground_program(d, interp)
     j = interp.true_atoms()
     if not satisfies(j, full):
         return None
-    relevant = ground_relevant(d, interp)
-    canon = {a: a for a in j}
-    assert _folded_reduct(relevant, canon) == _folded_reduct(full, canon), \
+    expected = {a: i for i, a in enumerate(
+        sorted(j, key=lambda a: (a.predicate, a.args)))}
+    assert ground_atom_numbers(j) == expected
+    numbers, n = atom_numbers(interp)
+    assert {GAtom(p, t): i for p, own in numbers.items()
+            for t, i in own.items()} == expected, interp.literal()
+    assert n == len(expected)
+    assert relevant_reduct(d, interp, numbers) == folded_reduct(full, expected), \
         interp.literal()
-    verdict = _stability(relevant, j, cap)
-    assert verdict == _stability(full, j, cap), interp.literal()
+    verdict = _stability(lambda: is_sm_model(d, interp, cap))
+    assert verdict == _stability(lambda: is_stable(full, j, cap)), interp.literal()
     return verdict
 
 
@@ -441,7 +448,7 @@ def random_program_text(rng: Random) -> str:
 
 
 def test_relevant_grounding_has_the_same_reduct():
-    """ground_relevant against ground_program's formula: random programs
+    """relevant_reduct against ground_program's formula: random programs
     with J steered through the immediate-consequence operator, every
     m <= 2 interpretation of the small fixtures, and the directed
     moving(1) interpretations with one drift of each.  Small caps make

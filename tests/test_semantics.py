@@ -13,14 +13,16 @@ from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     DEFAULT_STABILITY_CAP, G_BOT, G_TOP, GAnd, GAtom, GImplies, GOr,
     GroundProgram, GroundRule, GroundingError, Interpretation,
-    ResourceGuardError, enumerate_interpretations, ground, ground_program,
-    ground_relevant, ground_to_str, interpretation_count, is_acyclic, is_sm_model, is_stable,
-    is_supported, is_tight_on, make_interpretation, parse_interpretation, pnn,
-    pnn_nnn, reduct, sample_interpretation, satisfies, satisfies_fo,
+    ResourceGuardError, atom_numbers, enumerate_interpretations, folded_reduct,
+    ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
+    is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
+    parse_interpretation, pnn, pnn_nnn, reduct, relevant_reduct,
+    sample_interpretation, satisfies, satisfies_fo,
 )
+from lttight.stability import Conj, Imp
 from lttight.syntax import (
-    And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or, Variable,
-    neg,
+    And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or, Signature,
+    Variable, neg,
 )
 
 from conftest import fo_eval
@@ -84,6 +86,33 @@ def test_enumeration_matches_make_interpretation(name):
         assert [i.literal() for i in fast] == [i.literal() for i in slow]
 
 
+def _sample_by_make_interpretation(sig, m, rng):
+    """sample_interpretation's draws, in its order, built and sorted by
+    make_interpretation: the reference."""
+    consts = {name: rng.randrange(m) for name in sig.constants}
+    extensions = {p: [t for t in product(range(m), repeat=arity)
+                      if rng.random() < 0.5]
+                  for p, arity in sig.predicates}
+    return make_interpretation(m, consts, extensions)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(predicates=(("p", 1), ("q", 2), ("r", 0)), constants=("a", "b")),
+    builtin_fixture("moving(1)").program.signature,
+    builtin_fixture("moving(2)").program.signature,
+], ids=["SIG", "moving(1)", "moving(2)"])
+def test_sampling_matches_make_interpretation(sig):
+    for seed in range(20):
+        for m in (1, 2, 3):
+            fast_rng, slow_rng = Random(seed), Random(seed)
+            fast = [sample_interpretation(sig, m, fast_rng) for _ in range(3)]
+            slow = [_sample_by_make_interpretation(sig, m, slow_rng)
+                    for _ in range(3)]
+            assert fast == slow
+            assert [i.literal() for i in fast] == [i.literal() for i in slow]
+            assert fast_rng.random() == slow_rng.random()
+
+
 def test_literal_round_trip():
     rng = Random(7)
     for _ in range(50):
@@ -97,6 +126,12 @@ def test_parse_interpretation_golden():
     assert interp.extension("p") == frozenset({(0,), (1,)})
     assert interp.extension("q") == frozenset()
     assert interp.true_atoms() == frozenset({GAtom("p", (0,)), GAtom("p", (1,))})
+
+
+def test_duplicate_tuples_are_dropped():
+    interp = parse_interpretation("universe=1; a=e0; q={(e0),(e0)}; p={(),()}")
+    assert interp.extensions == (("p", ((),)), ("q", ((0,),)))
+    assert interp == make_interpretation(1, {"a": 0}, {"q": [(0,)], "p": [()]})
 
 
 def test_parse_interpretation_errors():
@@ -291,20 +326,37 @@ def test_compiled_unbound_variable():
     assert not satisfies_fo(interp, parse_formula("p(b) & p(Z)"))
 
 
-def test_ground_relevant_keeps_instances_whose_body_holds():
+def test_relevant_reduct_keeps_instances_whose_body_holds():
     d = desugar(parse_program("p(X) :- q(X). q(a). :- p(b), not q(b)."))
     interp = make_interpretation(2, {"a": 0, "b": 1},
                                  {"p": [(0,)], "q": [(0,)]})
-    relevant = ground_relevant(d, interp)
-    assert ground_to_str(relevant) == ("((q(e0) -> p(e0)) & "
-                                       "((false -> false) -> q(e0)))")
+    numbers, n = atom_numbers(interp)
+    assert (numbers, n) == ({"p": {(0,): 0}, "q": {(0,): 1}}, 2)
+    # q(e0) -> p(e0), and the fact q(a) with its body folded to true
+    relevant = relevant_reduct(d, interp, numbers)
+    assert relevant == Conj((Imp(1, 0), 1))
     _, full = ground_program(d, interp)
     assert len(full.items) == 4
-    assert is_stable(relevant, interp.true_atoms())
-    # a choice rule is grounded as its desugared double-negation rule
-    assert ground_to_str(ground_relevant(parse_program("{p}."),
-                                         make_interpretation(1, {}, {"p": [()]}))) \
-        == "((((p -> false) -> false) -> p))"
+    assert folded_reduct(full, {GAtom("p", (0,)): 0, GAtom("q", (0,)): 1}) \
+        == relevant
+    assert is_sm_model(d, interp)
+    # a choice rule is grounded as its desugared double-negation rule,
+    # ((p -> false) -> false) -> p, which folds to p
+    choice = make_interpretation(1, {}, {"p": [()]})
+    assert relevant_reduct(parse_program("{p}."), choice,
+                           atom_numbers(choice)[0]) == 0
+
+
+def test_atoms_are_numbered_once_each():
+    """Duplicate tuples, which only a directly built interpretation can
+    list, are one atom: q(a) alone is stable, and so is a fact p."""
+    duplicated = Interpretation(1, (("a", 0),), (("q", ((0,), (0,))),))
+    assert atom_numbers(duplicated) == ({"q": {(0,): 0}}, 1)
+    assert is_sm_model(parse_program("q(a)."), duplicated)
+    assert is_sm_model(parse_program("p."),
+                       Interpretation(1, (), (("p", ((), ())),)))
+    assert is_stable(GAnd((P,)), [P, P])
+    assert not is_stable(GImplies(P, P), [P, P])
 
 
 def test_is_sm_model_deep_rule_body_rejects_classically():
