@@ -14,11 +14,10 @@ from .equiv import (
 from .fixtures import Fixture, builtin_fixture, fixture_names
 from .parser import ParseError, parse_formula, parse_program, parse_sentences
 from .semantics import (
-    GroundProgram, GroundRule, Interpretation, ResourceGuardError,
-    enumerate_interpretations, ground, ground_program, interpretation_count,
-    is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
-    parse_interpretation, pnn_nnn, reduct, sample_interpretation, satisfies,
-    satisfies_fo,
+    Interpretation, ResourceGuardError, enumerate_interpretations, ground,
+    ground_program, interpretation_count, is_sm_model, is_stable,
+    is_supported, is_tight_on, make_interpretation, parse_interpretation,
+    pnn_nnn, reduct, sample_interpretation, satisfies, satisfies_fo,
 )
 from .syntax import (
     Atom, Equality, Formula, Program, Rule, Variable, free_variables,

@@ -192,6 +192,8 @@ def _dispatch(args) -> int:
     if cmd == "check-prop3":
         if args.k < 0:
             raise UsageError("--k must be nonnegative")
+        if args.sample < 0:
+            raise UsageError("--sample must be nonnegative")
         report = check_proposition3(args.k, sample_count=args.sample,
                                     seed=args.seed)
         return _print_equiv_report(report, args.stats)
@@ -235,6 +237,8 @@ def _dispatch(args) -> int:
     if cmd == "check-gamma-tight":
         if args.n < 1:
             raise UsageError("--n must be at least 1")
+        if args.bound < 1:
+            raise UsageError("--bound must be at least 1")
         _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         verdict = check_gamma_tight(prog, gamma, args.n, args.bound)
@@ -263,6 +267,8 @@ def _dispatch(args) -> int:
     if cmd == "check-equiv":
         if args.m_max < 1:
             raise UsageError("--m-max must be at least 1")
+        if args.sample is not None and args.sample < 0:
+            raise UsageError("--sample must be nonnegative")
         _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         mode = "exhaustive" if args.sample is None else "sampled"

@@ -1,7 +1,13 @@
 """Finite first-order interpretations, grounding, reducts, and
-stable/supported/tight-on checks.  First-order sentences are evaluated
-by functions compiled in ``evaluation``; reducts are folded over
-numbered atoms and searched for a smaller model in ``stability``.
+stable/supported/tight-on checks.
+
+Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
+``Imp`` over ground atoms ``(predicate, args)``, with ``TOP`` and
+``BOT``.  A reduct relative to J is *folded* when J's atoms are replaced
+by their numbers and constants are folded away, so that no ``TOP`` or
+``BOT`` is left inside; the stability checks search folded reducts for
+a smaller model (``stability.has_smaller_model``).  First-order
+sentences are evaluated by functions compiled in ``evaluation``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -18,13 +24,17 @@ from random import Random
 from typing import Iterator, Optional
 
 from .completion import desugar, is_desugared
-from .evaluation import GroundingError, compile_bindings, compile_sentence
+from .evaluation import (
+    GroundingError,  # noqa: F401 -- raised by ground, importable from here
+    compile_bindings, compile_sentence,
+)
 from .stability import (
-    BOT, TOP, Conj, Disj, fold_instance, has_smaller_model, implies, junction,
+    BOT, TOP, Conj, Disj, Imp, _element, fold_instance, has_smaller_model,
+    implies, junction,
 )
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    Or, Program, Signature, Variable, conjoin,
+    Or, Program, Signature, conjoin,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -49,70 +59,25 @@ def guard_ceiling(default: int = DEFAULT_ENUMERATION_CEILING) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ground formulas
-
-@dataclass(frozen=True)
-class GBot:
-    pass
-
-
-@dataclass(frozen=True)
-class GAtom:
-    predicate: str
-    args: tuple = ()
-
-
-@dataclass(frozen=True)
-class GAnd:
-    items: tuple = ()
-
-
-@dataclass(frozen=True)
-class GOr:
-    items: tuple = ()
-
-
-@dataclass(frozen=True)
-class GImplies:
-    left: object
-    right: object
-
-
-G_BOT = GBot()
-G_TOP = GAnd(())
-
-
-@dataclass(frozen=True)
-class GroundRule:
-    head: GAtom
-    body: object
-
-
-@dataclass(frozen=True)
-class GroundProgram:
-    rules: tuple  # tuple[GroundRule, ...]
-
+# Printing ground formulas
 
 def _elem(e: int) -> str:
     return f"e{e}"
 
 
 def ground_to_str(g) -> str:
-    if isinstance(g, GBot):
-        return "false"
-    if isinstance(g, GAtom):
-        if g.args:
-            return f"{g.predicate}({', '.join(_elem(e) for e in g.args)})"
-        return g.predicate
-    if isinstance(g, GAnd):
+    cls = type(g)
+    if cls is tuple:
+        predicate, args = g
+        if args:
+            return f"{predicate}({', '.join(_elem(e) for e in args)})"
+        return predicate
+    if cls is Conj or cls is Disj:
         if not g.items:
-            return "true"
-        return "(" + " & ".join(ground_to_str(x) for x in g.items) + ")"
-    if isinstance(g, GOr):
-        if not g.items:
-            return "false"
-        return "(" + " | ".join(ground_to_str(x) for x in g.items) + ")"
-    if isinstance(g, GImplies):
+            return "true" if cls is Conj else "false"
+        sep = " & " if cls is Conj else " | "
+        return "(" + sep.join(ground_to_str(x) for x in g.items) + ")"
+    if cls is Imp:
         return f"({ground_to_str(g.left)} -> {ground_to_str(g.right)})"
     raise TypeError(f"not a ground formula: {g!r}")
 
@@ -142,12 +107,13 @@ class Interpretation:
     def extension(self, predicate: str) -> frozenset:
         return self._exts[predicate]
 
+    def atoms(self) -> Iterator[tuple]:
+        """The true atoms ``(predicate, args)``, in the order of the
+        sorted extensions (which is sorted order)."""
+        return ((p, t) for p, tuples in self.extensions for t in tuples)
+
     def true_atoms(self) -> frozenset:
-        out = set()
-        for p, tuples in self.extensions:
-            for t in tuples:
-                out.add(GAtom(p, t))
-        return frozenset(out)
+        return frozenset(self.atoms())
 
     def literal(self) -> str:
         parts = [f"universe={self.universe}"]
@@ -172,15 +138,25 @@ def make_interpretation(universe: int, consts: dict, extensions: dict) -> Interp
 
 
 _LITERAL_ELEM = re.compile(r"e(\d+)$")
+_LITERAL_TUPLE = re.compile(r"\(([^()]*)\)")
+_LITERAL_TUPLES = re.compile(r"(\([^()]*\)(\s*,\s*\([^()]*\))*)?")
 
 
 def parse_interpretation(text: str) -> Interpretation:
     """Parse the interpretation literal format, e.g.
-    ``universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}``."""
+    ``universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}``.
+
+    Raises ValueError on a universe size below 1, an empty name, a
+    constant or a predicate given twice (one name may be both), an
+    extension that is not a comma-separated list of parenthesized
+    tuples, and an element that is not ``e<i>`` inside
+    the universe."""
     parts = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not parts or not parts[0].startswith("universe="):
         raise ValueError("interpretation literal must start with universe=<m>")
     universe = int(parts[0].split("=", 1)[1])
+    if universe < 1:
+        raise ValueError("universe size must be at least 1")
     consts: dict = {}
     extensions: dict = {}
 
@@ -197,16 +173,19 @@ def parse_interpretation(text: str) -> Interpretation:
         name, _, rhs = part.partition("=")
         name = name.strip()
         rhs = rhs.strip()
+        if not name:
+            raise ValueError(f"missing name before '=' in {part!r}")
+        # A constant and a predicate may share a name (``p(p).``), so a
+        # repeat is an error only within the same kind.
+        if name in (extensions if rhs.startswith("{") else consts):
+            raise ValueError(f"{name} is given twice")
         if rhs.startswith("{"):
-            if not rhs.endswith("}"):
-                raise ValueError(f"bad extension for {name}")
             inner = rhs[1:-1].strip()
-            tuples = []
-            if inner:
-                for m in re.finditer(r"\(([^)]*)\)", inner):
-                    fields = [f for f in m.group(1).split(",") if f.strip()]
-                    tuples.append(tuple(elem(f) for f in fields))
-            extensions[name] = tuples
+            if not rhs.endswith("}") or not _LITERAL_TUPLES.fullmatch(inner):
+                raise ValueError(f"bad extension for {name}")
+            extensions[name] = [
+                tuple(elem(f) for f in fields.split(",")) if fields.strip() else ()
+                for fields in _LITERAL_TUPLE.findall(inner)]
         else:
             consts[name] = elem(rhs)
     return make_interpretation(universe, consts, extensions)
@@ -265,67 +244,56 @@ def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation
 # ---------------------------------------------------------------------------
 # Grounding
 
-def _term_value(t, interp: Interpretation, env: dict) -> int:
-    if isinstance(t, Variable):
-        if t not in env:
-            raise GroundingError(f"unbound variable {t.name}")
-        return env[t]
-    try:
-        return interp.const(t.name)
-    except KeyError:
-        raise GroundingError(f"constant {t.name} is not mapped by the interpretation")
-
-
 def ground(f, interp: Interpretation, env: Optional[dict] = None):
-    """Translate a sentence into a ground formula over element names.
+    """Translate a sentence into a ground formula; ``env`` maps the
+    names of free variables to elements.
 
-    Equalities become true/false via the constant map; quantifiers become
-    finite conjunctions/disjunctions over the universe."""
+    Equalities become ``TOP`` or ``BOT`` via the constant map;
+    quantifiers become finite conjunctions/disjunctions over the
+    universe."""
     env = env or {}
     if isinstance(f, Bot):
-        return G_BOT
+        return BOT
     if isinstance(f, Atom):
-        return GAtom(f.predicate,
-                     tuple(_term_value(t, interp, env) for t in f.args))
+        return f.predicate, tuple(_element(t, interp, env) for t in f.args)
     if isinstance(f, Equality):
-        same = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
-        return G_TOP if same else G_BOT
+        same = _element(f.left, interp, env) == _element(f.right, interp, env)
+        return TOP if same else BOT
     if isinstance(f, (And, Or)):
-        cls = GAnd if isinstance(f, And) else GOr
+        cls = Conj if isinstance(f, And) else Disj
         return cls(tuple(ground(g, interp, env) for g in f.items))
     if isinstance(f, Implies):
-        return GImplies(ground(f.left, interp, env), ground(f.right, interp, env))
+        return Imp(ground(f.left, interp, env), ground(f.right, interp, env))
     if isinstance(f, (Forall, Exists)):
         items = []
         for e in range(interp.universe):
             env2 = dict(env)
-            env2[f.var] = e
+            env2[f.var.name] = e
             items.append(ground(f.body, interp, env2))
-        return GAnd(tuple(items)) if isinstance(f, Forall) else GOr(tuple(items))
+        return Conj(tuple(items)) if isinstance(f, Forall) else Disj(tuple(items))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def ground_program(prog: Program, interp: Interpretation):
-    """Ground a desugared program, producing both the rule view (for
-    supportedness and parent relations) and the single formula view (for
-    reducts and minimality)."""
+    """Ground a desugared program, producing both the rule view, a tuple
+    of ``(head, body)`` pairs (for supportedness and parent relations),
+    and the single formula view (for reducts and minimality)."""
     rules = []
     conjuncts = []
     for r in prog.rules:
         if r.kind not in (BASIC, CONSTRAINT):
             raise ValueError("ground_program requires a desugared program")
-        free = r.free_vars()
-        for values in product(range(interp.universe), repeat=len(free)):
-            env = dict(zip(free, values))
+        names = [v.name for v in r.free_vars()]
+        for values in product(range(interp.universe), repeat=len(names)):
+            env = dict(zip(names, values))
             body = ground(r.body, interp, env)
             if r.kind == BASIC:
-                head = GAtom(r.head.predicate,
-                             tuple(_term_value(t, interp, env) for t in r.head.args))
-                rules.append(GroundRule(head, body))
-                conjuncts.append(GImplies(body, head))
+                head = ground(r.head, interp, env)
+                rules.append((head, body))
+                conjuncts.append(Imp(body, head))
             else:
-                conjuncts.append(GImplies(body, G_BOT))
-    return GroundProgram(tuple(rules)), GAnd(tuple(conjuncts))
+                conjuncts.append(Imp(body, BOT))
+    return tuple(rules), Conj(tuple(conjuncts))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +301,14 @@ def ground_program(prog: Program, interp: Interpretation):
 
 def satisfies(j, g) -> bool:
     """Classical propositional satisfaction; j is a set of ground atoms."""
-    if isinstance(g, GBot):
-        return False
-    if isinstance(g, GAtom):
+    cls = type(g)
+    if cls is tuple:
         return g in j
-    if isinstance(g, GAnd):
+    if cls is Conj:
         return all(satisfies(j, x) for x in g.items)
-    if isinstance(g, GOr):
+    if cls is Disj:
         return any(satisfies(j, x) for x in g.items)
-    if isinstance(g, GImplies):
+    if cls is Imp:
         return not satisfies(j, g.left) or satisfies(j, g.right)
     raise TypeError(f"not a ground formula: {g!r}")
 
@@ -350,46 +317,40 @@ def reduct(g, j):
     """Ferraris-style reduct: every subformula not satisfied by j
     collapses to false."""
     if not satisfies(j, g):
-        return G_BOT
-    if isinstance(g, GAtom):
+        return BOT
+    cls = type(g)
+    if cls is tuple:
         return g
-    if isinstance(g, GAnd):
-        return GAnd(tuple(reduct(x, j) for x in g.items))
-    if isinstance(g, GOr):
-        return GOr(tuple(reduct(x, j) for x in g.items))
-    if isinstance(g, GImplies):
-        return GImplies(reduct(g.left, j), reduct(g.right, j))
-    raise TypeError(f"not a ground formula: {g!r}")
+    if cls is Imp:
+        return Imp(reduct(g.left, j), reduct(g.right, j))
+    return cls(tuple(reduct(x, j) for x in g.items))
 
 
-def _atom_key(a: GAtom):
-    return (a.predicate, a.args)
-
-
-def ground_atom_numbers(j) -> dict:
-    """j's distinct atoms numbered in ``_atom_key`` order, the order in
-    which ``atom_numbers`` numbers an interpretation's true atoms."""
-    return {a: i for i, a in enumerate(sorted(set(j), key=_atom_key))}
+def atom_numbers(atoms) -> dict:
+    """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
+    the order they first occur."""
+    numbers = dict.fromkeys(atoms)
+    for i, a in enumerate(numbers):
+        numbers[a] = i
+    return numbers
 
 
 def folded_reduct(g, numbers: dict):
-    """The reduct of the ground formula ``g`` relative to j, constant
-    folded over atom numbers (see ``stability``), where ``numbers`` maps
-    each atom of j to its number.  A subformula that j does not satisfy
-    folds to ``BOT``, so the result is ``BOT`` exactly when j does not
-    satisfy ``g``."""
-    if isinstance(g, GAtom):
+    """The reduct of the ground formula ``g`` relative to j, folded over
+    atom numbers (see ``stability``), where ``numbers`` maps each atom
+    of j to its number.  A subformula that j does not satisfy folds to
+    ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
+    ``g``."""
+    cls = type(g)
+    if cls is tuple:
         return numbers.get(g, BOT)
-    if isinstance(g, GImplies):
+    if cls is Imp:
         left = folded_reduct(g.left, numbers)
         if left is BOT:
             return TOP
         return implies(left, folded_reduct(g.right, numbers))
-    if isinstance(g, (GAnd, GOr)):
-        return junction(Conj if isinstance(g, GAnd) else Disj,
-                        (folded_reduct(x, numbers) for x in g.items))
-    if isinstance(g, GBot):
-        return BOT
+    if cls is Conj or cls is Disj:
+        return junction(cls, (folded_reduct(x, numbers) for x in g.items))
     raise TypeError(f"not a ground formula: {g!r}")
 
 
@@ -411,17 +372,16 @@ def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of g relative to j and no proper
     subset of j does.
 
-    j's distinct atoms are numbered in ``_atom_key`` order
-    (``ground_atom_numbers``) and g's reduct is constant-folded over
-    those numbers (``folded_reduct``); a fold to ``BOT`` means j does
-    not satisfy g.  Minimality is decided by
+    j's distinct atoms are numbered in sorted order (``atom_numbers``)
+    and g's reduct is folded over those numbers (``folded_reduct``); a
+    fold to ``BOT`` means j does not satisfy g.  Minimality is decided by
     ``stability.has_smaller_model``: a depth-first search that
     assigns the atoms in number order, false first, propagates what the
     reduct's conjuncts force, and ends a branch as soon as the
     three-valued value of the reduct is decided.  The search is complete
     for arbitrary ground formulas.  More than ``cap`` atoms raise
     ResourceGuardError."""
-    numbers = ground_atom_numbers(j)
+    numbers = atom_numbers(sorted(j))
     return _decide(folded_reduct(g, numbers), len(numbers), cap)
 
 
@@ -457,25 +417,11 @@ def _sm_tables(prog: Program):
     return tables
 
 
-def atom_numbers(interp: Interpretation) -> tuple:
-    """The interpretation's distinct true atoms numbered in ``_atom_key``
-    order, the order its sorted extensions list them in: a dict from
-    each predicate to a dict from its tuples to their numbers, and the
-    number of atoms."""
-    numbers, n = {}, 0
-    for p, tuples in interp.extensions:
-        own = numbers[p] = dict.fromkeys(tuples)
-        for t in own:
-            own[t] = n
-            n += 1
-    return numbers, n
-
-
 def relevant_reduct(prog: Program, interp: Interpretation, numbers: dict):
-    """The reduct, relative to the interpretation's atoms numbered by
-    ``numbers`` (see ``atom_numbers``), of the desugared program's basic
-    rule instances whose body the interpretation satisfies, constant
-    folded over those numbers (see ``stability``).  Each instance is
+    """The reduct, relative to the interpretation's true atoms numbered
+    by ``numbers`` (see ``atom_numbers``), of the desugared program's
+    basic rule instances whose body the interpretation satisfies, folded
+    over those numbers (see ``stability``).  Each instance is
     ground straight into folded form, in the order of
     ``ground_program``.
 
@@ -504,26 +450,28 @@ def is_sm_model(prog: Program, interp: Interpretation,
     that follow.  Cheap rejections come first: every constraint, then
     every rule read classically as the universal closure of
     ``body -> head``, stopping at the first violated instance.  An
-    interpretation that passes has its distinct true atoms numbered
-    (``atom_numbers``), only the rule instances whose body it satisfies
-    are ground, each straight into its folded reduct over those numbers
+    interpretation that passes has its distinct true atoms numbered in
+    the order its sorted extensions list them (``Interpretation.atoms``
+    through ``atom_numbers``), only the rule instances whose body it
+    satisfies are ground, each straight into its folded reduct over those numbers
     (``relevant_reduct``), and the same minimality search as
     ``is_stable`` runs on the result.  No ground formula is built."""
     classical, _ = _sm_tables(prog)
     if not classical(interp):
         return False
-    numbers, n = atom_numbers(interp)
-    return _decide(relevant_reduct(prog, interp, numbers), n, cap)
+    numbers = atom_numbers(interp.atoms())
+    return _decide(relevant_reduct(prog, interp, numbers), len(numbers), cap)
 
 
 # ---------------------------------------------------------------------------
 # Supportedness, Pnn/Nnn, tightness on an interpretation
 
-def is_supported(gp: GroundProgram, j) -> bool:
-    """Every atom of j heads some rule whose body j satisfies."""
+def is_supported(rules, j) -> bool:
+    """Every atom of j heads some rule whose body j satisfies; ``rules``
+    is ``ground_program``'s rule view."""
     j = frozenset(j)
     for a in j:
-        if not any(r.head == a and satisfies(j, r.body) for r in gp.rules):
+        if not any(head == a and satisfies(j, body) for head, body in rules):
             return False
     return True
 
@@ -531,11 +479,10 @@ def is_supported(gp: GroundProgram, j) -> bool:
 def pnn_nnn(g):
     """Positive-nonnegated and negative-nonnegated atom sets of a ground
     formula; implications with a false consequent contribute nothing."""
-    if isinstance(g, GBot):
-        return frozenset(), frozenset()
-    if isinstance(g, GAtom):
+    cls = type(g)
+    if cls is tuple:
         return frozenset([g]), frozenset()
-    if isinstance(g, (GAnd, GOr)):
+    if cls is Conj or cls is Disj:
         pos: frozenset = frozenset()
         negs: frozenset = frozenset()
         for x in g.items:
@@ -543,8 +490,8 @@ def pnn_nnn(g):
             pos |= p
             negs |= n
         return pos, negs
-    if isinstance(g, GImplies):
-        if g.right == G_BOT:
+    if cls is Imp:
+        if g.right == BOT:
             return frozenset(), frozenset()
         lp, ln = pnn_nnn(g.left)
         rp, rn = pnn_nnn(g.right)
@@ -582,14 +529,15 @@ def is_acyclic(succ: dict) -> bool:
     return True
 
 
-def is_tight_on(gp: GroundProgram, j) -> bool:
-    """Acyclicity of the parent relation: A' is a parent of A when some
-    rule with head A has a body satisfied by j in which A' occurs as a
-    positive nonnegated atom.  For finite j an infinite descending
-    sequence is exactly a reachable cycle."""
+def is_tight_on(rules, j) -> bool:
+    """Acyclicity of the parent relation over ``ground_program``'s rule
+    view: A' is a parent of A when some rule with head A has a body
+    satisfied by j in which A' occurs as a positive nonnegated atom.
+    For finite j an infinite descending sequence is exactly a reachable
+    cycle."""
     j = frozenset(j)
     parents: dict = {a: set() for a in j}
-    for r in gp.rules:
-        if r.head in j and satisfies(j, r.body):
-            parents[r.head] |= pnn(r.body) & j
+    for head, body in rules:
+        if head in j and satisfies(j, body):
+            parents[head] |= pnn(body) & j
     return is_acyclic(parents)

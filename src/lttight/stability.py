@@ -1,20 +1,25 @@
-"""Stability over integer atoms: constant-folded reducts and the search
-for a smaller model.
+"""Ground formulas, their reducts folded over integer atoms, and the
+search for a smaller model.
+
+A ground formula is built from ground atoms with ``Conj``, ``Disj`` and
+``Imp``.  A ground atom is the tuple ``(predicate, args)``, ``args`` a
+tuple of universe elements; ``TOP`` is ``Conj(())`` and ``BOT`` is
+``Disj(())``.  ``semantics`` grounds first-order sentences and programs
+into this form; its reduct, satisfaction and printing read it.
 
 The atoms of an atom set J are numbered ``0 .. n-1``, and the reduct of
-a ground formula relative to J is kept constant-folded over those
-numbers, the integer-literal form ground ASP solvers search (Gebser,
-Kaufmann, Neumann and Schaub, "Conflict-driven answer set solving",
-2007).  A folded formula is ``TOP``, ``BOT``, or built from atom numbers
-with ``Conj``, ``Disj`` and ``Imp`` and has neither ``TOP`` nor ``BOT``
-inside it.  The semantics is that of Ferraris, Lee and Lifschitz
-("Stable models and circumscription", 2011): J is stable for a formula
-when J satisfies its reduct relative to J and no proper subset of J
-does.
+a ground formula relative to J is kept *folded*: constant-folded over
+those numbers, the integer-literal form ground ASP solvers search
+(Gebser, Kaufmann, Neumann and Schaub, "Conflict-driven answer set
+solving", 2007).  A folded formula is ``TOP``, ``BOT``, or a ground
+formula over atom numbers with neither ``TOP`` nor ``BOT`` inside it.
+The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
+circumscription", 2011): J is stable for a formula when J satisfies its
+reduct relative to J and no proper subset of J does.
 
 ``fold_instance`` grounds a first-order formula under variable bindings
-straight into this form, ``semantics.folded_reduct`` folds a ground
-formula into it, and ``has_smaller_model`` decides minimality on it.
+straight into folded form, ``semantics.folded_reduct`` folds a ground
+formula, and ``has_smaller_model`` decides minimality on the result.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .syntax import And, Atom, Bot, Equality, Exists, Forall, Implies, Or, Varia
 
 
 # ---------------------------------------------------------------------------
-# Folded formulas
+# Ground and folded formulas
 
 # Plain classes, not dataclasses: generating three dataclasses' methods
 # at import raised the peak RSS of bench/run.py, which imports lttight
@@ -103,6 +108,8 @@ def implies(left, right):
 # Grounding a first-order formula straight into folded form
 
 def _element(t, interp, env: dict) -> int:
+    """The element the term ``t`` denotes: a variable's value in ``env``
+    (variable name -> element), a constant's under ``interp``."""
     if type(t) is Variable:
         if t.name in env:
             return env[t.name]
@@ -113,10 +120,10 @@ def _element(t, interp, env: dict) -> int:
 
 
 def fold_instance(f, interp, env: dict, numbers: dict):
-    """The constant-folded reduct, relative to J, of the ground instance
-    of the first-order formula ``f`` under ``env`` (variable name ->
-    element), ground and folded in one walk.  ``numbers`` maps each
-    predicate to the numbers of its tuples in J.
+    """The folded reduct, relative to J, of the ground instance of the
+    first-order formula ``f`` under ``env`` (variable name -> element),
+    ground and folded in one walk.  ``numbers`` maps each atom of J to
+    its number.
 
     An atom outside J folds to ``BOT``, an equality to ``TOP`` or
     ``BOT``, and a quantifier to the conjunction or disjunction of its
@@ -127,7 +134,7 @@ def fold_instance(f, interp, env: dict, numbers: dict):
     cls = type(f)
     if cls is Atom:
         args = tuple([_element(t, interp, env) for t in f.args])
-        return numbers.get(f.predicate, {}).get(args, BOT)
+        return numbers.get((f.predicate, args), BOT)
     if cls is Implies:
         left = fold_instance(f.left, interp, env, numbers)
         if left is BOT:

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from lttight.semantics import G_BOT, GAnd, GAtom, GImplies, GOr, GroundProgram, GroundRule
+from lttight.stability import BOT, Conj, Disj, Imp
 from lttight.syntax import (
     And, Atom, Bot, Equality, Exists, Forall, Implies, ObjectConstant, Or,
     Variable,
@@ -51,32 +51,32 @@ def random_ground_formula(rng: Random, atoms, depth: int):
     if depth == 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.1:
-            return G_BOT
+            return BOT
         return rng.choice(atoms)
     kind = rng.choice(["and", "or", "impl"])
     if kind == "impl":
-        return GImplies(random_ground_formula(rng, atoms, depth - 1),
-                        random_ground_formula(rng, atoms, depth - 1))
+        return Imp(random_ground_formula(rng, atoms, depth - 1),
+                   random_ground_formula(rng, atoms, depth - 1))
     width = rng.randint(0, 3)
     items = tuple(random_ground_formula(rng, atoms, depth - 1)
                   for _ in range(width))
-    return GAnd(items) if kind == "and" else GOr(items)
+    return Conj(items) if kind == "and" else Disj(items)
 
 
 def random_ground_program(rng: Random, atoms, max_rules: int):
     """A random ground program whose rule bodies are conjunctions of
-    literals, together with its formula view."""
+    literals: its rule view, ``(head, body)`` pairs, and its formula
+    view."""
     rules = []
     for _ in range(rng.randint(1, max_rules)):
         head = rng.choice(atoms)
         literals = []
         for _ in range(rng.randint(0, 3)):
             a = rng.choice(atoms)
-            literals.append(a if rng.random() < 0.6 else GImplies(a, G_BOT))
-        rules.append(GroundRule(head, GAnd(tuple(literals))))
-    gp = GroundProgram(tuple(rules))
-    gf = GAnd(tuple(GImplies(r.body, r.head) for r in rules))
-    return gp, gf
+            literals.append(a if rng.random() < 0.6 else Imp(a, BOT))
+        rules.append((head, Conj(tuple(literals))))
+    gf = Conj(tuple(Imp(body, head) for head, body in rules))
+    return tuple(rules), gf
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from lttight import (
     simplify_completion,
 )
 from lttight.completion import desugar
-from lttight.semantics import G_BOT, GAnd, GAtom, GBot, GImplies, GOr
+from lttight.stability import BOT, Conj, Disj, Imp
 from lttight.tightness import ENTAILED, COUNTERMODEL
 
 from conftest import random_ground_formula, random_ground_program
@@ -150,8 +150,8 @@ def _least_model(rules, atoms):
 
 def test_criterion_6_stable_model_oracle():
     with _report("6 stable-model oracle"):
-        p0, p1 = GAtom("p", (0,)), GAtom("p", (1,))
-        q0, q1 = GAtom("q", (0,)), GAtom("q", (1,))
+        p0, p1 = ("p", (0,)), ("p", (1,))
+        q0, q1 = ("q", (0,)), ("q", (1,))
         atoms = [p0, p1, q0, q1]
 
         prog1 = builtin_fixture("prog1").program
@@ -166,8 +166,8 @@ def test_criterion_6_stable_model_oracle():
             for chosen in combinations(atoms, size):
                 interp = make_interpretation(
                     2, {"a": 0, "b": 1},
-                    {"p": [a.args for a in chosen if a.predicate == "p"],
-                     "q": [a.args for a in chosen if a.predicate == "q"]})
+                    {"p": [t for name, t in chosen if name == "p"],
+                     "q": [t for name, t in chosen if name == "q"]})
                 if is_sm_model(prog1, interp):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [expected]
@@ -178,8 +178,8 @@ def test_criterion_6_stable_model_oracle():
             for chosen in combinations(atoms, size):
                 interp = make_interpretation(
                     2, {"a": 0, "b": 1},
-                    {"p": [a.args for a in chosen if a.predicate == "p"],
-                     "q": [a.args for a in chosen if a.predicate == "q"]})
+                    {"p": [t for name, t in chosen if name == "p"],
+                     "q": [t for name, t in chosen if name == "q"]})
                 if is_sm_model(prog2, interp):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [frozenset()]
@@ -188,7 +188,7 @@ def test_criterion_6_stable_model_oracle():
 def test_criterion_7a_reduct_identity():
     with _report("7a reduct identity (1000 cases)"):
         rng = Random(SEED)
-        atoms = [GAtom(f"a{i}") for i in range(6)]
+        atoms = [(f"a{i}", ()) for i in range(6)]
         cases = 0
         for _ in range(1000):
             f = random_ground_formula(rng, atoms, 4)
@@ -203,31 +203,29 @@ def _oracle_stable(g, j):
     subset sweep."""
 
     def ev(x, k):
-        if isinstance(x, GBot):
-            return False
-        if isinstance(x, GAtom):
+        if isinstance(x, tuple):
             return x in k
-        if isinstance(x, GAnd):
+        if isinstance(x, Conj):
             return all(ev(y, k) for y in x.items)
-        if isinstance(x, GOr):
+        if isinstance(x, Disj):
             return any(ev(y, k) for y in x.items)
         return (not ev(x.left, k)) or ev(x.right, k)
 
     def red(x, k):
         if not ev(x, k):
-            return G_BOT
-        if isinstance(x, GAtom):
+            return BOT
+        if isinstance(x, tuple):
             return x
-        if isinstance(x, GAnd):
-            return GAnd(tuple(red(y, k) for y in x.items))
-        if isinstance(x, GOr):
-            return GOr(tuple(red(y, k) for y in x.items))
-        return GImplies(red(x.left, k), red(x.right, k))
+        if isinstance(x, Conj):
+            return Conj(tuple(red(y, k) for y in x.items))
+        if isinstance(x, Disj):
+            return Disj(tuple(red(y, k) for y in x.items))
+        return Imp(red(x.left, k), red(x.right, k))
 
     if not ev(g, j):
         return False
     r = red(g, j)
-    members = sorted(j, key=lambda a: (a.predicate, a.args))
+    members = sorted(j)
     for size in range(len(members)):
         for subset in combinations(members, size):
             if ev(r, frozenset(subset)):
@@ -238,7 +236,7 @@ def _oracle_stable(g, j):
 def test_criterion_7b_stable_implies_model():
     with _report("7b stable implies model (1000 cases)"):
         rng = Random(SEED + 1)
-        atoms = [GAtom(f"a{i}") for i in range(5)]
+        atoms = [(f"a{i}", ()) for i in range(5)]
         cases = 0
         stable_seen = 0
         for _ in range(1000):
@@ -258,7 +256,7 @@ def test_criterion_7b_stable_implies_model():
 def test_criterion_7c_tight_on_supported_equivalence():
     with _report("7c stable iff supported when tight (1000+ cases)"):
         rng = Random(SEED + 2)
-        atoms = [GAtom(f"a{i}") for i in range(5)]
+        atoms = [(f"a{i}", ()) for i in range(5)]
         qualifying = 0
         for _ in range(500):
             gp, gf = random_ground_program(rng, atoms, 8)

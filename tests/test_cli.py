@@ -131,6 +131,31 @@ def test_check_gamma_tight_rejects_bad_n(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("check-gamma-tight", "fixture:prog2", "--n", "1", "--bound", "0"),
+     "error: --bound must be at least 1"),
+    (("check-gamma-tight", "fixture:prog2", "--n", "1", "--bound", "-2"),
+     "error: --bound must be at least 1"),
+    (("check-equiv", "fixture:prog1", "--m-max", "1", "--sample", "-3"),
+     "error: --sample must be nonnegative"),
+    (("check-prop3", "--k", "1", "--sample", "-1"),
+     "error: --sample must be nonnegative"),
+], ids=["bound-0", "bound-negative", "equiv-sample", "prop3-sample"])
+def test_out_of_range_option_is_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_malformed_interp_is_usage_error(tmp_path, capsys):
+    # a bare element where a tuple belongs was read as an empty extension
+    path = tmp_path / "prog.lp"
+    path.write_text("s(X) :- r(X). {r(X)} :- X = X.\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=1; s={e0}\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (2, "", "error: bad extension for s\n")
+
+
 def test_ground_and_stable(tmp_path, capsys):
     interp = tmp_path / "i.txt"
     interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
@@ -157,6 +182,15 @@ def test_stable_with_a_duplicated_tuple(tmp_path, capsys, program, literal):
     path.write_text(program + "\n")
     interp = tmp_path / "i.txt"
     interp.write_text(literal + "\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+
+
+def test_stable_with_a_constant_named_like_a_predicate(tmp_path, capsys):
+    path = tmp_path / "prog.lp"
+    path.write_text("p(p).\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=1; p=e0; p={(e0)}\n")
     code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
     assert (code, out, err) == (0, "stable\n", "")
 

@@ -4,7 +4,9 @@ evaluator against a direct first-order evaluator, simplification
 soundness, the tight-on consequence of chain refutation, and the
 relevant grounding against the whole grounding."""
 
+import json
 from itertools import product
+from pathlib import Path
 from random import Random
 
 from lttight.completion import completion, desugar, simplify
@@ -15,8 +17,8 @@ from lttight.parser import (
 )
 from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.semantics import (
-    GAtom, ResourceGuardError, atom_numbers, enumerate_interpretations,
-    folded_reduct, ground, ground_atom_numbers, ground_program, is_sm_model,
+    ResourceGuardError, atom_numbers, enumerate_interpretations,
+    folded_reduct, ground, ground_program, ground_to_str, is_sm_model,
     is_stable, is_tight_on, make_interpretation, reduct, relevant_reduct,
     sample_interpretation, satisfies, satisfies_fo,
 )
@@ -98,7 +100,8 @@ def test_grounding_matches_direct_evaluation():
         interp = sample_interpretation(SIG, m, rng)
         env = random_env(rng, f, m)
         direct = fo_eval(f, interp, env)
-        via_ground = satisfies(interp.true_atoms(), ground(f, interp, env))
+        names = {v.name: e for v, e in env.items()}
+        via_ground = satisfies(interp.true_atoms(), ground(f, interp, names))
         assert direct == via_ground, formula_to_str(f)
     print("grounding faithfulness: 1000 cases")
 
@@ -150,6 +153,31 @@ def test_is_sm_model_matches_grounding_reference():
           f"{stable} stable")
 
 
+GROUND_GOLDEN = Path(__file__).with_name("ground_golden.json")
+
+
+def ground_golden_cases():
+    """The first and last interpretation at m = 1 and at m = 2 of each
+    small fixture, keyed by fixture name and interpretation literal."""
+    for name in SMALL_FIXTURES:
+        prog = builtin_fixture(name).program
+        for m in (1, 2):
+            interps = list(enumerate_interpretations(prog.signature, m))
+            for interp in (interps[0], interps[-1]):
+                yield f"{name} {interp.literal()}", prog, interp
+
+
+def test_ground_program_matches_golden():
+    """The printed formula view of ground_program on the desugared small
+    fixtures, exactly as recorded in ``ground_golden.json``."""
+    golden = json.loads(GROUND_GOLDEN.read_text(encoding="utf-8"))
+    cases = list(ground_golden_cases())
+    assert [key for key, _, _ in cases] == list(golden)
+    for key, prog, interp in cases:
+        _, gf = ground_program(desugar(prog), interp)
+        assert ground_to_str(gf) == golden[key], key
+
+
 def test_substitution_commutes_with_evaluation():
     rng = Random(SEED + 2)
     cases = 0
@@ -187,8 +215,7 @@ def test_simplify_preserves_evaluation():
 
 def test_reduct_is_idempotent():
     rng = Random(SEED + 4)
-    from lttight.semantics import GAtom
-    atoms = [GAtom(f"a{i}") for i in range(6)]
+    atoms = [(f"a{i}", ()) for i in range(6)]
     for i in range(1000):
         f = random_ground_formula(rng, atoms, 4)
         j = frozenset(a for a in atoms if rng.random() < 0.5)
@@ -249,21 +276,21 @@ def test_is_stable_matches_subset_sweep_oracle():
     stable = large_stable = 0
     cases = 1200
     for k in range(cases):
-        atoms = [GAtom(f"a{i}") for i in range(rng.randint(6, 12))]
+        atoms = [(f"a{i}", ()) for i in range(rng.randint(6, 12))]
         j = frozenset(a for a in atoms if rng.random() < 0.5)
         steer = k % 4 < 2
         if k % 2:
             f = random_ground_formula(rng, atoms, 4)
             if steer and satisfies(j, f):
-                for a in sorted(j, key=lambda a: a.predicate):
+                for a in sorted(j):
                     if satisfies(j - {a}, f):
                         j -= {a}
         else:
             gp, f = random_ground_program(rng, atoms, 12)
             if steer:
                 for _ in atoms:
-                    j = frozenset(r.head for r in gp.rules
-                                  if satisfies(j, r.body))
+                    j = frozenset(head for head, body in gp
+                                  if satisfies(j, body))
         expected = _oracle_stable(f, j)
         assert is_stable(f, j) == expected, (f, j)
         stable += expected
@@ -410,13 +437,10 @@ def _same_reduct(d, interp, cap):
     j = interp.true_atoms()
     if not satisfies(j, full):
         return None
-    expected = {a: i for i, a in enumerate(
-        sorted(j, key=lambda a: (a.predicate, a.args)))}
-    assert ground_atom_numbers(j) == expected
-    numbers, n = atom_numbers(interp)
-    assert {GAtom(p, t): i for p, own in numbers.items()
-            for t, i in own.items()} == expected, interp.literal()
-    assert n == len(expected)
+    expected = {a: i for i, a in enumerate(sorted(j))}
+    assert atom_numbers(sorted(j)) == expected
+    numbers = atom_numbers(interp.atoms())
+    assert numbers == expected, interp.literal()
     assert relevant_reduct(d, interp, numbers) == folded_reduct(full, expected), \
         interp.literal()
     verdict = _stability(lambda: is_sm_model(d, interp, cap))
@@ -469,8 +493,8 @@ def test_relevant_grounding_has_the_same_reduct():
         gp, _ = ground_program(d, interp)
         j = interp.true_atoms()
         for _ in range(4):
-            j = frozenset(r.head for r in gp.rules if satisfies(j, r.body))
-        exts = {p: [a.args for a in j if a.predicate == p]
+            j = frozenset(head for head, body in gp if satisfies(j, body))
+        exts = {p: [t for q, t in j if q == p]
                 for p, _ in prog.predicates}
         interp = make_interpretation(m, dict(interp.consts), exts)
         check(d, interp, rng.choice((1, 3, 24)))

@@ -11,15 +11,14 @@ from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
-    DEFAULT_STABILITY_CAP, G_BOT, G_TOP, GAnd, GAtom, GImplies, GOr,
-    GroundProgram, GroundRule, GroundingError, Interpretation,
+    DEFAULT_STABILITY_CAP, GroundingError, Interpretation,
     ResourceGuardError, atom_numbers, enumerate_interpretations, folded_reduct,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
     parse_interpretation, pnn, pnn_nnn, reduct, relevant_reduct,
     sample_interpretation, satisfies, satisfies_fo,
 )
-from lttight.stability import Conj, Imp
+from lttight.stability import BOT, TOP, Conj, Disj, Imp
 from lttight.syntax import (
     And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or, Signature,
     Variable, neg,
@@ -118,6 +117,12 @@ def test_literal_round_trip():
     for _ in range(50):
         interp = sample_interpretation(SIG2, rng.randint(1, 3), rng)
         assert parse_interpretation(interp.literal()) == interp
+    # nullary and binary predicates, empty and full extensions, and a
+    # constant that shares its name with a predicate
+    sig = Signature(predicates=(("p", 0), ("q", 2)), constants=("a", "q"))
+    for m in (1, 2):
+        for interp in enumerate_interpretations(sig, m):
+            assert parse_interpretation(interp.literal()) == interp
 
 
 def test_parse_interpretation_golden():
@@ -125,7 +130,7 @@ def test_parse_interpretation_golden():
     assert interp.const("a") == 0
     assert interp.extension("p") == frozenset({(0,), (1,)})
     assert interp.extension("q") == frozenset()
-    assert interp.true_atoms() == frozenset({GAtom("p", (0,)), GAtom("p", (1,))})
+    assert interp.true_atoms() == frozenset({("p", (0,)), ("p", (1,))})
 
 
 def test_duplicate_tuples_are_dropped():
@@ -141,6 +146,20 @@ def test_parse_interpretation_errors():
         parse_interpretation("universe=1; a=e1")
     with pytest.raises(ValueError):
         parse_interpretation("universe=1; p={(x0)}")
+    for text in ("universe=0", "universe=-1", "universe=two",
+                 "universe=1; s={e0}", "universe=1; s={(e0),}",
+                 "universe=1; s={(e0)(e0)}", "universe=1; s={(e0,)}",
+                 "universe=1; s={(e0)}; s={}", "universe=1; a=e0; a=e0",
+                 "universe=1; ={()}", "universe=1; =e0"):
+        with pytest.raises(ValueError):
+            parse_interpretation(text)
+
+
+def test_constant_and_predicate_may_share_a_name():
+    # p(p). has the constant p and the predicate p/1
+    interp = parse_interpretation("universe=1; p=e0; p={(e0)}")
+    assert interp == make_interpretation(1, {"p": 0}, {"p": [(0,)]})
+    assert interp.literal() == "universe=1; p=e0; p={(e0)}"
 
 
 def test_sampling_is_seed_deterministic():
@@ -155,17 +174,17 @@ def test_sampling_is_seed_deterministic():
 def test_ground_quantifiers_expand_over_universe():
     interp = herbrand2()
     assert ground(parse_formula("forall X (p(X))"), interp) == \
-        GAnd((GAtom("p", (0,)), GAtom("p", (1,))))
+        Conj((("p", (0,)), ("p", (1,))))
     assert ground(parse_formula("exists X (p(X))"), interp) == \
-        GOr((GAtom("p", (0,)), GAtom("p", (1,))))
+        Disj((("p", (0,)), ("p", (1,))))
 
 
 def test_ground_equalities_become_truth_values():
     interp = herbrand2()
-    assert ground(parse_formula("a = a"), interp) == G_TOP
-    assert ground(parse_formula("a = b"), interp) == G_BOT
+    assert ground(parse_formula("a = a"), interp) == TOP
+    assert ground(parse_formula("a = b"), interp) == BOT
     merged = make_interpretation(1, {"a": 0, "b": 0}, {"p": [], "q": []})
-    assert ground(parse_formula("a = b"), merged) == G_TOP
+    assert ground(parse_formula("a = b"), merged) == TOP
 
 
 def test_ground_errors():
@@ -181,43 +200,43 @@ def test_ground_program_views_agree():
     interp = herbrand2(p=[(0,)], q=[(1,)])
     gp, gf = ground_program(prog, interp)
     # 2 facts plus the rule at both elements
-    assert len(gp.rules) == 4
-    assert gf == GAnd(tuple(GImplies(r.body, r.head) for r in gp.rules))
+    assert len(gp) == 4
+    assert gf == Conj(tuple(Imp(body, head) for head, body in gp))
 
 
 def test_ground_program_keeps_constraints_in_formula_view():
     prog = parse_program("p(a). :- p(X).")
     interp = make_interpretation(1, {"a": 0}, {"p": [(0,)]})
     gp, gf = ground_program(prog, interp)
-    assert len(gp.rules) == 1
+    assert len(gp) == 1
     assert len(gf.items) == 2
-    assert gf.items[1] == GImplies(GAtom("p", (0,)), G_BOT)
+    assert gf.items[1] == Imp(("p", (0,)), BOT)
 
 
 def test_ground_to_str():
-    g = GImplies(GAnd((GAtom("p", (0,)),)), GOr(()))
+    g = Imp(Conj((("p", (0,)),)), BOT)
     assert ground_to_str(g) == "((p(e0)) -> false)"
-    assert ground_to_str(G_TOP) == "true"
+    assert ground_to_str(TOP) == "true"
 
 
 # ---------------------------------------------------------------------------
 # satisfaction, reduct, stability
 
-P = GAtom("p")
-NOT_NOT_P = GImplies(GImplies(GImplies(P, G_BOT), G_BOT), P)
+P = ("p", ())
+NOT_NOT_P = Imp(Imp(Imp(P, BOT), BOT), P)
 
 
 def test_satisfies_basics():
     assert satisfies({P}, P)
     assert not satisfies(set(), P)
-    assert satisfies(set(), GImplies(P, G_BOT))
-    assert not satisfies(set(), G_BOT)
+    assert satisfies(set(), Imp(P, BOT))
+    assert not satisfies(set(), BOT)
 
 
 def test_reduct_golden():
     assert reduct(NOT_NOT_P, frozenset({P})) == \
-        GImplies(GImplies(G_BOT, G_BOT), P)
-    assert reduct(NOT_NOT_P, frozenset()) == GImplies(G_BOT, G_BOT)
+        Imp(Imp(BOT, BOT), P)
+    assert reduct(NOT_NOT_P, frozenset()) == Imp(BOT, BOT)
 
 
 def test_choice_formula_has_two_stable_sets():
@@ -226,19 +245,19 @@ def test_choice_formula_has_two_stable_sets():
 
 
 def test_self_supporting_atom_is_not_stable():
-    assert not is_stable(GImplies(P, P), frozenset({P}))
-    assert is_stable(GImplies(P, P), frozenset())
+    assert not is_stable(Imp(P, P), frozenset({P}))
+    assert is_stable(Imp(P, P), frozenset())
 
 
 def test_stability_cap():
-    small = frozenset(GAtom(f"a{i}") for i in range(4))
-    g = GAnd(tuple(small))
+    small = frozenset((f"a{i}", ()) for i in range(4))
+    g = Conj(tuple(small))
     with pytest.raises(ResourceGuardError):
         is_stable(g, small, cap=3)
     assert is_stable(g, small, cap=4)
-    big = frozenset(GAtom(f"a{i}") for i in range(DEFAULT_STABILITY_CAP + 1))
+    big = frozenset((f"a{i}", ()) for i in range(DEFAULT_STABILITY_CAP + 1))
     with pytest.raises(ResourceGuardError):
-        is_stable(GAnd(tuple(big)), big)
+        is_stable(Conj(tuple(big)), big)
 
 
 def test_is_sm_model_on_fixture():
@@ -330,33 +349,32 @@ def test_relevant_reduct_keeps_instances_whose_body_holds():
     d = desugar(parse_program("p(X) :- q(X). q(a). :- p(b), not q(b)."))
     interp = make_interpretation(2, {"a": 0, "b": 1},
                                  {"p": [(0,)], "q": [(0,)]})
-    numbers, n = atom_numbers(interp)
-    assert (numbers, n) == ({"p": {(0,): 0}, "q": {(0,): 1}}, 2)
+    numbers = atom_numbers(sorted(interp.true_atoms()))
+    assert numbers == {("p", (0,)): 0, ("q", (0,)): 1}
     # q(e0) -> p(e0), and the fact q(a) with its body folded to true
     relevant = relevant_reduct(d, interp, numbers)
     assert relevant == Conj((Imp(1, 0), 1))
     _, full = ground_program(d, interp)
     assert len(full.items) == 4
-    assert folded_reduct(full, {GAtom("p", (0,)): 0, GAtom("q", (0,)): 1}) \
-        == relevant
+    assert folded_reduct(full, numbers) == relevant
     assert is_sm_model(d, interp)
     # a choice rule is grounded as its desugared double-negation rule,
     # ((p -> false) -> false) -> p, which folds to p
     choice = make_interpretation(1, {}, {"p": [()]})
     assert relevant_reduct(parse_program("{p}."), choice,
-                           atom_numbers(choice)[0]) == 0
+                           atom_numbers([("p", ())])) == 0
 
 
 def test_atoms_are_numbered_once_each():
     """Duplicate tuples, which only a directly built interpretation can
     list, are one atom: q(a) alone is stable, and so is a fact p."""
     duplicated = Interpretation(1, (("a", 0),), (("q", ((0,), (0,))),))
-    assert atom_numbers(duplicated) == ({"q": {(0,): 0}}, 1)
+    assert atom_numbers([("q", (0,)), ("q", (0,))]) == {("q", (0,)): 0}
     assert is_sm_model(parse_program("q(a)."), duplicated)
     assert is_sm_model(parse_program("p."),
                        Interpretation(1, (), (("p", ((), ())),)))
-    assert is_stable(GAnd((P,)), [P, P])
-    assert not is_stable(GImplies(P, P), [P, P])
+    assert is_stable(Conj((P,)), [P, P])
+    assert not is_stable(Imp(P, P), [P, P])
 
 
 def test_is_sm_model_deep_rule_body_rejects_classically():
@@ -371,36 +389,36 @@ def test_is_sm_model_deep_rule_body_rejects_classically():
 # supportedness, Pnn/Nnn, tight-on
 
 def test_is_supported():
-    q = GAtom("q")
-    gp = GroundProgram((GroundRule(P, GAnd(())), GroundRule(q, P)))
+    q = ("q", ())
+    gp = ((P, TOP), (q, P))
     assert is_supported(gp, {P, q})
     assert is_supported(gp, {P})
     assert not is_supported(gp, {q})
 
 
 def test_pnn_nnn_clauses():
-    q, r = GAtom("q"), GAtom("r")
+    q, r = ("q", ()), ("r", ())
     assert pnn_nnn(P) == (frozenset({P}), frozenset())
-    assert pnn_nnn(GImplies(P, q)) == (frozenset({q}), frozenset({P}))
+    assert pnn_nnn(Imp(P, q)) == (frozenset({q}), frozenset({P}))
     # an implication with a false consequent contributes nothing
-    assert pnn_nnn(GImplies(P, G_BOT)) == (frozenset(), frozenset())
-    assert pnn(GAnd((P, GImplies(GImplies(q, G_BOT), r)))) == frozenset({P, r})
+    assert pnn_nnn(Imp(P, BOT)) == (frozenset(), frozenset())
+    assert pnn(Conj((P, Imp(Imp(q, BOT), r)))) == frozenset({P, r})
 
 
 def test_is_tight_on():
-    q = GAtom("q")
-    loop = GroundProgram((GroundRule(P, P),))
+    q = ("q", ())
+    loop = ((P, P),)
     assert not is_tight_on(loop, {P})
     assert is_tight_on(loop, set())
-    two_cycle = GroundProgram((GroundRule(P, q), GroundRule(q, P)))
+    two_cycle = ((P, q), (q, P))
     assert not is_tight_on(two_cycle, {P, q})
-    chain = GroundProgram((GroundRule(P, q), GroundRule(q, GAnd(()))))
+    chain = ((P, q), (q, TOP))
     assert is_tight_on(chain, {P, q})
     # a rule whose body j does not satisfy contributes no parent edge
-    guarded = GroundProgram((GroundRule(P, GAnd((P, q))),))
+    guarded = ((P, Conj((P, q))),)
     assert is_tight_on(guarded, {P})
     # negated occurrences are not parents
-    negloop = GroundProgram((GroundRule(P, GImplies(GImplies(P, G_BOT), G_BOT)),))
+    negloop = ((P, Imp(Imp(P, BOT), BOT)),)
     assert is_tight_on(negloop, {P})
 
 
@@ -411,14 +429,13 @@ def test_is_acyclic_long_paths():
     path[1200] = [0]
     assert not is_acyclic(path)
     assert not is_acyclic({0: [0]})
-    chain = GroundProgram(tuple(GroundRule(GAtom("p", (i,)), GAtom("p", (i + 1,)))
-                                for i in range(1200)))
-    atoms = {GAtom("p", (i,)) for i in range(1201)}
+    chain = tuple((("p", (i,)), ("p", (i + 1,))) for i in range(1200))
+    atoms = {("p", (i,)) for i in range(1201)}
     assert is_tight_on(chain, atoms)
 
 
 def test_ground_prints_a_conjunction_flat():
-    # The body is one n-ary And, so its ground form is one GAnd, printed
+    # The body is one n-ary And, so its ground form is one Conj, printed
     # like the program conjunction around it.
     prog = parse_program("p :- q, r, s.")
     interp = parse_interpretation("universe=1; p={()}; q={()}; r={()}; s={()}")
