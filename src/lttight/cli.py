@@ -68,7 +68,8 @@ def _load_gamma(path, default):
 
 def _load_interp(path, prog):
     """Read an interpretation literal and check it against the program:
-    every constant mapped, every tuple of the program's arity."""
+    every constant mapped, every extension of one of its predicates, and
+    every tuple of that predicate's arity."""
     try:
         with open(path, encoding="utf-8") as handle:
             interp = parse_interpretation(handle.read())
@@ -80,12 +81,16 @@ def _load_interp(path, prog):
     for name in sorted(prog.constants):
         if name not in mapped:
             raise UsageError(f"interpretation leaves constant {name} unmapped")
-    extensions = dict(interp.extensions)
-    for p, arity in sorted(prog.predicates):
-        for t in extensions.get(p, ()):
-            if len(t) != arity:
-                raise UsageError(
-                    f"interpretation gives {p}/{arity} a tuple of length {len(t)}")
+    arities = dict(prog.predicates)
+    for p, tuples in interp.extensions:
+        if p not in arities:
+            raise UsageError(
+                f"interpretation gives an extension to {p}, "
+                f"which the program does not have")
+        for t in sorted(tuples):
+            if len(t) != arities[p]:
+                raise UsageError(f"interpretation gives {p}/{arities[p]} "
+                                 f"a tuple of length {len(t)}")
     return interp
 
 

@@ -3,10 +3,14 @@ stable/supported/tight-on checks.
 
 Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 ``Imp`` over ground atoms ``(predicate, args)``, with ``TOP`` and
-``BOT``.  A reduct relative to J is *folded* when J's atoms are replaced
-by their numbers and constants are folded away, so that no ``TOP`` or
-``BOT`` is left inside; the stability checks search folded reducts for
-a smaller model (``stability.has_smaller_model``).  First-order
+``BOT``.  ``ground`` is the one translation of first-order formulas into
+that type.  A reduct relative to J is *folded* when J's atoms are
+replaced by their numbers and constants are folded away, so that no
+``TOP`` or ``BOT`` is left inside (``folded_reduct``); ``is_stable``
+searches the folded reduct for a smaller model
+(``stability.has_smaller_model``).  ``is_sm_model`` is ``is_stable`` on
+the rule instances whose body the interpretation satisfies
+(``relevant_grounding``), after a classical check.  First-order
 sentences are evaluated by functions compiled in ``evaluation``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
@@ -24,17 +28,13 @@ from random import Random
 from typing import Iterator, Optional
 
 from .completion import desugar, is_desugared
-from .evaluation import (
-    GroundingError,  # noqa: F401 -- raised by ground, importable from here
-    compile_bindings, compile_sentence,
-)
+from .evaluation import GroundingError, compile_bindings, compile_sentence
 from .stability import (
-    BOT, TOP, Conj, Disj, Imp, _element, fold_instance, has_smaller_model,
-    implies, junction,
+    BOT, TOP, Conj, Disj, Imp, has_smaller_model, implies, junction,
 )
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    Or, Program, Signature, conjoin,
+    Or, Program, Signature, Variable, conjoin,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -89,17 +89,16 @@ def ground_to_str(g) -> str:
 class Interpretation:
     universe: int
     consts: tuple       # tuple[(name, element), ...] sorted by name
-    extensions: tuple   # tuple[(predicate, tuple[tuple[int,...], ...]), ...]
-                        # sorted by predicate, each extension sorted
+    extensions: tuple   # tuple[(predicate, frozenset of tuples), ...]
+                        # sorted by predicate
     # Indexes built once from the two tuples above: name -> element and
-    # predicate -> frozenset of tuples.
+    # predicate -> extension.
     _consts: dict = field(init=False, repr=False, compare=False)
     _exts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_consts", dict(self.consts))
-        object.__setattr__(self, "_exts",
-                           {p: frozenset(ts) for p, ts in self.extensions})
+        object.__setattr__(self, "_exts", dict(self.extensions))
 
     def const(self, name: str) -> int:
         return self._consts[name]
@@ -108,9 +107,8 @@ class Interpretation:
         return self._exts[predicate]
 
     def atoms(self) -> Iterator[tuple]:
-        """The true atoms ``(predicate, args)``, in the order of the
-        sorted extensions (which is sorted order)."""
-        return ((p, t) for p, tuples in self.extensions for t in tuples)
+        """The true atoms ``(predicate, args)``, in sorted order."""
+        return ((p, t) for p, tuples in self.extensions for t in sorted(tuples))
 
     def true_atoms(self) -> frozenset:
         return frozenset(self.atoms())
@@ -128,12 +126,12 @@ class Interpretation:
 
 def make_interpretation(universe: int, consts: dict, extensions: dict) -> Interpretation:
     """An interpretation in canonical form: constants and predicates
-    sorted by name, each extension's tuples sorted and distinct."""
+    sorted by name, each extension a frozenset of tuples."""
     return Interpretation(
         universe=universe,
         consts=tuple(sorted(consts.items())),
-        extensions=tuple(sorted(
-            (p, tuple(sorted({tuple(t) for t in ts}))) for p, ts in extensions.items())),
+        extensions=tuple((p, frozenset(map(tuple, ts)))
+                         for p, ts in sorted(extensions.items())),
     )
 
 
@@ -214,14 +212,13 @@ def enumerate_interpretations(sig: Signature, m: int,
         raise ResourceGuardError(
             f"{total} interpretations at universe size {m} exceeds the "
             f"ceiling of {limit}; use sampling mode")
-    # Built in make_interpretation's order without its sorting: the
-    # signature lists names sorted, and product() yields tuples, and so
-    # each subset of them, in order.
+    # One frozenset per subset, shared by every candidate that has it;
+    # the signature lists names sorted, as Interpretation keeps them.
     ext_choices = []
     for p, arity in sig.predicates:
         tuples = list(product(range(m), repeat=arity))
         ext_choices.append([
-            (p, tuple(t for i, t in enumerate(tuples) if mask >> i & 1))
+            (p, frozenset(t for i, t in enumerate(tuples) if mask >> i & 1))
             for mask in range(2 ** len(tuples))])
     for cvals in product(range(m), repeat=len(sig.constants)):
         consts = tuple(zip(sig.constants, cvals))
@@ -231,12 +228,11 @@ def enumerate_interpretations(sig: Signature, m: int,
 
 def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation:
     """One random interpretation: uniform constant map, each extension
-    tuple included independently with probability 1/2.  Built in
-    make_interpretation's order without its sorting, as in
-    ``enumerate_interpretations``."""
+    tuple included independently with probability 1/2."""
     consts = tuple((name, rng.randrange(m)) for name in sig.constants)
     extensions = tuple(
-        (p, tuple(t for t in product(range(m), repeat=arity) if rng.random() < 0.5))
+        (p, frozenset(t for t in product(range(m), repeat=arity)
+                      if rng.random() < 0.5))
         for p, arity in sig.predicates)
     return Interpretation(m, consts, extensions)
 
@@ -244,33 +240,48 @@ def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation
 # ---------------------------------------------------------------------------
 # Grounding
 
+def _element(t, interp: Interpretation, env: dict) -> int:
+    """The element the term ``t`` denotes: a variable's value in ``env``
+    (variable name -> element), a constant's under ``interp``."""
+    if type(t) is Variable:
+        if t.name in env:
+            return env[t.name]
+        raise GroundingError(f"unbound variable {t.name}")
+    if t.name in interp._consts:
+        return interp._consts[t.name]
+    raise GroundingError(f"constant {t.name} is not mapped by the interpretation")
+
+
 def ground(f, interp: Interpretation, env: Optional[dict] = None):
     """Translate a sentence into a ground formula; ``env`` maps the
     names of free variables to elements.
 
     Equalities become ``TOP`` or ``BOT`` via the constant map;
     quantifiers become finite conjunctions/disjunctions over the
-    universe."""
-    env = env or {}
-    if isinstance(f, Bot):
-        return BOT
-    if isinstance(f, Atom):
-        return f.predicate, tuple(_element(t, interp, env) for t in f.args)
-    if isinstance(f, Equality):
-        same = _element(f.left, interp, env) == _element(f.right, interp, env)
-        return TOP if same else BOT
-    if isinstance(f, (And, Or)):
-        cls = Conj if isinstance(f, And) else Disj
-        return cls(tuple(ground(g, interp, env) for g in f.items))
-    if isinstance(f, Implies):
+    universe.  The walk takes one stack frame per quantifier and
+    implication and two per conjunction and disjunction."""
+    if env is None:
+        env = {}
+    cls = type(f)
+    if cls is Atom:
+        return f.predicate, tuple([_element(t, interp, env) for t in f.args])
+    if cls is Implies:
         return Imp(ground(f.left, interp, env), ground(f.right, interp, env))
-    if isinstance(f, (Forall, Exists)):
+    if cls is And or cls is Or:
+        return (Conj if cls is And else Disj)(
+            tuple([ground(g, interp, env) for g in f.items]))
+    if cls is Forall or cls is Exists:
+        env = dict(env)
         items = []
         for e in range(interp.universe):
-            env2 = dict(env)
-            env2[f.var.name] = e
-            items.append(ground(f.body, interp, env2))
-        return Conj(tuple(items)) if isinstance(f, Forall) else Disj(tuple(items))
+            env[f.var.name] = e
+            items.append(ground(f.body, interp, env))
+        return (Conj if cls is Forall else Disj)(tuple(items))
+    if cls is Equality:
+        same = _element(f.left, interp, env) == _element(f.right, interp, env)
+        return TOP if same else BOT
+    if cls is Bot:
+        return BOT
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -340,7 +351,7 @@ def folded_reduct(g, numbers: dict):
     atom numbers (see ``stability``), where ``numbers`` maps each atom
     of j to its number.  A subformula that j does not satisfy folds to
     ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
-    ``g``."""
+    ``g``.  The walk takes one stack frame per level of ``g``."""
     cls = type(g)
     if cls is tuple:
         return numbers.get(g, BOT)
@@ -350,22 +361,11 @@ def folded_reduct(g, numbers: dict):
             return TOP
         return implies(left, folded_reduct(g.right, numbers))
     if cls is Conj or cls is Disj:
-        return junction(cls, (folded_reduct(x, numbers) for x in g.items))
+        items = []
+        for x in g.items:
+            items.append(folded_reduct(x, numbers))
+        return junction(cls, items)
     raise TypeError(f"not a ground formula: {g!r}")
-
-
-def _decide(r, n: int, cap: int) -> bool:
-    """Whether the atoms numbered ``0 .. n-1`` are stable for a formula
-    whose reduct relative to them folds to ``r``: they satisfy it (``r``
-    is not ``BOT``) and no proper subset does.  More than ``cap`` atoms
-    raise ResourceGuardError, after the reduct is found satisfied and
-    before the search."""
-    if r is BOT:
-        return False
-    if n > cap:
-        raise ResourceGuardError(
-            f"minimality check over {n} atoms exceeds the cap of {cap}")
-    return n == 0 or not has_smaller_model(r, n)
 
 
 def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
@@ -380,9 +380,17 @@ def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     reduct's conjuncts force, and ends a branch as soon as the
     three-valued value of the reduct is decided.  The search is complete
     for arbitrary ground formulas.  More than ``cap`` atoms raise
-    ResourceGuardError."""
+    ResourceGuardError, after the reduct is found satisfied and before
+    the search."""
     numbers = atom_numbers(sorted(j))
-    return _decide(folded_reduct(g, numbers), len(numbers), cap)
+    r = folded_reduct(g, numbers)
+    if r is BOT:
+        return False
+    n = len(numbers)
+    if n > cap:
+        raise ResourceGuardError(
+            f"minimality check over {n} atoms exceeds the cap of {cap}")
+    return n == 0 or not has_smaller_model(r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +425,25 @@ def _sm_tables(prog: Program):
     return tables
 
 
-def relevant_reduct(prog: Program, interp: Interpretation, numbers: dict):
-    """The reduct, relative to the interpretation's true atoms numbered
-    by ``numbers`` (see ``atom_numbers``), of the desugared program's
-    basic rule instances whose body the interpretation satisfies, folded
-    over those numbers (see ``stability``).  Each instance is
-    ground straight into folded form, in the order of
-    ``ground_program``.
+def relevant_grounding(prog: Program, interp: Interpretation):
+    """The conjunction of the ground instances ``body -> head`` of the
+    desugared program's basic rules whose body the interpretation
+    satisfies, in the order of ``ground_program``.
 
-    When the interpretation satisfies every rule, this equals the folded
-    reduct of ``ground_program(desugar(prog), interp)[1]``: every
-    instance left out has a body the interpretation does not satisfy, so
-    its reduct ``false -> head`` folds away.  This is relevance-driven
-    grounding, as in gringo."""
+    When the interpretation satisfies every rule, this has the same
+    reduct relative to its true atoms as
+    ``ground_program(desugar(prog), interp)[1]``: every instance left
+    out has a body the interpretation does not satisfy, so its reduct
+    ``false -> ...`` is valid.  This is relevance-driven grounding, as in
+    gringo."""
     _, bodies = _sm_tables(prog)
     instances = []
     for r, names, bindings in bodies:
         for values in bindings(interp):
             env = dict(zip(names, values))
-            instances.append(implies(fold_instance(r.body, interp, env, numbers),
-                                     fold_instance(r.head, interp, env, numbers)))
-    return junction(Conj, instances)
+            instances.append(Imp(ground(r.body, interp, env),
+                                 ground(r.head, interp, env)))
+    return Conj(tuple(instances))
 
 
 def is_sm_model(prog: Program, interp: Interpretation,
@@ -450,17 +456,13 @@ def is_sm_model(prog: Program, interp: Interpretation,
     that follow.  Cheap rejections come first: every constraint, then
     every rule read classically as the universal closure of
     ``body -> head``, stopping at the first violated instance.  An
-    interpretation that passes has its distinct true atoms numbered in
-    the order its sorted extensions list them (``Interpretation.atoms``
-    through ``atom_numbers``), only the rule instances whose body it
-    satisfies are ground, each straight into its folded reduct over those numbers
-    (``relevant_reduct``), and the same minimality search as
-    ``is_stable`` runs on the result.  No ground formula is built."""
+    interpretation that passes is stable iff ``is_stable`` holds of its
+    true atoms and the rule instances whose body it satisfies
+    (``relevant_grounding``)."""
     classical, _ = _sm_tables(prog)
     if not classical(interp):
         return False
-    numbers = atom_numbers(interp.atoms())
-    return _decide(relevant_reduct(prog, interp, numbers), len(numbers), cap)
+    return is_stable(relevant_grounding(prog, interp), list(interp.atoms()), cap)
 
 
 # ---------------------------------------------------------------------------

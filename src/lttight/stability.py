@@ -17,15 +17,12 @@ The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
 circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
-``fold_instance`` grounds a first-order formula under variable bindings
-straight into folded form, ``semantics.folded_reduct`` folds a ground
-formula, and ``has_smaller_model`` decides minimality on the result.
+``semantics.is_stable`` folds a ground formula's reduct with ``junction``
+and ``implies`` (``semantics.folded_reduct``), and ``has_smaller_model``
+decides minimality on the result.
 """
 
 from __future__ import annotations
-
-from .evaluation import GroundingError
-from .syntax import And, Atom, Bot, Equality, Exists, Forall, Implies, Or, Variable
 
 
 # ---------------------------------------------------------------------------
@@ -102,60 +99,6 @@ def implies(left, right):
     if left is TOP or right is BOT:
         return right
     return Imp(left, right)
-
-
-# ---------------------------------------------------------------------------
-# Grounding a first-order formula straight into folded form
-
-def _element(t, interp, env: dict) -> int:
-    """The element the term ``t`` denotes: a variable's value in ``env``
-    (variable name -> element), a constant's under ``interp``."""
-    if type(t) is Variable:
-        if t.name in env:
-            return env[t.name]
-        raise GroundingError(f"unbound variable {t.name}")
-    if t.name in interp._consts:
-        return interp._consts[t.name]
-    raise GroundingError(f"constant {t.name} is not mapped by the interpretation")
-
-
-def fold_instance(f, interp, env: dict, numbers: dict):
-    """The folded reduct, relative to J, of the ground instance of the
-    first-order formula ``f`` under ``env`` (variable name -> element),
-    ground and folded in one walk.  ``numbers`` maps each atom of J to
-    its number.
-
-    An atom outside J folds to ``BOT``, an equality to ``TOP`` or
-    ``BOT``, and a quantifier to the conjunction or disjunction of its
-    instances over the universe.  An implication whose antecedent folds
-    to ``BOT`` is ``TOP`` without its consequent being ground.  The walk
-    takes one stack frame per quantifier and implication and two per
-    conjunction and disjunction, as ``semantics.ground`` does."""
-    cls = type(f)
-    if cls is Atom:
-        args = tuple([_element(t, interp, env) for t in f.args])
-        return numbers.get((f.predicate, args), BOT)
-    if cls is Implies:
-        left = fold_instance(f.left, interp, env, numbers)
-        if left is BOT:
-            return TOP
-        return implies(left, fold_instance(f.right, interp, env, numbers))
-    if cls is And or cls is Or:
-        return junction(Conj if cls is And else Disj,
-                        [fold_instance(g, interp, env, numbers) for g in f.items])
-    if cls is Forall or cls is Exists:
-        env = dict(env)
-        items = []
-        for e in range(interp.universe):
-            env[f.var.name] = e
-            items.append(fold_instance(f.body, interp, env, numbers))
-        return junction(Conj if cls is Forall else Disj, items)
-    if cls is Equality:
-        same = _element(f.left, interp, env) == _element(f.right, interp, env)
-        return TOP if same else BOT
-    if cls is Bot:
-        return BOT
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,7 @@ def _link_occurrences(body) -> list:
 @dataclass(frozen=True)
 class PredicateDependencyGraph:
     vertices: tuple   # predicate names, sorted
-    edges: tuple      # tuple[(p, q, witness-rule-indices), ...] sorted
-
-    def edge_pairs(self) -> set:
-        return {(p, q) for p, q, _ in self.edges}
+    edges: tuple      # tuple[(p, q), ...] sorted
 
 
 def predicate_dependency_graph(prog: Program) -> PredicateDependencyGraph:
@@ -85,15 +82,12 @@ def predicate_dependency_graph(prog: Program) -> PredicateDependencyGraph:
     nonnegated occurrence of q in its body.  The program is desugared
     first."""
     d = desugar(prog)
-    edges: dict = {}
-    for idx, r in enumerate(d.rules):
-        if r.kind != BASIC:
-            continue
-        for occ in _link_occurrences(r.body):
-            edges.setdefault((r.head.predicate, occ.predicate), []).append(idx)
+    edges = {(r.head.predicate, occ.predicate)
+             for r in d.rules if r.kind == BASIC
+             for occ in _link_occurrences(r.body)}
     return PredicateDependencyGraph(
         vertices=tuple(sorted(p for p, _ in prog.predicates)),
-        edges=tuple(sorted((p, q, tuple(ws)) for (p, q), ws in edges.items())),
+        edges=tuple(sorted(edges)),
     )
 
 
@@ -102,7 +96,7 @@ def is_tight(prog: Program) -> bool:
     (a self-loop is a cycle)."""
     graph = predicate_dependency_graph(prog)
     succ: dict = {v: [] for v in graph.vertices}
-    for p, q, _ in graph.edges:
+    for p, q in graph.edges:
         succ[p].append(q)
     return is_acyclic(succ)
 
@@ -114,11 +108,6 @@ def is_tight(prog: Program) -> bool:
 class Chain:
     rules: tuple    # renamed rules R_0 .. R_n, rule R_i carrying tag i+1
     labels: tuple   # label atoms; labels[i-1] links R_{i-1} to R_i
-    rule_indices: tuple = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.labels)
 
 
 def check_chain(c: Chain) -> None:
@@ -147,22 +136,21 @@ def chains(prog: Program, n: int) -> Iterator[Chain]:
     rules = [r for r in d.rules if r.kind == BASIC]
     renamed = [[rename_apart(r, tag) for r in rules] for tag in range(1, n + 2)]
 
-    def extend(prefix: list, labels: list, indices: list) -> Iterator[Chain]:
+    def extend(prefix: list, labels: list) -> Iterator[Chain]:
         i = len(prefix)
         if i == n + 1:
-            yield Chain(tuple(prefix), tuple(labels), tuple(indices))
+            yield Chain(tuple(prefix), tuple(labels))
             return
         if i == 0:
-            for idx, r in enumerate(renamed[0]):
-                yield from extend([r], [], [idx])
+            for r in renamed[0]:
+                yield from extend([r], [])
             return
         for occ in _link_occurrences(prefix[-1].body):
-            for idx, r in enumerate(renamed[i]):
+            for r in renamed[i]:
                 if r.head.predicate == occ.predicate:
-                    yield from extend(prefix + [r], labels + [occ.atom],
-                                      indices + [idx])
+                    yield from extend(prefix + [r], labels + [occ.atom])
 
-    yield from extend([], [], [])
+    yield from extend([], [])
 
 
 def chain_formula(c: Chain):
@@ -469,7 +457,7 @@ def export_dot(g) -> str:
     if isinstance(g, PredicateDependencyGraph):
         for v in g.vertices:
             lines.append(f'  "{v}";')
-        for p, q, _ in g.edges:
+        for p, q in g.edges:
             lines.append(f'  "{p}" -> "{q}";')
     elif isinstance(g, Chain):
         names = []

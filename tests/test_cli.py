@@ -215,6 +215,23 @@ def test_interp_with_wrong_arity_is_usage_error(tmp_path, capsys):
         assert err == "error: interpretation gives p/1 a tuple of length 2\n"
 
 
+def test_interp_with_unknown_predicate_is_usage_error(tmp_path, capsys):
+    # zz's atoms would join J and turn a stable model into "not stable"
+    path = tmp_path / "prog.lp"
+    path.write_text("s(X) :- r(X). {r(X)} :- X = X.\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=1; r={}; s={}\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+    interp.write_text("universe=1; r={}; s={}; zz={(e0)}\n")
+    for command in ("stable", "ground"):
+        code, out, err = invoke(capsys, command, str(path),
+                                "--interp", str(interp))
+        assert (code, out) == (2, "")
+        assert err == ("error: interpretation gives an extension to zz, "
+                       "which the program does not have\n")
+
+
 def test_non_integer_guard_ceiling_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "lots")
     for argv in (("check-equiv", "fixture:prog1", "--m-max", "1"),

@@ -5,6 +5,7 @@ soundness, the tight-on consequence of chain refutation, and the
 relevant grounding against the whole grounding."""
 
 import json
+import sys
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -19,7 +20,7 @@ from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.semantics import (
     ResourceGuardError, atom_numbers, enumerate_interpretations,
     folded_reduct, ground, ground_program, ground_to_str, is_sm_model,
-    is_stable, is_tight_on, make_interpretation, reduct, relevant_reduct,
+    is_stable, is_tight_on, make_interpretation, reduct, relevant_grounding,
     sample_interpretation, satisfies, satisfies_fo,
 )
 from lttight.syntax import (
@@ -134,7 +135,9 @@ def test_evaluation_matches_oracles():
 def test_is_sm_model_matches_grounding_reference():
     """The staged stable-model check against grounding the whole
     desugared program and testing stability directly, for every
-    interpretation at m <= 2 of the small fixtures."""
+    interpretation at m <= 2 of the small fixtures.  The two share the
+    fold and the search, so the subset-sweep oracle, which shares
+    neither, decides too."""
     total = stable = 0
     for name in SMALL_FIXTURES:
         prog = builtin_fixture(name).program
@@ -142,7 +145,9 @@ def test_is_sm_model_matches_grounding_reference():
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
                 _, gf = ground_program(d, interp)
-                expected = is_stable(gf, interp.true_atoms())
+                j = interp.true_atoms()
+                expected = is_stable(gf, j)
+                assert _oracle_stable(gf, j) == expected, (name, interp.literal())
                 assert is_sm_model(prog, interp) == expected, \
                     (name, interp.literal())
                 assert is_sm_model(d, interp) == expected
@@ -304,7 +309,7 @@ def test_is_stable_matches_subset_sweep_oracle():
 def _drift(interp):
     """The interpretation with its last ``at`` atom relocated to the next
     place, or with ``at(e0, e0, e0)`` added when it has none."""
-    exts = {p: list(ts) for p, ts in interp.extensions}
+    exts = {p: sorted(ts) for p, ts in interp.extensions}
     if exts["at"]:
         o, y, s = exts["at"].pop()
         exts["at"].append((o, (y + 1) % interp.universe, s))
@@ -397,16 +402,21 @@ def deepest(shape: str, text: str) -> str:
         text = deeper
 
 
+def deepest_texts() -> list:
+    """A formula of each test shape, nested as deep as the parser
+    allows."""
+    return ([nested(shape, MAX_NESTING) for shape in NESTING_SHAPES]
+            + [nested(shape, MAX_IFF_NESTING) for shape in IFF_SHAPES]
+            + [deepest(shape, "exists Y (p | q & r)")
+               for shape in DEEP_CODE_SHAPES])
+
+
 def test_compiled_evaluator_at_the_nesting_bounds():
     """Formulas nested as deep as the parser allows, their rule
     sentences, rule-body bindings and completions compile and agree with
     fo_eval on every interpretation of their signature at m = 1.  (At
     m = 2, fifty nested quantifiers have 2**50 instances.)"""
-    texts = ([nested(shape, MAX_NESTING) for shape in NESTING_SHAPES]
-             + [nested(shape, MAX_IFF_NESTING) for shape in IFF_SHAPES]
-             + [deepest(shape, "exists Y (p | q & r)")
-                for shape in DEEP_CODE_SHAPES])
-    for text in texts:
+    for text in deepest_texts():
         prog = parse_program(f"goal :- {text}.")
         rule = desugar(prog).rules[0]
         sentences = ([parse_formula(text), rule.sentence()]
@@ -419,6 +429,36 @@ def test_compiled_evaluator_at_the_nesting_bounds():
             holds = fo_eval(rule.body, interp)
             assert bindings(interp) == ([()] if holds else []), text[:60]
 
+
+# Frames each check may use on top of the caller's; the deepest shapes
+# need about 310.
+STACK_HEADROOM = 400
+
+
+def test_is_sm_model_at_the_nesting_bounds():
+    """Rules (and choice rules) whose bodies nest as deep as the parser
+    allows, through is_sm_model on every interpretation at m = 1, within
+    STACK_HEADROOM frames of stack: grounding, folding and the search
+    stay recursive, one frame or two per level."""
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    stable = 0
+    for text in deepest_texts():
+        for head in ("goal", "{goal}"):
+            prog = parse_program(f"{head} :- {text}.")
+            d = desugar(prog)
+            interps = list(enumerate_interpretations(prog.signature, 1))
+            is_sm_model(d, interps[0])      # compiles outside the limit
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(depth + STACK_HEADROOM)
+            try:
+                stable += sum(is_sm_model(d, interp) for interp in interps)
+            finally:
+                sys.setrecursionlimit(limit)
+    assert stable > 0
+
+
 def _stability(decide):
     try:
         return decide()
@@ -428,21 +468,20 @@ def _stability(decide):
 
 def _same_reduct(d, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
-    program ``d``: its atoms are numbered in sorted order, the relevant
-    instances ground straight into folded form equal the fold of the
-    whole grounding under that numbering, and is_sm_model gives
-    is_stable's verdict on the whole grounding, which is returned.  None
-    for any other interpretation."""
+    program ``d``: its atoms are listed in sorted order, the relevant
+    grounding's reduct folds, under that numbering, to the fold of the
+    whole grounding's, and is_sm_model gives is_stable's verdict on the
+    whole grounding, which is returned.  None for any other
+    interpretation."""
     _, full = ground_program(d, interp)
     j = interp.true_atoms()
     if not satisfies(j, full):
         return None
     expected = {a: i for i, a in enumerate(sorted(j))}
     assert atom_numbers(sorted(j)) == expected
-    numbers = atom_numbers(interp.atoms())
-    assert numbers == expected, interp.literal()
-    assert relevant_reduct(d, interp, numbers) == folded_reduct(full, expected), \
-        interp.literal()
+    assert list(interp.atoms()) == sorted(j), interp.literal()
+    assert folded_reduct(relevant_grounding(d, interp), expected) == \
+        folded_reduct(full, expected), interp.literal()
     verdict = _stability(lambda: is_sm_model(d, interp, cap))
     assert verdict == _stability(lambda: is_stable(full, j, cap)), interp.literal()
     return verdict
@@ -472,7 +511,7 @@ def random_program_text(rng: Random) -> str:
 
 
 def test_relevant_grounding_has_the_same_reduct():
-    """relevant_reduct against ground_program's formula: random programs
+    """relevant_grounding against ground_program's formula: random programs
     with J steered through the immediate-consequence operator, every
     m <= 2 interpretation of the small fixtures, and the directed
     moving(1) interpretations with one drift of each.  Small caps make

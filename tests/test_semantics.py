@@ -11,11 +11,11 @@ from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
-    DEFAULT_STABILITY_CAP, GroundingError, Interpretation,
+    DEFAULT_STABILITY_CAP, GroundingError,
     ResourceGuardError, atom_numbers, enumerate_interpretations, folded_reduct,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
-    parse_interpretation, pnn, pnn_nnn, reduct, relevant_reduct,
+    parse_interpretation, pnn, pnn_nnn, reduct, relevant_grounding,
     sample_interpretation, satisfies, satisfies_fo,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
@@ -125,6 +125,14 @@ def test_literal_round_trip():
             assert parse_interpretation(interp.literal()) == interp
 
 
+def test_atoms_are_listed_sorted():
+    interp = make_interpretation(3, {}, {"q": list(product(range(3), repeat=2)),
+                                         "p": [(2,), (0,), (1,)]})
+    atoms = list(interp.atoms())
+    assert len(atoms) == 12
+    assert atoms == sorted(atoms)
+
+
 def test_parse_interpretation_golden():
     interp = parse_interpretation("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={}")
     assert interp.const("a") == 0
@@ -135,7 +143,7 @@ def test_parse_interpretation_golden():
 
 def test_duplicate_tuples_are_dropped():
     interp = parse_interpretation("universe=1; a=e0; q={(e0),(e0)}; p={(),()}")
-    assert interp.extensions == (("p", ((),)), ("q", ((0,),)))
+    assert interp.extensions == (("p", frozenset({()})), ("q", frozenset({(0,)})))
     assert interp == make_interpretation(1, {"a": 0}, {"q": [(0,)], "p": [()]})
 
 
@@ -351,28 +359,31 @@ def test_relevant_reduct_keeps_instances_whose_body_holds():
                                  {"p": [(0,)], "q": [(0,)]})
     numbers = atom_numbers(sorted(interp.true_atoms()))
     assert numbers == {("p", (0,)): 0, ("q", (0,)): 1}
-    # q(e0) -> p(e0), and the fact q(a) with its body folded to true
-    relevant = relevant_reduct(d, interp, numbers)
-    assert relevant == Conj((Imp(1, 0), 1))
+    # q(e0) -> p(e0), and the fact q(a), whose body folds to true
+    relevant = relevant_grounding(d, interp)
+    assert ground_to_str(relevant) == \
+        "((q(e0) -> p(e0)) & ((false -> false) -> q(e0)))"
+    assert folded_reduct(relevant, numbers) == Conj((Imp(1, 0), 1))
     _, full = ground_program(d, interp)
     assert len(full.items) == 4
-    assert folded_reduct(full, numbers) == relevant
+    assert folded_reduct(full, numbers) == folded_reduct(relevant, numbers)
     assert is_sm_model(d, interp)
     # a choice rule is grounded as its desugared double-negation rule,
     # ((p -> false) -> false) -> p, which folds to p
     choice = make_interpretation(1, {}, {"p": [()]})
-    assert relevant_reduct(parse_program("{p}."), choice,
-                           atom_numbers([("p", ())])) == 0
+    assert folded_reduct(relevant_grounding(parse_program("{p}."), choice),
+                         atom_numbers([("p", ())])) == 0
 
 
 def test_atoms_are_numbered_once_each():
-    """Duplicate tuples, which only a directly built interpretation can
-    list, are one atom: q(a) alone is stable, and so is a fact p."""
-    duplicated = Interpretation(1, (("a", 0),), (("q", ((0,), (0,))),))
+    """A tuple listed twice is one atom: q(a) alone is stable, and so is
+    a fact p."""
+    duplicated = make_interpretation(1, {"a": 0}, {"q": [(0,), (0,)]})
+    assert list(duplicated.atoms()) == [("q", (0,))]
     assert atom_numbers([("q", (0,)), ("q", (0,))]) == {("q", (0,)): 0}
     assert is_sm_model(parse_program("q(a)."), duplicated)
     assert is_sm_model(parse_program("p."),
-                       Interpretation(1, (), (("p", ((), ())),)))
+                       make_interpretation(1, {}, {"p": [(), ()]}))
     assert is_stable(Conj((P,)), [P, P])
     assert not is_stable(Imp(P, P), [P, P])
 

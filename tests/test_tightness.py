@@ -41,20 +41,20 @@ def test_occurrences_under_quantifiers_and_equality():
 
 def test_dependency_graph_edges():
     assert predicate_dependency_graph(
-        builtin_fixture("prog1").program).edge_pairs() == {("p", "q")}
+        builtin_fixture("prog1").program).edges == (("p", "q"),)
     assert predicate_dependency_graph(
-        builtin_fixture("prog2").program).edge_pairs() == {("p", "q"), ("q", "p")}
+        builtin_fixture("prog2").program).edges == (("p", "q"), ("q", "p"))
     assert predicate_dependency_graph(
-        builtin_fixture("ex2").program).edge_pairs() == {
-            ("p", "q"), ("q", "r"), ("r", "s")}
+        builtin_fixture("ex2").program).edges == (
+            ("p", "q"), ("q", "r"), ("r", "s"))
     # the negated occurrence contributes no edge
     assert predicate_dependency_graph(
-        builtin_fixture("ex1").program).edge_pairs() == {("q", "p")}
+        builtin_fixture("ex1").program).edges == (("q", "p"),)
 
 
 def test_dependency_graph_ignores_double_negation():
     prog = parse_program("p(X) :- not not q(X).")
-    assert predicate_dependency_graph(prog).edge_pairs() == set()
+    assert predicate_dependency_graph(prog).edges == ()
 
 
 def test_self_loop_is_not_tight():
