@@ -17,10 +17,11 @@ from .fixtures import (
 )
 from .semantics import (
     ResourceGuardError, compile_sentence, enumerate_interpretations,
-    is_sm_model, make_interpretation, sample_interpretation,
+    enumeration_key, is_sm_model, make_interpretation, orbit, orbit_size,
+    sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
-from .syntax import Program, conjoin
+from .syntax import BASIC, CONSTRAINT, Program, conjoin
 
 SM_ONLY = "sm_only"
 COMP_ONLY = "comp_only"
@@ -77,33 +78,50 @@ def _gamma_desc(gamma) -> str:
 
 
 def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
-           mode_desc: str) -> EquivReport:
+           mode_desc: str, classical=None, orbits: bool = False) -> EquivReport:
     """Compare every interpretation of the source ``interps`` that
     satisfies Gamma; one whose stability check trips the cap is counted
     as guard-skipped instead of checked.  ``prog`` is desugared by the
     caller, so it keeps its compiled rules for the whole check, and
-    Gamma and the completion are compiled once here."""
+    Gamma and the completion are compiled once here.
+
+    ``classical``, when given, is a check that every stable model and
+    every model of the completion pass: an interpretation that fails it
+    is counted as both-reject without deciding either side.  With ``orbits``, each interpretation stands
+    for its orbit under permutations of the universe: it is counted
+    ``orbit_size`` times, and a disagreement is reported for each member
+    of its ``orbit``, in enumeration order."""
     gamma_holds = compile_sentence(conjoin(gamma))
     comp_holds = compile_sentence(conjoin(comp_sentences))
     disagreements = []
     checked = gamma_skipped = guard_skipped = both_accept = both_reject = 0
     for interp in interps:
+        weight = orbit_size(interp) if orbits else 1
         if not gamma_holds(interp):
-            gamma_skipped += 1
+            gamma_skipped += weight
+            continue
+        if classical is not None and not classical(interp):
+            checked += weight
+            both_reject += weight
             continue
         try:
             sm = is_sm_model(prog, interp)
         except ResourceGuardError:
-            guard_skipped += 1
+            guard_skipped += weight
             continue
-        checked += 1
+        checked += weight
         comp_ok = comp_holds(interp)
         if sm != comp_ok:
             disagreements.append((SM_ONLY if sm else COMP_ONLY, interp))
         elif sm:
-            both_accept += 1
+            both_accept += weight
         else:
-            both_reject += 1
+            both_reject += weight
+    if orbits:
+        disagreements = sorted(
+            ((kind, image) for kind, interp in disagreements
+             for image in orbit(interp)),
+            key=lambda d: enumeration_key(d[1]))
     return EquivReport(program_id, _gamma_desc(gamma), mode_desc, checked,
                        tuple(disagreements), guard_skipped, gamma_skipped,
                        both_accept, both_reject)
@@ -124,13 +142,22 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     """Compare stable models with completion models over all (or
     sampled) interpretations with universe size up to ``m_max`` that
     satisfy Gamma.  Both sides see the constraint sentences and Gamma
-    identically."""
+    identically.
+
+    Exhaustive mode visits one constant map per orbit under permutations
+    of the universe and counts each interpretation for its orbit; the
+    report is the one enumerating every interpretation would give.  In
+    both modes an interpretation that violates, read classically, a
+    constraint or a rule with an intensional head is counted as
+    both-reject without either check: the completion holds the
+    constraints, and such a rule is the if-half of its head's completed
+    definition.  A rule with an extensional head has no definition."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if mode == "exhaustive":
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
-            enumerate_interpretations(prog.signature, m)
+            enumerate_interpretations(prog.signature, m, canonical=True)
             for m in range(1, m_max + 1))
     elif mode == "sampled":
         mode_desc = f"sampled(seed={seed}, count={sample_count}) m<={m_max}"
@@ -138,8 +165,14 @@ def check_equivalence(prog: Program, gamma, m_max: int,
                            sample_count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _check(desugar(prog), completion(prog).sentences(), list(gamma),
-                  interps, program_id, mode_desc)
+    d = desugar(prog)
+    implied = [r for r in d.rules if r.kind == CONSTRAINT]
+    implied += [r for r in d.rules
+                if r.kind == BASIC and r.head.predicate in prog.intensional]
+    classical = compile_sentence(conjoin(r.sentence() for r in implied))
+    return _check(d, completion(prog).sentences(), list(gamma), interps,
+                  program_id, mode_desc, classical,
+                  orbits=mode == "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
+from math import perm
 from random import Random
 from typing import Iterator, Optional
 
@@ -199,11 +200,29 @@ def interpretation_count(sig: Signature, m: int) -> int:
     return count
 
 
+def _restricted_growth(values) -> bool:
+    """Whether the first value is 0 and each later one at most one more
+    than the largest before it."""
+    top = -1
+    for v in values:
+        if v > top + 1:
+            return False
+        top = max(top, v)
+    return True
+
+
 def enumerate_interpretations(sig: Signature, m: int,
-                              ceiling: Optional[int] = None) -> Iterator[Interpretation]:
+                              ceiling: Optional[int] = None,
+                              canonical: bool = False) -> Iterator[Interpretation]:
     """All interpretations with universe 0..m-1, in deterministic
     lexicographic order.  Refuses when the state count exceeds the
-    guard ceiling (see LT_TIGHT_GUARD_CEILING); use sampling instead."""
+    guard ceiling (see LT_TIGHT_GUARD_CEILING); use sampling instead.
+
+    With ``canonical``, constant maps that are not restricted-growth
+    strings are skipped.  Programs cannot name elements, so a
+    permutation of the universe preserves every verdict, and each map
+    visited stands for the ``orbit_size`` maps a permutation carries it
+    to (see ``orbit``).  The ceiling still counts every interpretation."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
     limit = ceiling if ceiling is not None else guard_ceiling()
@@ -221,9 +240,53 @@ def enumerate_interpretations(sig: Signature, m: int,
             (p, frozenset(t for i, t in enumerate(tuples) if mask >> i & 1))
             for mask in range(2 ** len(tuples))])
     for cvals in product(range(m), repeat=len(sig.constants)):
+        if canonical and not _restricted_growth(cvals):
+            continue
         consts = tuple(zip(sig.constants, cvals))
         for extensions in product(*ext_choices):
             yield Interpretation(m, consts, extensions)
+
+
+def orbit_size(interp: Interpretation) -> int:
+    """How many constant maps a permutation of the universe carries the
+    interpretation's map to: m!/(m-b)! for b distinct elements."""
+    return perm(interp.universe, len({e for _, e in interp.consts}))
+
+
+def orbit(interp: Interpretation) -> list:
+    """One image of the interpretation per constant map of its orbit, in
+    enumeration order of the maps.  Its own map must be a
+    restricted-growth string, with b distinct elements.  The image for a
+    target map is taken under the permutation that sends each element
+    i < b to the element the target map gives the constants denoting i,
+    and the other elements to the rest in increasing order."""
+    m = interp.universe
+    images = []
+    for head in permutations(range(m), len({e for _, e in interp.consts})):
+        pi = head + tuple(e for e in range(m) if e not in head)
+        images.append(Interpretation(
+            m, tuple((name, pi[e]) for name, e in interp.consts),
+            tuple((p, frozenset(tuple(pi[e] for e in t) for t in tuples))
+                  for p, tuples in interp.extensions)))
+    return images
+
+
+def enumeration_key(interp: Interpretation) -> tuple:
+    """A key that orders interpretations of one signature as
+    ``enumerate_interpretations`` reaches them: universe size, constant
+    map, then each extension as the mask of its tuples' positions in
+    ``product(range(m), repeat=arity)``."""
+    m = interp.universe
+
+    def position(t):
+        i = 0
+        for e in t:
+            i = i * m + e
+        return i
+
+    return (m, tuple(e for _, e in interp.consts),
+            tuple(sum(1 << position(t) for t in tuples)
+                  for _, tuples in interp.extensions))
 
 
 def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation:

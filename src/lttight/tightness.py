@@ -436,8 +436,13 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     # compiled only now: a search that never runs compiles nothing
     targets = compile_sentence(conjoin(list(gamma) + comp.sentences()))
     open_chains = [(c, compile_sentence(closed)) for c, closed in open_chains]
+    # Only restricted-growth constant maps: a permutation of the universe
+    # carries a countermodel under any other map to one under the
+    # restricted-growth map of its orbit, which enumeration reaches
+    # earlier, so the first countermodel found is enumeration's first.
     for m in range(1, universe_bound + 1):
-        for interp in enumerate_interpretations(prog.signature, m):
+        for interp in enumerate_interpretations(prog.signature, m,
+                                                canonical=True):
             if not targets(interp):
                 continue
             for c, holds in open_chains:

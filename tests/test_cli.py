@@ -429,6 +429,22 @@ def test_long_iff_chain_is_a_parse_error(tmp_path, capsys, links, command):
     assert "'<->' nested more than" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["parse"], ["chains", "--n", "1"]],
+                         ids=["parse", "chains"])
+def test_balanced_iff_nesting_is_a_parse_error(tmp_path, capsys, command):
+    # six levels deep on every path, within MAX_IFF_NESTING, but 4,032
+    # atom copies once expanded, past MAX_IFF_COPIES
+    body = "q(X)"
+    for _ in range(6):
+        body = f"({body}) <-> ({body})"
+    path = tmp_path / "iff.lp"
+    path.write_text(f"p(X) :- {body}.  {{q(X)}}.\n")
+    code, out, err = invoke(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "'<->' expands to more than 1024 atom copies" in err
+
+
 def test_deepest_body_gets_a_verdict(tmp_path, capsys):
     # as deep as the parser allows, and several Python brackets per
     # level once compiled: the checks still reach a verdict

@@ -155,7 +155,7 @@ def test_iff_bound_counts_one_path_not_every_iff():
     side_by_side = " & ".join(["(p <-> q)"] * (2 * MAX_IFF_NESTING))
     assert len(flatten_and(parse_formula(side_by_side))) == 4 * MAX_IFF_NESTING
     both = "r"
-    for _ in range(MAX_IFF_NESTING - 1):
+    for _ in range(5):      # 31 <-> on paths 5 deep, 992 copies
         both = f"({both}) <-> ({both.replace('r', 'q')})"
     parse_formula(both)
     with pytest.raises(ParseError):
