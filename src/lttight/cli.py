@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .completion import completion, desugar, simplify_completion
 from .equiv import check_equivalence, check_proposition3
-from .fixtures import builtin_fixture, fixture_names
+from .fixtures import builtin_fixture
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
     ResourceGuardError, ground_program, ground_to_str, guard_ceiling,
@@ -23,7 +23,10 @@ from .tightness import (
     check_gamma_tight, export_dot, export_tptp, is_tight,
     predicate_dependency_graph,
 )
-from .syntax import formula_to_str, pretty_print
+from .syntax import (
+    And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or,
+    formula_to_str, pretty_print,
+)
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -66,6 +69,42 @@ def _load_gamma(path, default):
         raise UsageError(f"cannot read {path}: {exc}")
 
 
+def _check_gamma(gamma, prog):
+    """Check Gamma against the program, as ``_load_interp`` checks an
+    interpretation: every constant it names is the program's, and every
+    predicate too, at the program's arity.  The parser already keeps
+    each predicate at one arity within Gamma."""
+    constants, arities = set(), {}
+    stack = list(gamma)
+    while stack:
+        f = stack.pop()
+        cls = type(f)
+        if cls is Atom:
+            arities[f.predicate] = len(f.args)
+            constants.update(t.name for t in f.args if type(t) is ObjectConstant)
+        elif cls is Equality:
+            constants.update(t.name for t in (f.left, f.right)
+                             if type(t) is ObjectConstant)
+        elif cls is And or cls is Or:
+            stack.extend(f.items)
+        elif cls is Implies:
+            stack += [f.left, f.right]
+        elif cls is Forall or cls is Exists:
+            stack.append(f.body)
+    unmapped = sorted(constants - set(prog.constants))
+    if unmapped:
+        raise UsageError(f"gamma names constant {unmapped[0]}, "
+                         f"which the program does not have")
+    program_arities = dict(prog.predicates)
+    for p, arity in sorted(arities.items()):
+        if p not in program_arities:
+            raise UsageError(f"gamma names predicate {p}, "
+                             f"which the program does not have")
+        if arity != program_arities[p]:
+            raise UsageError(f"gamma uses {p}/{arity}, "
+                             f"but the program has {p}/{program_arities[p]}")
+
+
 def _load_interp(path, prog):
     """Read an interpretation literal and check it against the program:
     every constant mapped, every extension of one of its predicates, and
@@ -77,12 +116,11 @@ def _load_interp(path, prog):
         raise UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:
         raise UsageError(str(exc))
-    mapped = dict(interp.consts)
     for name in sorted(prog.constants):
-        if name not in mapped:
+        if name not in interp.consts:
             raise UsageError(f"interpretation leaves constant {name} unmapped")
     arities = dict(prog.predicates)
-    for p, tuples in interp.extensions:
+    for p, tuples in sorted(interp.extensions.items()):
         if p not in arities:
             raise UsageError(
                 f"interpretation gives an extension to {p}, "
@@ -246,6 +284,7 @@ def _dispatch(args) -> int:
             raise UsageError("--bound must be at least 1")
         _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
+        _check_gamma(gamma, prog)
         verdict = check_gamma_tight(prog, gamma, args.n, args.bound)
         if verdict.status == ENTAILED:
             print("entailed (syntactic)")
@@ -276,6 +315,7 @@ def _dispatch(args) -> int:
             raise UsageError("--sample must be nonnegative")
         _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
+        _check_gamma(gamma, prog)
         mode = "exhaustive" if args.sample is None else "sampled"
         report = check_equivalence(
             prog, gamma, args.m_max, mode=mode,

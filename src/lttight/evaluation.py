@@ -42,7 +42,7 @@ class _Codegen:
     Connectives become ``and``/``or``/``not``, a run of like quantifiers
     becomes one ``all``/``any`` over ``range(m)`` (or its product), an
     atom a tuple membership test in the predicate's extension, read once
-    per call, and a constant a lookup in ``_consts`` made where it is
+    per call, and a constant a lookup in ``consts`` made where it is
     evaluated.  Python evaluates left to right and short-circuits, so
     evaluation stops where ``fo_eval`` could first tell the value, and
     an unmapped constant fails only when it is reached.  Variables
@@ -123,9 +123,9 @@ class _Codegen:
 
     def function(self, result: str) -> str:
         lines = ["def compiled(I):",
-                 "    C = I._consts",
+                 "    C = I.consts",
                  "    R = range(I.universe)",
-                 "    X = I._exts"]
+                 "    X = I.extensions"]
         lines += [f"    {ext} = X.get({p!r}, ())"
                   for p, ext in self.extensions.items()]
         lines += ["    try:",

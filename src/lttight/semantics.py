@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import perm
 from random import Random
@@ -46,12 +45,13 @@ class ResourceGuardError(Exception):
     """Raised when a requested search exceeds the configured ceiling."""
 
 
-def guard_ceiling(default: int = DEFAULT_ENUMERATION_CEILING) -> int:
+def guard_ceiling() -> int:
     """The enumeration ceiling: LT_TIGHT_GUARD_CEILING when set, else
-    ``default``.  A value that is not an integer raises ValueError."""
+    DEFAULT_ENUMERATION_CEILING.  A value that is not an integer raises
+    ValueError."""
     value = os.environ.get("LT_TIGHT_GUARD_CEILING")
     if not value:
-        return default
+        return DEFAULT_ENUMERATION_CEILING
     try:
         return int(value)
     except ValueError:
@@ -86,54 +86,52 @@ def ground_to_str(g) -> str:
 # ---------------------------------------------------------------------------
 # Interpretations
 
-@dataclass(frozen=True)
 class Interpretation:
-    universe: int
-    consts: tuple       # tuple[(name, element), ...] sorted by name
-    extensions: tuple   # tuple[(predicate, frozenset of tuples), ...]
-                        # sorted by predicate
-    # Indexes built once from the two tuples above: name -> element and
-    # predicate -> extension.
-    _consts: dict = field(init=False, repr=False, compare=False)
-    _exts: dict = field(init=False, repr=False, compare=False)
+    """A finite interpretation: ``universe`` elements ``0 .. m-1``,
+    ``consts`` mapping constant names to elements, and ``extensions``
+    mapping predicates to frozensets of tuples.  The constructor makes
+    each extension a frozenset; one given as a frozenset is kept, so
+    candidates can share it.  Equality and hashing ignore the order
+    names were given in; printing and ordering sort them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_consts", dict(self.consts))
-        object.__setattr__(self, "_exts", dict(self.extensions))
+    __slots__ = ("universe", "consts", "extensions")
 
-    def const(self, name: str) -> int:
-        return self._consts[name]
+    def __init__(self, universe: int, consts: dict, extensions: dict):
+        self.universe = universe
+        self.consts = consts
+        self.extensions = {p: frozenset(ts) for p, ts in extensions.items()}
 
-    def extension(self, predicate: str) -> frozenset:
-        return self._exts[predicate]
+    def __eq__(self, other):
+        return (type(other) is Interpretation and self.universe == other.universe
+                and self.consts == other.consts
+                and self.extensions == other.extensions)
+
+    def __hash__(self):
+        return hash((self.universe, frozenset(self.consts.items()),
+                     frozenset(self.extensions.items())))
+
+    def __repr__(self):
+        return (f"Interpretation({self.universe!r}, {self.consts!r}, "
+                f"{self.extensions!r})")
 
     def atoms(self) -> Iterator[tuple]:
         """The true atoms ``(predicate, args)``, in sorted order."""
-        return ((p, t) for p, tuples in self.extensions for t in sorted(tuples))
-
-    def true_atoms(self) -> frozenset:
-        return frozenset(self.atoms())
+        return ((p, t) for p, tuples in sorted(self.extensions.items())
+                for t in sorted(tuples))
 
     def literal(self) -> str:
         parts = [f"universe={self.universe}"]
-        for name, e in self.consts:
+        for name, e in sorted(self.consts.items()):
             parts.append(f"{name}={_elem(e)}")
-        for p, tuples in self.extensions:
+        for p, tuples in sorted(self.extensions.items()):
             body = ",".join("(" + ",".join(_elem(e) for e in t) + ")"
                             for t in sorted(tuples))
             parts.append(f"{p}={{{body}}}")
         return "; ".join(parts)
 
 
-def make_interpretation(universe: int, consts: dict, extensions: dict) -> Interpretation:
-    """An interpretation in canonical form: constants and predicates
-    sorted by name, each extension a frozenset of tuples."""
-    return Interpretation(
-        universe=universe,
-        consts=tuple(sorted(consts.items())),
-        extensions=tuple((p, frozenset(map(tuple, ts)))
-                         for p, ts in sorted(extensions.items())),
-    )
+# The constructor, under the name the tests and the benchmark call it by.
+make_interpretation = Interpretation
 
 
 _LITERAL_ELEM = re.compile(r"e(\d+)$")
@@ -187,7 +185,7 @@ def parse_interpretation(text: str) -> Interpretation:
                 for fields in _LITERAL_TUPLE.findall(inner)]
         else:
             consts[name] = elem(rhs)
-    return make_interpretation(universe, consts, extensions)
+    return Interpretation(universe, consts, extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,6 @@ def _restricted_growth(values) -> bool:
 
 
 def enumerate_interpretations(sig: Signature, m: int,
-                              ceiling: Optional[int] = None,
                               canonical: bool = False) -> Iterator[Interpretation]:
     """All interpretations with universe 0..m-1, in deterministic
     lexicographic order.  Refuses when the state count exceeds the
@@ -225,14 +222,14 @@ def enumerate_interpretations(sig: Signature, m: int,
     to (see ``orbit``).  The ceiling still counts every interpretation."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
-    limit = ceiling if ceiling is not None else guard_ceiling()
+    limit = guard_ceiling()
     total = interpretation_count(sig, m)
     if total > limit:
         raise ResourceGuardError(
             f"{total} interpretations at universe size {m} exceeds the "
             f"ceiling of {limit}; use sampling mode")
-    # One frozenset per subset, shared by every candidate that has it;
-    # the signature lists names sorted, as Interpretation keeps them.
+    # One frozenset per subset, shared by every candidate that has it,
+    # and one dict per constant map, shared by its candidates.
     ext_choices = []
     for p, arity in sig.predicates:
         tuples = list(product(range(m), repeat=arity))
@@ -242,15 +239,15 @@ def enumerate_interpretations(sig: Signature, m: int,
     for cvals in product(range(m), repeat=len(sig.constants)):
         if canonical and not _restricted_growth(cvals):
             continue
-        consts = tuple(zip(sig.constants, cvals))
+        consts = dict(zip(sig.constants, cvals))
         for extensions in product(*ext_choices):
-            yield Interpretation(m, consts, extensions)
+            yield Interpretation(m, consts, dict(extensions))
 
 
 def orbit_size(interp: Interpretation) -> int:
     """How many constant maps a permutation of the universe carries the
     interpretation's map to: m!/(m-b)! for b distinct elements."""
-    return perm(interp.universe, len({e for _, e in interp.consts}))
+    return perm(interp.universe, len(set(interp.consts.values())))
 
 
 def orbit(interp: Interpretation) -> list:
@@ -262,12 +259,12 @@ def orbit(interp: Interpretation) -> list:
     and the other elements to the rest in increasing order."""
     m = interp.universe
     images = []
-    for head in permutations(range(m), len({e for _, e in interp.consts})):
+    for head in permutations(range(m), len(set(interp.consts.values()))):
         pi = head + tuple(e for e in range(m) if e not in head)
         images.append(Interpretation(
-            m, tuple((name, pi[e]) for name, e in interp.consts),
-            tuple((p, frozenset(tuple(pi[e] for e in t) for t in tuples))
-                  for p, tuples in interp.extensions)))
+            m, {name: pi[e] for name, e in interp.consts.items()},
+            {p: [tuple(pi[e] for e in t) for t in tuples]
+             for p, tuples in interp.extensions.items()}))
     return images
 
 
@@ -284,19 +281,19 @@ def enumeration_key(interp: Interpretation) -> tuple:
             i = i * m + e
         return i
 
-    return (m, tuple(e for _, e in interp.consts),
+    return (m, tuple(e for _, e in sorted(interp.consts.items())),
             tuple(sum(1 << position(t) for t in tuples)
-                  for _, tuples in interp.extensions))
+                  for _, tuples in sorted(interp.extensions.items())))
 
 
 def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation:
     """One random interpretation: uniform constant map, each extension
-    tuple included independently with probability 1/2."""
-    consts = tuple((name, rng.randrange(m)) for name in sig.constants)
-    extensions = tuple(
-        (p, frozenset(t for t in product(range(m), repeat=arity)
-                      if rng.random() < 0.5))
-        for p, arity in sig.predicates)
+    tuple included independently with probability 1/2.  Draws are made
+    constants first, then predicates, each in signature order."""
+    consts = {name: rng.randrange(m) for name in sig.constants}
+    extensions = {p: [t for t in product(range(m), repeat=arity)
+                      if rng.random() < 0.5]
+                  for p, arity in sig.predicates}
     return Interpretation(m, consts, extensions)
 
 
@@ -310,8 +307,8 @@ def _element(t, interp: Interpretation, env: dict) -> int:
         if t.name in env:
             return env[t.name]
         raise GroundingError(f"unbound variable {t.name}")
-    if t.name in interp._consts:
-        return interp._consts[t.name]
+    if t.name in interp.consts:
+        return interp.consts[t.name]
     raise GroundingError(f"constant {t.name} is not mapped by the interpretation")
 
 

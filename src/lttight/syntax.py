@@ -10,7 +10,7 @@ the two quantifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 # ---------------------------------------------------------------------------

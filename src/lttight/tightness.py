@@ -7,7 +7,7 @@ renaming); chains with canonical variable tags are enumerated directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .completion import CompletionResult, completion, desugar, simplify
@@ -17,7 +17,7 @@ from .semantics import (
 )
 from .syntax import (
     BASIC, BOT, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
-    ObjectConstant, Or, Program, Rule, Variable, conjoin, existential_closure,
+    Or, Program, Variable, conjoin, existential_closure,
     flatten_and, flatten_or, formula_to_str, free_variables, neg,
     rename_apart, rule_to_str, substitute, universal_closure,
 )
@@ -378,8 +378,7 @@ def _refuter_tables(gamma, comp: CompletionResult):
     return expansions, cached[1]
 
 
-def refute_chain_formula(fc, gamma, comp: CompletionResult,
-                         depth: int = MAX_SPLIT_DEPTH) -> bool:
+def refute_chain_formula(fc, gamma, comp: CompletionResult) -> bool:
     """Sound syntactic refutation of a chain formula: literal clash and
     congruence closure over the chain's equalities, with bounded
     expansion of atoms through their (simplified) completed definitions.
@@ -387,13 +386,15 @@ def refute_chain_formula(fc, gamma, comp: CompletionResult,
 
     Atoms whose definition has one disjunct are expanded in place, for at
     most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
-    each multi-disjunct definition, nested at most ``depth`` deep.  Each
+    each multi-disjunct definition, nested at most ``MAX_SPLIT_DEPTH``
+    deep.  Each
     atom is expanded once per completion, and a split's children carry
     their parent's conjuncts and congruence classes forward."""
     expansions, gamma_diseqs = _refuter_tables(gamma, comp)
     root = _Node()
     root.add(flatten_and(fc))
-    return _refute(root, gamma_diseqs, expansions, frozenset(), depth)
+    return _refute(root, gamma_diseqs, expansions, frozenset(),
+                   MAX_SPLIT_DEPTH)
 
 
 # ---------------------------------------------------------------------------

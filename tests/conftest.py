@@ -23,12 +23,12 @@ def fo_eval(f, interp, env=None):
     def term(t):
         if isinstance(t, Variable):
             return env[t]
-        return interp.const(t.name)
+        return interp.consts[t.name]
 
     if isinstance(f, Bot):
         return False
     if isinstance(f, Atom):
-        return tuple(term(t) for t in f.args) in interp.extension(f.predicate)
+        return tuple(term(t) for t in f.args) in interp.extensions[f.predicate]
     if isinstance(f, Equality):
         return term(f.left) == term(f.right)
     if isinstance(f, And):

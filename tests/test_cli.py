@@ -110,6 +110,26 @@ def test_check_gamma_tight_gamma_file(tmp_path, capsys):
     assert (code, out.strip()) == (0, "entailed (syntactic)")
 
 
+@pytest.mark.parametrize("sentences, message", [
+    ("a != z.", "gamma names constant z, which the program does not have"),
+    ("b != z & a != y.", "gamma names constant y, which the program does not have"),
+    ("exists X (zz(X)).", "gamma names predicate zz, which the program does not have"),
+    ("exists X (p(X, X)).", "gamma uses p/2, but the program has p/1"),
+], ids=["constant", "first-constant", "predicate", "arity"])
+def test_gamma_outside_the_program_is_usage_error(tmp_path, capsys, sentences,
+                                                  message):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text(sentences + "\n")
+    for argv in (("check-equiv", "fixture:prog2", "--m-max", "1"),
+                 ("check-gamma-tight", "fixture:prog2", "--n", "1")):
+        code, out, err = invoke(capsys, *argv, "--gamma", str(gamma))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # export-tptp hands Gamma to a prover as it is
+    code, out, _ = invoke(capsys, "export-tptp", "fixture:prog2", "--n", "1",
+                          "--gamma", str(gamma))
+    assert code == 0 and out
+
+
 def test_tight_long_acyclic_chain(tmp_path, capsys):
     path = tmp_path / "chain.lp"
     path.write_text("".join(f"p{i}(X) :- p{i + 1}(X).\n" for i in range(1200)))

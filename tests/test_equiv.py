@@ -116,7 +116,7 @@ def test_proposition3_k0():
     """At step bound 0 there are no transitions; the characterization
     still has to agree (next is empty, at is unconstrained by successor
     formulas but still typed)."""
-    report = check_proposition3(0, sample_count=100, seed=3, directed=[])
+    report = check_proposition3(0, sample_count=100, seed=3)
     assert report.verdict == "agree"
 
 

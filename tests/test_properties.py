@@ -102,7 +102,7 @@ def test_grounding_matches_direct_evaluation():
         env = random_env(rng, f, m)
         direct = fo_eval(f, interp, env)
         names = {v.name: e for v, e in env.items()}
-        via_ground = satisfies(interp.true_atoms(), ground(f, interp, names))
+        via_ground = satisfies(frozenset(interp.atoms()), ground(f, interp, names))
         assert direct == via_ground, formula_to_str(f)
     print("grounding faithfulness: 1000 cases")
 
@@ -117,11 +117,11 @@ def test_evaluation_matches_oracles():
     def check(f, interp):
         expected = fo_eval(f, interp)
         assert satisfies_fo(interp, f) == expected, formula_to_str(f)
-        assert satisfies(interp.true_atoms(), ground(f, interp)) == expected
+        assert satisfies(frozenset(interp.atoms()), ground(f, interp)) == expected
 
     for i in range(1000):
         interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
-        merged += interp.const("a") == interp.const("b")
+        merged += interp.consts["a"] == interp.consts["b"]
         check(random_sentence(rng, 4), interp)
     assert merged > 100
     for m in (1, 2):
@@ -145,7 +145,7 @@ def test_is_sm_model_matches_grounding_reference():
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
                 _, gf = ground_program(d, interp)
-                j = interp.true_atoms()
+                j = frozenset(interp.atoms())
                 expected = is_stable(gf, j)
                 assert _oracle_stable(gf, j) == expected, (name, interp.literal())
                 assert is_sm_model(prog, interp) == expected, \
@@ -198,7 +198,7 @@ def test_substitution_commutes_with_evaluation():
         env = random_env(rng, f, m)
         env_sub = {w: e for w, e in env.items() if w != v}
         env_direct = dict(env)
-        env_direct[v] = interp.const(c.name)
+        env_direct[v] = interp.consts[c.name]
         assert fo_eval(substitute(f, {v: c}), interp, env_sub) == \
             fo_eval(f, interp, env_direct), formula_to_str(f)
         cases += 1
@@ -262,7 +262,7 @@ def test_chain_refutation_implies_tight_on():
                            for s in list(fx.gamma) + comp):
                     continue
                 gp, _ = ground_program(d, interp)
-                assert is_tight_on(gp, interp.true_atoms()), \
+                assert is_tight_on(gp, frozenset(interp.atoms())), \
                     (name, interp.literal())
                 total += 1
     assert total > 20
@@ -309,7 +309,7 @@ def test_is_stable_matches_subset_sweep_oracle():
 def _drift(interp):
     """The interpretation with its last ``at`` atom relocated to the next
     place, or with ``at(e0, e0, e0)`` added when it has none."""
-    exts = {p: sorted(ts) for p, ts in interp.extensions}
+    exts = {p: sorted(ts) for p, ts in interp.extensions.items()}
     if exts["at"]:
         o, y, s = exts["at"].pop()
         exts["at"].append((o, (y + 1) % interp.universe, s))
@@ -329,7 +329,7 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
         assert drift != base
         for interp in (base, drift):
             _, gf = ground_program(d, interp)
-            expected = _oracle_stable(gf, interp.true_atoms())
+            expected = _oracle_stable(gf, frozenset(interp.atoms()))
             assert is_sm_model(d, interp) == expected, interp.literal()
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
@@ -351,7 +351,7 @@ def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
         holds = compile_sentence(f)
         for _ in range(3):
             interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
-            merged += interp.const("a") == interp.const("b")
+            merged += interp.consts["a"] == interp.consts["b"]
             assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
         interp = rng.choice(enumerated)
         assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
@@ -474,7 +474,7 @@ def _same_reduct(d, interp, cap):
     whole grounding, which is returned.  None for any other
     interpretation."""
     _, full = ground_program(d, interp)
-    j = interp.true_atoms()
+    j = frozenset(interp.atoms())
     if not satisfies(j, full):
         return None
     expected = {a: i for i, a in enumerate(sorted(j))}
@@ -540,7 +540,7 @@ def test_relevant_grounding_has_the_same_reduct():
         m = rng.randint(1, 3)
         interp = sample_interpretation(prog.signature, m, rng)
         gp, _ = ground_program(d, interp)
-        j = interp.true_atoms()
+        j = frozenset(interp.atoms())
         for _ in range(4):
             j = frozenset(head for head, body in gp if satisfies(j, body))
         exts = {p: [t for q, t in j if q == p]

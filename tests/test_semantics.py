@@ -11,11 +11,12 @@ from lttight.evaluation import compile_bindings, compile_sentence
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
-    DEFAULT_STABILITY_CAP, GroundingError,
-    ResourceGuardError, atom_numbers, enumerate_interpretations, folded_reduct,
+    DEFAULT_STABILITY_CAP, GroundingError, Interpretation,
+    ResourceGuardError, atom_numbers, enumerate_interpretations,
+    enumeration_key, folded_reduct,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
-    parse_interpretation, pnn, pnn_nnn, reduct, relevant_grounding,
+    orbit, parse_interpretation, pnn, pnn_nnn, reduct, relevant_grounding,
     sample_interpretation, satisfies, satisfies_fo,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
@@ -50,12 +51,13 @@ def test_enumeration_is_exhaustive_and_deterministic():
     assert first == list(enumerate_interpretations(SIG2, 2))
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     sig = builtin_fixture("moving(1)").program.signature
     with pytest.raises(ResourceGuardError):
         next(enumerate_interpretations(sig, 2))
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "10")
     with pytest.raises(ResourceGuardError):
-        next(enumerate_interpretations(SIG2, 2, ceiling=10))
+        next(enumerate_interpretations(SIG2, 2))
     with pytest.raises(ValueError):
         next(enumerate_interpretations(SIG2, 0))
 
@@ -75,6 +77,13 @@ def _enumerate_by_make_interpretation(sig, m):
                 m, consts, {p: subset for (p, _), subset in zip(pred_tuples, chosen)})
 
 
+def _assert_dict_fields(interp):
+    """The fields every builder leaves: dicts, and frozenset extensions."""
+    assert type(interp.consts) is dict
+    assert type(interp.extensions) is dict
+    assert all(type(ts) is frozenset for ts in interp.extensions.values())
+
+
 @pytest.mark.parametrize("name", ["prog2", "ex2"])
 def test_enumeration_matches_make_interpretation(name):
     sig = builtin_fixture(name).program.signature
@@ -83,6 +92,12 @@ def test_enumeration_matches_make_interpretation(name):
         slow = list(_enumerate_by_make_interpretation(sig, m))
         assert fast == slow
         assert [i.literal() for i in fast] == [i.literal() for i in slow]
+        for interp in fast:
+            _assert_dict_fields(interp)
+            _assert_dict_fields(parse_interpretation(interp.literal()))
+        for interp in enumerate_interpretations(sig, m, canonical=True):
+            for image in orbit(interp):
+                _assert_dict_fields(image)
 
 
 def _sample_by_make_interpretation(sig, m, rng):
@@ -110,6 +125,28 @@ def test_sampling_matches_make_interpretation(sig):
             assert fast == slow
             assert [i.literal() for i in fast] == [i.literal() for i in slow]
             assert fast_rng.random() == slow_rng.random()
+            for interp in fast:
+                _assert_dict_fields(interp)
+
+
+def test_interpretation_built_directly_equals_made():
+    direct = Interpretation(1, {}, {"p": ((),)})
+    made = make_interpretation(1, {}, {"p": [()]})
+    assert direct == made
+    assert hash(direct) == hash(made)
+    assert direct.literal() == made.literal()
+
+
+def test_interpretation_ignores_name_order():
+    one = make_interpretation(2, {"a": 0, "b": 1},
+                              {"p": [(1,), (0,)], "q": [(1,)], "r": []})
+    other = make_interpretation(2, {"b": 1, "a": 0},
+                                {"r": [], "q": [(1,)], "p": [(0,), (1,)]})
+    assert one == other
+    assert hash(one) == hash(other)
+    assert one.literal() == other.literal()
+    assert list(one.atoms()) == list(other.atoms())
+    assert enumeration_key(one) == enumeration_key(other)
 
 
 def test_literal_round_trip():
@@ -135,15 +172,15 @@ def test_atoms_are_listed_sorted():
 
 def test_parse_interpretation_golden():
     interp = parse_interpretation("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={}")
-    assert interp.const("a") == 0
-    assert interp.extension("p") == frozenset({(0,), (1,)})
-    assert interp.extension("q") == frozenset()
-    assert interp.true_atoms() == frozenset({("p", (0,)), ("p", (1,))})
+    assert interp.consts["a"] == 0
+    assert interp.extensions["p"] == frozenset({(0,), (1,)})
+    assert interp.extensions["q"] == frozenset()
+    assert frozenset(interp.atoms()) == frozenset({("p", (0,)), ("p", (1,))})
 
 
 def test_duplicate_tuples_are_dropped():
     interp = parse_interpretation("universe=1; a=e0; q={(e0),(e0)}; p={(),()}")
-    assert interp.extensions == (("p", frozenset({()})), ("q", frozenset({(0,)})))
+    assert interp.extensions == {"p": frozenset({()}), "q": frozenset({(0,)})}
     assert interp == make_interpretation(1, {"a": 0}, {"q": [(0,)], "p": [()]})
 
 
@@ -282,13 +319,13 @@ def test_satisfies_fo():
 
 def test_interpretation_lookups():
     interp = herbrand2(p=[(1,)])
-    assert interp.const("b") == 1
-    assert interp.extension("p") == frozenset({(1,)})
+    assert interp.consts["b"] == 1
+    assert interp.extensions["p"] == frozenset({(1,)})
     with pytest.raises(KeyError):
-        interp.const("c")
+        interp.consts["c"]
     with pytest.raises(KeyError):
-        interp.extension("r")
-    # the indexes take no part in equality or hashing
+        interp.extensions["r"]
+    # equal values hash alike
     assert interp == herbrand2(p=[(1,)])
     assert len({interp, herbrand2(p=[(1,)])}) == 1
 
@@ -339,7 +376,7 @@ def test_compiled_names_are_data_not_code():
         for f, holds in zip(sentences, compiled):
             assert holds(interp) == fo_eval(f, interp)
         assert bindings(interp) == [(y, x) for y, x in product(range(m), repeat=2)
-                                    if (x, y) in interp.extension(pred)]
+                                    if (x, y) in interp.extensions[pred]]
     unmapped = make_interpretation(1, {}, {pred: [], other: []})
     with pytest.raises(GroundingError, match=r"constant a'\] or C\['b is not"):
         compiled[2](unmapped)
@@ -357,7 +394,7 @@ def test_relevant_reduct_keeps_instances_whose_body_holds():
     d = desugar(parse_program("p(X) :- q(X). q(a). :- p(b), not q(b)."))
     interp = make_interpretation(2, {"a": 0, "b": 1},
                                  {"p": [(0,)], "q": [(0,)]})
-    numbers = atom_numbers(sorted(interp.true_atoms()))
+    numbers = atom_numbers(sorted(frozenset(interp.atoms())))
     assert numbers == {("p", (0,)): 0, ("q", (0,)): 1}
     # q(e0) -> p(e0), and the fact q(a), whose body folds to true
     relevant = relevant_grounding(d, interp)
