@@ -139,6 +139,19 @@ def _check_guard_ceiling():
         raise UsageError(str(exc))
 
 
+def _guard_grounding(d, interp):
+    """Refuse, as enumeration does, more rule bindings than the ceiling:
+    grounding or checking a rule of the desugared program ``d`` walks up
+    to m^v bindings of its v variables, free and bound."""
+    limit = guard_ceiling()
+    m = interp.universe
+    total = sum(m ** len(r.variables()) for r in d.rules)
+    if total > limit:
+        raise ResourceGuardError(
+            f"{total} rule bindings at universe size {m} exceed the "
+            f"ceiling of {limit}")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lt-tight",
@@ -296,14 +309,15 @@ def _dispatch(args) -> int:
             return EXIT_FOUND
         print(f"unknown (universe bound {verdict.bound} exhausted)")
         return EXIT_OK
-    if cmd == "ground":
+    if cmd in ("ground", "stable"):
+        _check_guard_ceiling()
         interp = _load_interp(args.interp, prog)
-        _, gf = ground_program(desugar(prog), interp)
-        print(ground_to_str(gf))
-        return EXIT_OK
-    if cmd == "stable":
-        interp = _load_interp(args.interp, prog)
-        if is_sm_model(prog, interp):
+        d = desugar(prog)
+        _guard_grounding(d, interp)
+        if cmd == "ground":
+            print(ground_to_str(ground_program(d, interp)[1]))
+            return EXIT_OK
+        if is_sm_model(d, interp):
             print("stable")
             return EXIT_OK
         print("not stable")
@@ -316,11 +330,9 @@ def _dispatch(args) -> int:
         _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         _check_gamma(gamma, prog)
-        mode = "exhaustive" if args.sample is None else "sampled"
         report = check_equivalence(
-            prog, gamma, args.m_max, mode=mode,
-            sample_count=args.sample or 0, seed=args.seed,
-            program_id=args.input)
+            prog, gamma, args.m_max, sample_count=args.sample,
+            seed=args.seed, program_id=args.input)
         return _print_equiv_report(report, args.stats)
     if cmd == "export-tptp":
         if args.n < 0:

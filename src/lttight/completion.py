@@ -121,17 +121,20 @@ def completed_definition(prog: Program, p: str):
 
 
 def completion(prog: Program) -> CompletionResult:
-    """Completed definitions for the program's intensional predicates plus
-    one sentence (the universally closed negated body) per constraint.
+    """Completed definitions for the predicates that are intensional or
+    head a basic rule, plus one sentence (the universally closed negated
+    body) per constraint.
 
-    The program is desugared internally; predicates that were extensional
-    in the input receive no definition (their desugared definitions are
-    tautologies).
+    The definitions are those of the desugared program, which is in Clark
+    normal form over all its predicates (Ferraris, Lee and Lifschitz,
+    2011), so every rule is the if-half of its head's completed
+    definition.  An extensional predicate that heads no basic rule gets
+    none: its only desugared rule is ``q :- not not q``, whose completed
+    definition is a tautology.
     """
     d = desugar(prog)
-    defs = []
-    for name in sorted(prog.intensional):
-        defs.append((name, completed_definition(d, name)))
+    defined = prog.intensional | {r.head.predicate for r in prog.basic_rules()}
+    defs = [(name, completed_definition(d, name)) for name in sorted(defined)]
     constraints = tuple(universal_closure(neg(r.body)) for r in d.constraints())
     return CompletionResult(tuple(defs), constraints)
 

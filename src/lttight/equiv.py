@@ -15,12 +15,12 @@ from .fixtures import (
     moving_successor_state_formulas,
 )
 from .semantics import (
-    Interpretation, ResourceGuardError, compile_sentence,
+    Interpretation, ResourceGuardError, classical_check, compile_sentence,
     enumerate_interpretations, enumeration_key, is_sm_model, orbit,
     orbit_size, sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
-from .syntax import BASIC, CONSTRAINT, Program, conjoin
+from .syntax import Program, conjoin
 
 SM_ONLY = "sm_only"
 COMP_ONLY = "comp_only"
@@ -86,7 +86,8 @@ def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
 
     ``classical``, when given, is a check that every stable model and
     every model of the completion pass: an interpretation that fails it
-    is counted as both-reject without deciding either side.  With ``orbits``, each interpretation stands
+    is counted as both-reject without deciding either side.  With
+    ``orbits``, each interpretation stands
     for its orbit under permutations of the universe: it is counted
     ``orbit_size`` times, and a disagreement is reported for each member
     of its ``orbit``, in enumeration order."""
@@ -134,44 +135,36 @@ def _sampled(sig, sizes: list, count: int, seed: int):
 
 
 def check_equivalence(prog: Program, gamma, m_max: int,
-                      mode: str = "exhaustive",
-                      sample_count: int = 1000,
-                      seed: int = 0,
+                      sample_count: int | None = None, seed: int = 0,
                       program_id: str = "program") -> EquivReport:
-    """Compare stable models with completion models over all (or
-    sampled) interpretations with universe size up to ``m_max`` that
-    satisfy Gamma.  Both sides see the constraint sentences and Gamma
+    """Compare stable models with completion models over the
+    interpretations with universe size up to ``m_max`` that satisfy
+    Gamma: all of them when ``sample_count`` is None, else that many
+    seeded samples.  Both sides see the constraint sentences and Gamma
     identically.
 
-    Exhaustive mode visits one constant map per orbit under permutations
-    of the universe and counts each interpretation for its orbit; the
-    report is the one enumerating every interpretation would give.  In
-    both modes an interpretation that violates, read classically, a
-    constraint or a rule with an intensional head is counted as
-    both-reject without either check: the completion holds the
-    constraints, and such a rule is the if-half of its head's completed
-    definition.  A rule with an extensional head has no definition."""
+    An exhaustive check visits one constant map per orbit under
+    permutations of the universe and counts each interpretation for its
+    orbit; the report is the one enumerating every interpretation would
+    give.  An interpretation that violates the program read classically
+    (``classical_check``) is counted as both-reject without either
+    check: the completion holds the constraints, and every rule is the
+    if-half of its head's completed definition."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if mode == "exhaustive":
+    if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
             enumerate_interpretations(prog.signature, m, canonical=True)
             for m in range(1, m_max + 1))
-    elif mode == "sampled":
+    else:
         mode_desc = f"sampled(seed={seed}, count={sample_count}) m<={m_max}"
         interps = _sampled(prog.signature, list(range(1, m_max + 1)),
                            sample_count, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     d = desugar(prog)
-    implied = [r for r in d.rules if r.kind == CONSTRAINT]
-    implied += [r for r in d.rules
-                if r.kind == BASIC and r.head.predicate in prog.intensional]
-    classical = compile_sentence(conjoin(r.sentence() for r in implied))
     return _check(d, completion(prog).sentences(), list(gamma), interps,
-                  program_id, mode_desc, classical,
-                  orbits=mode == "exhaustive")
+                  program_id, mode_desc, classical_check(d),
+                  orbits=sample_count is None)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +213,28 @@ def successor_state_interpretations(k: int = 1) -> list:
     ]
 
 
-def check_proposition3(k: int, mode: str = "sampled",
-                       sample_count: int = 1000, seed: int = 0) -> EquivReport:
+def check_proposition3(k: int, sample_count: int = 1000,
+                       seed: int = 0) -> EquivReport:
     """Compare the stable models of the moving-objects program against
     the first-order characterization: constraint content plus explicit
     definitions of step and next plus successor-state formulas for at.
 
     Exhaustive enumeration is infeasible for this signature (ternary
-    predicates); seeded sampling plus directed interpretations is the
-    evidence standard, stated as such in the report.  Samples alternate
-    between universe sizes 2 and 3; at k = 1 the directed
-    interpretations of ``successor_state_interpretations`` come first."""
+    predicates); ``sample_count`` seeded samples plus directed
+    interpretations is the evidence standard, stated as such in the
+    report.  Samples alternate between universe sizes 2 and 3; at k = 1
+    the directed interpretations of ``successor_state_interpretations``
+    come first, so ``sample_count=0`` checks only those."""
     if k < 0:
         raise ValueError("step bound must be nonnegative")
     fixture = builtin_fixture(f"moving({k})")
     prog = desugar(fixture.program)
     rhs = moving_constraint_formulas(k) + moving_successor_state_formulas(k)
     directed = successor_state_interpretations(k) if k == 1 else []
-    if mode == "sampled":
-        sizes = [2, 3]
-        mode_desc = (f"sampled(seed={seed}, count={sample_count}) "
-                     f"m in {sizes} + {len(directed)} directed")
-        interps = chain(directed,
-                        _sampled(prog.signature, sizes, sample_count, seed))
-    elif mode == "directed":
-        mode_desc = f"{len(directed)} directed"
-        interps = directed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    sizes = [2, 3]
+    mode_desc = (f"sampled(seed={seed}, count={sample_count}) "
+                 f"m in {sizes} + {len(directed)} directed")
+    interps = chain(directed,
+                    _sampled(prog.signature, sizes, sample_count, seed))
     return _check(prog, rhs, (), interps,
                   f"moving({k}) vs successor-state formulas", mode_desc)

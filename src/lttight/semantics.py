@@ -485,6 +485,15 @@ def _sm_tables(prog: Program):
     return tables
 
 
+def classical_check(prog: Program):
+    """The program read classically, compiled once and kept on ``prog``:
+    a function of an interpretation that holds iff it satisfies every
+    constraint and every rule of the desugared program, read as the
+    universal closure of ``body -> head``.  Every stable model passes
+    it, and so does every model of the completion."""
+    return _sm_tables(prog)[0]
+
+
 def relevant_grounding(prog: Program, interp: Interpretation):
     """The conjunction of the ground instances ``body -> head`` of the
     desugared program's basic rules whose body the interpretation
@@ -519,8 +528,7 @@ def is_sm_model(prog: Program, interp: Interpretation,
     interpretation that passes is stable iff ``is_stable`` holds of its
     true atoms and the rule instances whose body it satisfies
     (``relevant_grounding``)."""
-    classical, _ = _sm_tables(prog)
-    if not classical(interp):
+    if not classical_check(prog)(interp):
         return False
     return is_stable(relevant_grounding(prog, interp), list(interp.atoms()), cap)
 

@@ -421,7 +421,10 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     Returns ``entailed`` only when the syntactic refuter closes every
     chain; ``countermodel`` when some interpretation within the universe
     bound satisfies Gamma, the completion, and the existential closure
-    of a chain formula; ``unknown`` otherwise."""
+    of a chain formula; ``unknown`` otherwise.  Each open chain's closure
+    is compiled when the first interpretation that satisfies Gamma and
+    the completion reaches it, so a search that no interpretation gets
+    through compiles one sentence."""
     if n < 1:
         raise ValueError("chain length must be at least 1")
     if universe_bound < 1:
@@ -436,7 +439,7 @@ def check_gamma_tight(prog: Program, gamma, n: int,
         return TightnessVerdict(ENTAILED, n, universe_bound)
     # compiled only now: a search that never runs compiles nothing
     targets = compile_sentence(conjoin(list(gamma) + comp.sentences()))
-    open_chains = [(c, compile_sentence(closed)) for c, closed in open_chains]
+    compiled = [None] * len(open_chains)
     # Only restricted-growth constant maps: a permutation of the universe
     # carries a countermodel under any other map to one under the
     # restricted-growth map of its orbit, which enumeration reaches
@@ -446,8 +449,10 @@ def check_gamma_tight(prog: Program, gamma, n: int,
                                                 canonical=True):
             if not targets(interp):
                 continue
-            for c, holds in open_chains:
-                if holds(interp):
+            for i, (c, closed) in enumerate(open_chains):
+                if compiled[i] is None:
+                    compiled[i] = compile_sentence(closed)
+                if compiled[i](interp):
                     return TightnessVerdict(COUNTERMODEL, n, universe_bound,
                                             chain=c, interpretation=interp)
     return TightnessVerdict(UNKNOWN, n, universe_bound)

@@ -262,6 +262,25 @@ def test_non_integer_guard_ceiling_is_usage_error(monkeypatch, capsys):
                        "not 'lots'\n")
 
 
+def test_stable_and_ground_guard_the_universe(tmp_path, monkeypatch, capsys):
+    """A three-variable rule has m^3 bindings; above the ceiling stable
+    and ground exit 3 before grounding or checking anything."""
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "1000")
+    path = tmp_path / "prog.lp"
+    path.write_text("p(X) :- q(X, Y), q(Y, Z), q(Z, X).\n")
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=11; p={}; q={}\n")
+    for command in ("stable", "ground"):
+        code, out, err = invoke(capsys, command, str(path),
+                                "--interp", str(interp))
+        assert (code, out) == (3, "")
+        assert err == ("resource guard: 1331 rule bindings at universe "
+                       "size 11 exceed the ceiling of 1000\n")
+    interp.write_text("universe=10; p={}; q={}\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+
+
 def test_check_equiv_agree_and_disagree(capsys):
     code, out, _ = invoke(capsys, "check-equiv", "fixture:prog1",
                           "--m-max", "2")

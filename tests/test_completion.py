@@ -7,7 +7,7 @@ from lttight.completion import (
 )
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
-from lttight.syntax import TOP, Atom, Variable, rule_to_str
+from lttight.syntax import TOP, Atom, Variable, formula_to_str, rule_to_str
 
 
 def test_desugar_choice_rule():
@@ -65,6 +65,16 @@ def test_completion_skips_extensional_predicates():
     prog = parse_program("#extensional q/1. p(X) :- q(X).")
     result = completion(prog)
     assert [p for p, _ in result.completed_definitions] == ["p"]
+
+
+def test_completion_defines_extensional_heads():
+    """An extensional predicate that heads a basic rule is completed
+    from the desugared program, whose ``e :- not not e`` joins its
+    definition."""
+    result = completion(parse_program("#extensional e/0. e :- f. f."))
+    assert [(p, formula_to_str(s)) for p, s in result.completed_definitions] == [
+        ("e", "(e -> f | not not e) & (f | not not e -> e)"),
+        ("f", "(f -> true) & (true -> f)")]
 
 
 def test_completion_constraint_sentences():

@@ -71,8 +71,8 @@ def test_gamma_filters_interpretations():
 
 def test_sampled_mode_is_reproducible():
     prog = builtin_fixture("prog1").program
-    one = check_equivalence(prog, (), 2, mode="sampled", sample_count=200, seed=5)
-    two = check_equivalence(prog, (), 2, mode="sampled", sample_count=200, seed=5)
+    one = check_equivalence(prog, (), 2, sample_count=200, seed=5)
+    two = check_equivalence(prog, (), 2, sample_count=200, seed=5)
     assert one == two
     assert one.verdict == "agree"
     assert "seed=5" in one.mode_desc
@@ -83,11 +83,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         check_equivalence(prog, (), 0)
     with pytest.raises(ValueError):
-        check_equivalence(prog, (), 1, mode="nope")
-    with pytest.raises(ValueError):
         check_proposition3(-1)
-    with pytest.raises(ValueError):
-        check_proposition3(1, mode="nope")
     with pytest.raises(ValueError):
         successor_state_interpretations(2)
 
@@ -100,10 +96,22 @@ def test_directed_interpretations_cover_both_outcomes():
 
 
 def test_proposition3_directed_only():
-    report = check_proposition3(1, mode="directed")
+    report = check_proposition3(1, sample_count=0)
     assert report.verdict == "agree"
     assert report.checked == 9
-    assert report.mode_desc == "9 directed"
+    assert report.mode_desc == "sampled(seed=0, count=0) m in [2, 3] + 9 directed"
+
+
+def test_extensional_head_is_completed():
+    """A rule whose head is extensional is the if-half of that head's
+    completed definition, so a classical non-model of it is no
+    comp_only witness."""
+    prog = parse_program("#extensional e/0. e :- f. f.")
+    report = check_equivalence(prog, (), 2)
+    assert report.render().splitlines()[-1] == "VERDICT agree count=0"
+    assert report.stats_line() == (
+        "stats: examined=8 gamma_skipped=0 guard_skipped=0 checked=8 "
+        "both_accept=2 both_reject=6 disagree=0")
 
 
 def test_proposition3_small_sample():

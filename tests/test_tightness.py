@@ -197,6 +197,23 @@ def test_countermodel_search_compiles_only_when_it_runs(monkeypatch):
     assert len(compiled) == 1 + len(list(chains(builtin_fixture("prog2").program, 1)))
 
 
+def test_open_chain_compiles_when_an_interpretation_reaches_it(monkeypatch):
+    """The refuter leaves this chain open, and no interpretation
+    satisfies Gamma, so only Gamma and the completion are compiled."""
+    compiled = []
+
+    def counting(sentence):
+        compiled.append(sentence)
+        return compile_sentence(sentence)
+
+    compile_sentence = tightness.compile_sentence
+    monkeypatch.setattr(tightness, "compile_sentence", counting)
+    prog = parse_program("p(a) :- p(X), not (X = a | X = b).")
+    verdict = check_gamma_tight(prog, [parse_formula("exists X (X != X)")], 1)
+    assert verdict.status == UNKNOWN
+    assert len(compiled) == 1
+
+
 def test_export_dot_predicate_graph():
     dot = export_dot(predicate_dependency_graph(builtin_fixture("prog1").program))
     assert dot == 'digraph {\n  "p";\n  "q";\n  "p" -> "q";\n}\n'
