@@ -24,7 +24,7 @@ from .syntax import (
     pretty_print, rename_apart, substitute,
 )
 from .tightness import (
-    Chain, OccurrenceInfo, PredicateDependencyGraph, TightnessVerdict,
-    chain_formula, chains, check_gamma_tight, classify_occurrences,
-    export_dot, export_tptp, is_tight, predicate_dependency_graph,
+    Chain, PredicateDependencyGraph, TightnessVerdict, chain_formula,
+    chains, check_gamma_tight, export_dot, export_tptp, is_tight,
+    link_atoms, predicate_dependency_graph,
 )

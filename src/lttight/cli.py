@@ -280,6 +280,7 @@ def _dispatch(args) -> int:
     if cmd == "chains":
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
+        _check_guard_ceiling()
         for i, c in enumerate(chains(prog, args.n)):
             print(f"chain {i}:")
             print(chain_to_str(c))
@@ -287,6 +288,7 @@ def _dispatch(args) -> int:
     if cmd == "chain-formulas":
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
+        _check_guard_ceiling()
         for c in chains(prog, args.n):
             print(formula_to_str(chain_formula(c)))
         return EXIT_OK
@@ -337,6 +339,7 @@ def _dispatch(args) -> int:
     if cmd == "export-tptp":
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
+        _check_guard_ceiling()
         gamma = _load_gamma(args.gamma, fixture_gamma)
         comp = completion(prog)
         problems = [export_tptp(gamma, comp, chain_formula(c))

@@ -8,7 +8,7 @@ basic rules and constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     BASIC, BOT, CHOICE, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
@@ -21,11 +21,6 @@ from .syntax import (
 class CompletionResult:
     completed_definitions: tuple   # tuple[(predicate, sentence), ...]
     constraint_sentences: tuple    # tuple[sentence, ...]
-    # Tables that consumers derive from this completion and keep for its
-    # lifetime, such as the refuter's definition table; not part of the
-    # value.
-    derived: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def definition_for(self, predicate: str):
         for p, s in self.completed_definitions:

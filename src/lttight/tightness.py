@@ -1,5 +1,5 @@
-"""Occurrence polarity, dependency graphs, chains, chain formulas, and
-tightness relative to a set of assumptions.
+"""Link atoms, dependency graphs, chains, chain formulas, and tightness
+relative to a set of assumptions.
 
 The rule dependency graph is never materialized (it is infinite up to
 renaming); chains with canonical variable tags are enumerated directly.
@@ -12,60 +12,43 @@ from typing import Iterator, Optional
 
 from .completion import CompletionResult, completion, desugar, simplify
 from .semantics import (
-    Interpretation, compile_sentence, enumerate_interpretations, is_acyclic,
+    Interpretation, ResourceGuardError, compile_sentence,
+    enumerate_interpretations, guard_ceiling, is_acyclic,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
 from .syntax import (
     BASIC, BOT, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
-    Or, Program, Variable, conjoin, existential_closure,
+    Or, Program, conjoin, existential_closure,
     flatten_and, flatten_or, formula_to_str, free_variables, neg,
     rename_apart, rule_to_str, substitute, universal_closure,
 )
 
 
 # ---------------------------------------------------------------------------
-# Occurrence polarity
+# Link atoms
 
-@dataclass(frozen=True)
-class OccurrenceInfo:
-    predicate: str
-    position: tuple     # path of child indices into the formula AST; an
-                        # And/Or child is indexed by its place in ``items``
-    atom: Atom
-    positive: bool      # even number of enclosing implication antecedents
-    negated: bool       # inside a subformula of the form F -> false
-
-
-def classify_occurrences(f) -> list:
-    """Every atom occurrence of ``f`` labeled with polarity and
-    negatedness, in traversal order.
-
-    An occurrence is negated when it lies inside the antecedent of an
-    implication whose consequent is falsity; those implications also
-    count toward the antecedent parity."""
+def link_atoms(f) -> list:
+    """The positive nonnegated atom occurrences of ``f``, in traversal
+    order: those under an even number of implication antecedents and in
+    no antecedent of an implication ``F -> false``.  Only these link
+    rules in the dependency graph and in chains."""
     out: list = []
-    stack = [(f, (), 0, False)]
+    stack = [(f, True)]
     while stack:
-        g, path, antecedents, negated = stack.pop()
+        g, positive = stack.pop()
         if isinstance(g, Atom):
-            out.append(OccurrenceInfo(g.predicate, path, g,
-                                      antecedents % 2 == 0, negated))
+            if positive:
+                out.append(g)
         elif isinstance(g, (And, Or)):
-            stack.extend((x, path + (i,), antecedents, negated)
-                         for i, x in reversed(list(enumerate(g.items))))
+            stack.extend((x, positive) for x in reversed(g.items))
         elif isinstance(g, Implies):
-            stack.append((g.right, path + (1,), antecedents, negated))
-            stack.append((g.left, path + (0,), antecedents + 1,
-                          negated or g.right == BOT))
+            stack.append((g.right, positive))
+            if g.right != BOT:   # a negated antecedent links nothing
+                stack.append((g.left, not positive))
         elif isinstance(g, (Forall, Exists)):
-            stack.append((g.body, path + (0,), antecedents, negated))
+            stack.append((g.body, positive))
         # Bot and Equality carry no atom occurrences
     return out
-
-
-def _link_occurrences(body) -> list:
-    """Positive nonnegated atom occurrences, in position order."""
-    return [o for o in classify_occurrences(body) if o.positive and not o.negated]
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +65,9 @@ def predicate_dependency_graph(prog: Program) -> PredicateDependencyGraph:
     nonnegated occurrence of q in its body.  The program is desugared
     first."""
     d = desugar(prog)
-    edges = {(r.head.predicate, occ.predicate)
+    edges = {(r.head.predicate, a.predicate)
              for r in d.rules if r.kind == BASIC
-             for occ in _link_occurrences(r.body)}
+             for a in link_atoms(r.body)}
     return PredicateDependencyGraph(
         vertices=tuple(sorted(p for p, _ in prog.predicates)),
         edges=tuple(sorted(edges)),
@@ -115,8 +98,8 @@ def check_chain(c: Chain) -> None:
     pairwise variable disjointness."""
     assert len(c.rules) == len(c.labels) + 1
     for i, label in enumerate(c.labels):
-        body_occurrences = [o.atom for o in _link_occurrences(c.rules[i].body)]
-        assert label in body_occurrences, "label must occur positively nonnegated"
+        assert label in link_atoms(c.rules[i].body), \
+            "label must occur positively nonnegated"
         assert label.predicate == c.rules[i + 1].head.predicate
     seen: set = set()
     for r in c.rules:
@@ -125,32 +108,56 @@ def check_chain(c: Chain) -> None:
         seen |= vs
 
 
+def chain_count(rules, n: int) -> int:
+    """The number of length-n chains over the basic rules ``rules``,
+    counted without enumerating them: a rule starts one chain of length
+    0, and for k > 0 one per step (a link atom of its body and a rule
+    whose head has that atom's predicate) and chain of length k - 1 that
+    the step's rule starts."""
+    steps = [[j for a in link_atoms(r.body)
+              for j, s in enumerate(rules) if s.head.predicate == a.predicate]
+             for r in rules]
+    counts = [1] * len(rules)
+    for _ in range(n):
+        counts = [sum(counts[j] for j in step) for step in steps]
+    return sum(counts)
+
+
 def chains(prog: Program, n: int) -> Iterator[Chain]:
     """All length-n chains, up to variable renaming: rule R_i carries
     canonical tag i+1 (matching the chain displays where the first rule
-    uses x_1, y_1).  Deterministic order: rule index, then occurrence
-    position."""
+    uses x_1, y_1).  Deterministic order: rule index, then link atom
+    position.
+
+    Before yielding anything, raises ``ResourceGuardError`` when the
+    chains hold more rules in all, (n + 1) per chain, than
+    ``guard_ceiling()``: a rule with several link atoms of its own
+    predicate multiplies the chains at every step."""
     if n < 0:
         raise ValueError("chain length must be nonnegative")
     d = desugar(prog)
     rules = [r for r in d.rules if r.kind == BASIC]
+    count = chain_count(rules, n)
+    limit = guard_ceiling()
+    if count * (n + 1) > limit:
+        raise ResourceGuardError(
+            f"{count * (n + 1)} chain rules in {count} chains of length {n} "
+            f"exceed the ceiling of {limit}")
     renamed = [[rename_apart(r, tag) for r in rules] for tag in range(1, n + 2)]
 
-    def extend(prefix: list, labels: list) -> Iterator[Chain]:
+    # depth first on an explicit stack, so a long chain cannot exhaust
+    # the recursion limit; successors are pushed reversed to pop in order
+    stack = [([r], []) for r in reversed(renamed[0])]
+    while stack:
+        prefix, labels = stack.pop()
         i = len(prefix)
         if i == n + 1:
             yield Chain(tuple(prefix), tuple(labels))
-            return
-        if i == 0:
-            for r in renamed[0]:
-                yield from extend([r], [])
-            return
-        for occ in _link_occurrences(prefix[-1].body):
-            for r in renamed[i]:
-                if r.head.predicate == occ.predicate:
-                    yield from extend(prefix + [r], labels + [occ.atom])
-
-    yield from extend([], [])
+            continue
+        stack.extend(reversed([(prefix + [r], labels + [a])
+                               for a in link_atoms(prefix[-1].body)
+                               for r in renamed[i]
+                               if r.head.predicate == a.predicate]))
 
 
 def chain_formula(c: Chain):
@@ -305,7 +312,7 @@ def _expand_atom(atom: Atom, defs: dict):
 class _Expansions(dict):
     """Atom -> ``_expand_atom`` of it, computed on first lookup.  An
     expansion depends only on the atom and the completion, so one table
-    serves every chain and every Gamma checked against that completion."""
+    serves every chain of a check."""
 
     def __init__(self, defs: dict):
         super().__init__()
@@ -350,47 +357,37 @@ def _refute(node: _Node, gamma_diseqs, expansions, split_done: frozenset,
     return False
 
 
-def _refuter_tables(gamma, comp: CompletionResult):
-    """The refuter's expansion table, over its definition table
-    (predicate -> head variables and simplified forward body of its
-    completed definition), and Gamma's ground disequalities.
-    ``check_gamma_tight`` refutes every chain against one completion and
-    Gamma, so both are kept on the completion, the disequalities with
-    the Gamma they came from."""
-    expansions = comp.derived.get("refuter_expansions")
-    if expansions is None:
-        defs = {}
-        for p, sentence in comp.completed_definitions:
-            f = sentence
-            head_vars = []
-            while isinstance(f, Forall):
-                head_vars.append(f.var)
-                f = f.body
-            # f is (p(x) -> D) & (D -> p(x)); use the forward direction
-            if isinstance(f, And) and isinstance(f.items[0], Implies):
-                defs[p] = (head_vars, simplify(f.items[0].right))
-        expansions = comp.derived["refuter_expansions"] = _Expansions(defs)
-    gamma = tuple(gamma)
-    cached = comp.derived.get("refuter_gamma")
-    if cached is None or cached[0] != gamma:
-        cached = comp.derived["refuter_gamma"] = (
-            gamma, _ground_disequalities(gamma))
-    return expansions, cached[1]
+def refuter_tables(gamma, comp: CompletionResult):
+    """The refuter's tables for one check: the expansion table, over the
+    definition table (predicate -> head variables and simplified forward
+    body of its completed definition), and Gamma's ground
+    disequalities."""
+    defs = {}
+    for p, sentence in comp.completed_definitions:
+        f = sentence
+        head_vars = []
+        while isinstance(f, Forall):
+            head_vars.append(f.var)
+            f = f.body
+        # f is (p(x) -> D) & (D -> p(x)); use the forward direction
+        if isinstance(f, And) and isinstance(f.items[0], Implies):
+            defs[p] = (head_vars, simplify(f.items[0].right))
+    return _Expansions(defs), _ground_disequalities(gamma)
 
 
-def refute_chain_formula(fc, gamma, comp: CompletionResult) -> bool:
+def refute_chain_formula(fc, tables) -> bool:
     """Sound syntactic refutation of a chain formula: literal clash and
     congruence closure over the chain's equalities, with bounded
     expansion of atoms through their (simplified) completed definitions.
-    Gamma contributes its ground disequalities.
+    ``tables`` is ``refuter_tables(gamma, comp)``; Gamma contributes its
+    ground disequalities.
 
     Atoms whose definition has one disjunct are expanded in place, for at
     most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
     each multi-disjunct definition, nested at most ``MAX_SPLIT_DEPTH``
-    deep.  Each
-    atom is expanded once per completion, and a split's children carry
-    their parent's conjuncts and congruence classes forward."""
-    expansions, gamma_diseqs = _refuter_tables(gamma, comp)
+    deep.  Each atom is expanded once per table, and a split's children
+    carry their parent's conjuncts and congruence classes forward."""
+    expansions, gamma_diseqs = tables
     root = _Node()
     root.add(flatten_and(fc))
     return _refute(root, gamma_diseqs, expansions, frozenset(),
@@ -421,19 +418,23 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     Returns ``entailed`` only when the syntactic refuter closes every
     chain; ``countermodel`` when some interpretation within the universe
     bound satisfies Gamma, the completion, and the existential closure
-    of a chain formula; ``unknown`` otherwise.  Each open chain's closure
-    is compiled when the first interpretation that satisfies Gamma and
-    the completion reaches it, so a search that no interpretation gets
-    through compiles one sentence."""
+    of a chain formula; ``unknown`` otherwise.  The refuter's tables are
+    built once, before the chain loop, and serve every chain.  Each open
+    chain's closure is compiled when the first interpretation that
+    satisfies Gamma and the completion reaches it, so a search that no
+    interpretation gets through compiles one sentence.  Raises
+    ``ResourceGuardError`` as ``chains`` does, before refuting any
+    chain."""
     if n < 1:
         raise ValueError("chain length must be at least 1")
     if universe_bound < 1:
         raise ValueError("universe bound must be at least 1")
     comp = completion(prog)
+    tables = refuter_tables(gamma, comp)
     open_chains = []
     for c in chains(prog, n):
         fc = chain_formula(c)
-        if not refute_chain_formula(fc, gamma, comp):
+        if not refute_chain_formula(fc, tables):
             open_chains.append((c, existential_closure(fc)))
     if not open_chains:
         return TightnessVerdict(ENTAILED, n, universe_bound)
@@ -461,25 +462,11 @@ def check_gamma_tight(prog: Program, gamma, n: int,
 # ---------------------------------------------------------------------------
 # DOT and TPTP export
 
-def export_dot(g) -> str:
-    """DOT digraph text for a predicate dependency graph or a chain
-    (a rule-graph slice, with edges labeled by their witness atoms)."""
+def export_dot(graph: PredicateDependencyGraph) -> str:
+    """DOT digraph text for a predicate dependency graph."""
     lines = ["digraph {"]
-    if isinstance(g, PredicateDependencyGraph):
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        for p, q in g.edges:
-            lines.append(f'  "{p}" -> "{q}";')
-    elif isinstance(g, Chain):
-        names = []
-        for i, r in enumerate(g.rules):
-            names.append(f"r{i}")
-            lines.append(f'  r{i} [label="{rule_to_str(r)}"];')
-        for i, label in enumerate(g.labels):
-            lines.append(
-                f'  r{i} -> r{i + 1} [label="{formula_to_str(label)}"];')
-    else:
-        raise TypeError(f"cannot export {type(g).__name__} as DOT")
+    lines += [f'  "{v}";' for v in graph.vertices]
+    lines += [f'  "{p}" -> "{q}";' for p, q in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

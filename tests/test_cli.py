@@ -255,11 +255,30 @@ def test_interp_with_unknown_predicate_is_usage_error(tmp_path, capsys):
 def test_non_integer_guard_ceiling_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "lots")
     for argv in (("check-equiv", "fixture:prog1", "--m-max", "1"),
-                 ("check-gamma-tight", "fixture:prog2", "--n", "1")):
+                 ("check-gamma-tight", "fixture:prog2", "--n", "1"),
+                 ("chains", "fixture:prog2", "--n", "1"),
+                 ("chain-formulas", "fixture:prog2", "--n", "1"),
+                 ("export-tptp", "fixture:prog2", "--n", "1")):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == ("error: LT_TIGHT_GUARD_CEILING must be an integer, "
                        "not 'lots'\n")
+
+
+def test_chain_commands_guard_the_chain_count(tmp_path, monkeypatch, capsys):
+    """p :- p, p, p. has 3^n chains of length n, each of n + 1 rules;
+    above the ceiling every chain command exits 3 before printing."""
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "100")
+    path = tmp_path / "prog.lp"
+    path.write_text("p :- p, p, p.\n")
+    for command in ("chains", "chain-formulas", "check-gamma-tight",
+                    "export-tptp"):
+        code, out, err = invoke(capsys, command, str(path), "--n", "3")
+        assert (code, out) == (3, "")
+        assert err == ("resource guard: 108 chain rules in 27 chains of "
+                       "length 3 exceed the ceiling of 100\n")
+        code, out, err = invoke(capsys, command, str(path), "--n", "2")
+        assert code in (0, 1) and out and err == "", command
 
 
 def test_stable_and_ground_guard_the_universe(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from lttight.semantics import (
 from lttight.syntax import conjoin, existential_closure, formula_to_str
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains,
-    check_gamma_tight, refute_chain_formula,
+    check_gamma_tight, refute_chain_formula, refuter_tables,
 )
 
 from test_properties import SEED, SMALL_FIXTURES, random_program_text
@@ -244,10 +244,11 @@ def reference_gamma_tight(prog, gamma, n, bound):
     """The countermodel search by plain enumeration: the status, the
     first countermodel and its chain."""
     comp = completion(prog)
+    tables = refuter_tables(gamma, comp)
     open_chains = []
     for c in chains(prog, n):
         fc = chain_formula(c)
-        if not refute_chain_formula(fc, gamma, comp):
+        if not refute_chain_formula(fc, tables):
             open_chains.append((c, compile_sentence(existential_closure(fc))))
     if not open_chains:
         return ENTAILED, None, None

@@ -2,7 +2,7 @@
 
 ``_UnionFind``, ``_split_literals``, ``_expand_atom`` and ``_refute``
 below are the refuter as it was before expansions were memoized per
-completion and case splits carried their parent's congruence classes:
+check and case splits carried their parent's congruence classes:
 every node re-splits its conjunct list, rebuilds its union-find and
 re-instantiates every definition it expands.  The library's refuter must
 give the same verdict on every chain."""
@@ -23,7 +23,7 @@ from lttight.syntax import (
 )
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, chain_formula, chains, check_gamma_tight,
-    refute_chain_formula,
+    refute_chain_formula, refuter_tables,
 )
 
 from test_properties import SIG, random_formula, random_sentence
@@ -165,20 +165,22 @@ def _reference_defs(comp) -> dict:
 
 def assert_reference_verdicts(prog, gammas, lengths) -> list:
     """Refute every chain of ``prog`` of each length in ``lengths`` under
-    each Gamma in turn, all against one completion as
-    ``check_gamma_tight`` does, and assert the reference's verdict for
-    each.  Returns the verdicts."""
+    each Gamma in turn, with one refuter table per Gamma built from one
+    completion before the chain loop, as ``check_gamma_tight`` builds
+    one, and assert the reference's verdict for each.  Returns the
+    verdicts."""
     comp = completion(prog)
     defs = _reference_defs(comp)
+    tables = [(gamma, refuter_tables(gamma, comp)) for gamma in gammas]
     verdicts = []
     for n in lengths:
         for c in chains(prog, n):
             fc = chain_formula(c)
-            for gamma in gammas:
+            for gamma, table in tables:
                 expected = _refute(
                     flatten_and(fc), tightness._ground_disequalities(gamma),
                     defs, frozenset(), 4)
-                assert refute_chain_formula(fc, gamma, comp) == expected, (
+                assert refute_chain_formula(fc, table) == expected, (
                     formula_to_str(fc), [formula_to_str(g) for g in gamma])
                 verdicts.append(expected)
     return verdicts

@@ -1,42 +1,80 @@
-"""Occurrence polarity, dependency graphs, chains, the syntactic
-refuter, and the exports."""
+"""Link atoms, dependency graphs, chains, the syntactic refuter, and
+the exports."""
+
+from random import Random
 
 import pytest
 
 from lttight import tightness
-from lttight.completion import completion
-from lttight.fixtures import builtin_fixture
+from lttight.completion import completion, desugar
+from lttight.fixtures import builtin_fixture, fixture_names
 from lttight.parser import parse_formula, parse_program
+from lttight.syntax import BASIC, BOT, And, Atom, Exists, Forall, Implies, Or
 from lttight.tightness import (
-    COUNTERMODEL, ENTAILED, UNKNOWN, Chain, chain_formula, chain_to_str,
-    chains, check_chain, check_gamma_tight, classify_occurrences, export_dot,
-    export_tptp, is_tight, predicate_dependency_graph, refute_chain_formula,
+    COUNTERMODEL, ENTAILED, UNKNOWN, chain_count, chain_formula,
+    chain_to_str, chains, check_chain, check_gamma_tight, export_dot,
+    export_tptp, is_tight, link_atoms, predicate_dependency_graph,
+    refute_chain_formula, refuter_tables,
 )
+
+from test_properties import SEED, random_formula, random_program_text
+
+
+def classify_occurrences(f) -> list:
+    """Every atom occurrence of ``f`` as (atom, positive, negated), in
+    traversal order, by the definition of polarity: an occurrence is
+    positive under an even number of implication antecedents, and
+    negated inside the antecedent of an implication ``F -> false``,
+    which also counts toward the parity."""
+    out = []
+
+    def walk(g, antecedents, negated):
+        if isinstance(g, Atom):
+            out.append((g, antecedents % 2 == 0, negated))
+        elif isinstance(g, (And, Or)):
+            for x in g.items:
+                walk(x, antecedents, negated)
+        elif isinstance(g, Implies):
+            walk(g.left, antecedents + 1, negated or g.right == BOT)
+            walk(g.right, antecedents, negated)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body, antecedents, negated)
+
+    walk(f, 0, False)
+    return out
+
+
+def test_link_atoms_match_the_polarity_definition():
+    rng = Random(SEED + 14)
+    linked = unlinked = 0
+    for _ in range(1000):
+        f = random_formula(rng, 5)
+        occurrences = classify_occurrences(f)
+        expected = [a for a, positive, negated in occurrences
+                    if positive and not negated]
+        assert link_atoms(f) == expected, f
+        linked += len(expected)
+        unlinked += len(occurrences) - len(expected)
+    assert linked > 500 and unlinked > 500
 
 
 def test_occurrence_polarity_under_negation():
     f = parse_formula("p(Y, X), not p(X, Y)")
-    occs = classify_occurrences(f)
-    assert [(o.predicate, o.positive, o.negated) for o in occs] == [
-        ("p", True, False), ("p", False, True)]
+    assert link_atoms(f) == [parse_formula("p(Y, X)")]
 
 
 def test_occurrence_parity_of_nested_implications():
     f = parse_formula("(p -> q) -> r")
-    occs = {o.predicate: (o.positive, o.negated) for o in classify_occurrences(f)}
-    assert occs == {"p": (True, False), "q": (False, False), "r": (True, False)}
+    assert [a.predicate for a in link_atoms(f)] == ["p", "r"]
 
 
 def test_occurrence_double_negation_is_positive_but_negated():
-    occs = classify_occurrences(parse_formula("not not p"))
-    assert [(o.positive, o.negated) for o in occs] == [(True, True)]
+    assert link_atoms(parse_formula("not not p")) == []
 
 
 def test_occurrences_under_quantifiers_and_equality():
     f = parse_formula("forall X (X = a | q(X))")
-    occs = classify_occurrences(f)
-    assert [o.predicate for o in occs] == ["q"]
-    assert occs[0].position == (0, 1)
+    assert [a.predicate for a in link_atoms(f)] == ["q"]
 
 
 def test_dependency_graph_edges():
@@ -68,6 +106,30 @@ def test_chain_counts():
     assert len(list(chains(builtin_fixture("ex1").program, 1))) == 1
     assert len(list(chains(builtin_fixture("example2").program, 1))) == 2
     assert len(list(chains(builtin_fixture("example2").program, 2))) == 2
+
+
+def test_chain_count_matches_enumeration():
+    def check(prog, n):
+        rules = [r for r in desugar(prog).rules if r.kind == BASIC]
+        assert chain_count(rules, n) == len(list(chains(prog, n)))
+
+    programs = [builtin_fixture(name).program for name in fixture_names()]
+    programs += [builtin_fixture(f"moving({k})").program for k in (1, 2)]
+    for prog in programs:
+        for n in range(4):
+            check(prog, n)
+    rng = Random(SEED + 15)
+    for _ in range(200):
+        prog = parse_program(random_program_text(rng))
+        for n in range(3):
+            check(prog, n)
+
+
+def test_long_chains_do_not_exhaust_the_recursion_limit():
+    """prog2 has two chains of every length; at length 2000 a chain is
+    deeper than the default recursion limit."""
+    cs = list(chains(builtin_fixture("prog2").program, 2000))
+    assert len(cs) == 2 and all(len(c.rules) == 2001 for c in cs)
 
 
 def test_chain_length_zero():
@@ -122,34 +184,49 @@ def test_chain_to_str_shows_links():
 def test_refuter_on_the_worked_examples():
     for name in ("example1", "example2", "example3"):
         fx = builtin_fixture(name)
-        comp = completion(fx.program)
+        tables = refuter_tables(fx.gamma, completion(fx.program))
         for c in chains(fx.program, 1):
-            assert refute_chain_formula(chain_formula(c), fx.gamma, comp), name
+            assert refute_chain_formula(chain_formula(c), tables), name
 
 
 def test_refuter_is_sound_on_prog2():
     fx = builtin_fixture("prog2")
-    comp = completion(fx.program)
+    tables = refuter_tables((), completion(fx.program))
     for c in chains(fx.program, 1):
-        assert not refute_chain_formula(chain_formula(c), (), comp)
-
+        assert not refute_chain_formula(chain_formula(c), tables)
 
 
 def test_refuter_tables_follow_gamma_on_a_shared_completion():
-    """The refuter keeps its tables on the completion; reusing one
-    completion with and without Gamma, alternately, must give the same
-    verdicts as a fresh completion for each call."""
+    """Tables built from one completion for Gamma and no Gamma,
+    alternately, give the same verdicts as tables built from a fresh
+    completion for each Gamma."""
     fx = builtin_fixture("example3")
     shared = completion(fx.program)
     verdicts = []
-    for c in chains(fx.program, 1):
-        fc = chain_formula(c)
-        for gamma in (fx.gamma, (), list(fx.gamma), ()):
-            got = refute_chain_formula(fc, gamma, shared)
-            assert got == refute_chain_formula(fc, gamma,
-                                               completion(fx.program))
+    for gamma in (fx.gamma, (), list(fx.gamma), ()):
+        tables = refuter_tables(gamma, shared)
+        fresh = refuter_tables(gamma, completion(fx.program))
+        for c in chains(fx.program, 1):
+            fc = chain_formula(c)
+            got = refute_chain_formula(fc, tables)
+            assert got == refute_chain_formula(fc, fresh)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_check_gamma_tight_builds_one_refuter_table(monkeypatch):
+    built = []
+
+    def counting(gamma, comp):
+        built.append(gamma)
+        return refuter_tables(gamma, comp)
+
+    monkeypatch.setattr(tightness, "refuter_tables", counting)
+    fx = builtin_fixture("moving(1)")
+    assert len(list(chains(fx.program, 3))) == 8
+    assert check_gamma_tight(fx.program, fx.gamma, 3).status == ENTAILED
+    assert len(built) == 1
+
 
 def test_gamma_disequalities_matter():
     """example3 is prog2's rules; without a != b the same chain that the
@@ -217,19 +294,6 @@ def test_open_chain_compiles_when_an_interpretation_reaches_it(monkeypatch):
 def test_export_dot_predicate_graph():
     dot = export_dot(predicate_dependency_graph(builtin_fixture("prog1").program))
     assert dot == 'digraph {\n  "p";\n  "q";\n  "p" -> "q";\n}\n'
-
-
-def test_export_dot_chain():
-    prog = builtin_fixture("ex1").program
-    (c,) = chains(prog, 1)
-    dot = export_dot(c)
-    assert 'r0 -> r1 [label="p(Y_1, X_1)"]' in dot
-    assert dot.count("label=") == 3   # two rule nodes plus one edge
-
-
-def test_export_dot_rejects_other_types():
-    with pytest.raises(TypeError):
-        export_dot(42)
 
 
 def test_export_tptp_example2():
