@@ -113,13 +113,15 @@ def chain_count(rules, n: int) -> int:
     counted without enumerating them: a rule starts one chain of length
     0, and for k > 0 one per step (a link atom of its body and a rule
     whose head has that atom's predicate) and chain of length k - 1 that
-    the step's rule starts."""
+    the step's rule starts.  Stops early once no rule starts a chain."""
     steps = [[j for a in link_atoms(r.body)
               for j, s in enumerate(rules) if s.head.predicate == a.predicate]
              for r in rules]
     counts = [1] * len(rules)
     for _ in range(n):
         counts = [sum(counts[j] for j in step) for step in steps]
+        if not any(counts):
+            break
     return sum(counts)
 
 
@@ -143,6 +145,8 @@ def chains(prog: Program, n: int) -> Iterator[Chain]:
         raise ResourceGuardError(
             f"{count * (n + 1)} chain rules in {count} chains of length {n} "
             f"exceed the ceiling of {limit}")
+    if not count:
+        return
     renamed = [[rename_apart(r, tag) for r in rules] for tag in range(1, n + 2)]
 
     # depth first on an explicit stack, so a long chain cannot exhaust
@@ -194,76 +198,75 @@ MAX_SPLIT_DEPTH = 4
 
 
 class _Node:
-    """The refuter's state at one node of its case-split tree: the set of
-    conjuncts, split into positive atoms (in first-occurrence order),
-    negated atoms and disequalities, and a union-find over the terms of
-    the equalities.  Conjuncts are only ever added; a case-split child
-    starts from a copy."""
+    """The refuter's state at one node of its case-split tree, over the
+    check's term numbers: the set of encoded conjuncts, split into
+    positive atoms (in first-occurrence order), negated ``(p, ids)`` and
+    disequal ``(i, j)`` with Gamma's ground disequalities, and a
+    union-find in which a number with no parent is a root.  Conjuncts
+    are only ever added; a case-split child starts from a copy."""
 
-    def __init__(self):
+    __slots__ = ("conjuncts", "pos", "neg", "diseqs", "parent", "expanded")
+
+    def __init__(self, diseqs):
         self.conjuncts: set = set()
         self.pos: list = []
         self.neg: list = []
-        self.diseqs: list = []
+        self.diseqs: list = list(diseqs)
         self.parent: dict = {}
         self.expanded = 0       # pos[:expanded] have had their unit expansion
 
     def child(self, conjuncts) -> "_Node":
-        node = _Node()
-        node.conjuncts = set(self.conjuncts)
-        node.pos = list(self.pos)
-        node.neg = list(self.neg)
-        node.diseqs = list(self.diseqs)
-        node.parent = dict(self.parent)
+        node = _Node(self.diseqs)
+        node.conjuncts = self.conjuncts.copy()
+        node.pos = self.pos[:]
+        node.neg = self.neg[:]
+        node.parent = self.parent.copy()
         node.expanded = self.expanded
         node.add(conjuncts)
         return node
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
+    def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def add(self, conjuncts) -> bool:
-        """Add the conjuncts not present yet; True when there was one."""
+        """Add the encoded conjuncts not present yet; True when there
+        was one."""
         added = False
         for c in conjuncts:
             if c in self.conjuncts:
                 continue
             self.conjuncts.add(c)
             added = True
-            if isinstance(c, Atom):
+            kind = c[0]
+            if kind == 0:
                 self.pos.append(c)
-            elif isinstance(c, Equality):
-                ra, rb = self.find(c.left), self.find(c.right)
+            elif kind == 1:
+                ra, rb = self.find(c[1]), self.find(c[2])
                 if ra != rb:
                     self.parent[ra] = rb
-            elif isinstance(c, Implies) and c.right == BOT:
-                if isinstance(c.left, Atom):
-                    self.neg.append(c.left)
-                elif isinstance(c.left, Equality):
-                    self.diseqs.append(c.left)
-            # other shapes are opaque to the refuter (sound: ignoring
-            # conjuncts only weakens the refutation)
+            elif kind == 2:
+                self.neg.append(c[1:])
+            else:
+                self.diseqs.append(c[1:])
         return added
 
-    def clashes(self, gamma_diseqs) -> bool:
+    def clashes(self) -> bool:
         """A disequality between congruent terms, or an atom both
-        asserted and negated up to congruence."""
+        asserted and negated up to congruence: one set of negated
+        (predicate, root numbers) keys, probed by each positive atom."""
         find = self.find
-        for e in self.diseqs + gamma_diseqs:
-            if find(e.left) == find(e.right):
+        for i, j in self.diseqs:
+            if find(i) == find(j):
                 return True
-        for b in self.neg:
-            for a in self.pos:
-                if a.predicate == b.predicate and all(
-                        find(s) == find(t) for s, t in zip(a.args, b.args)):
-                    return True
-        return False
+        negated = {(p, tuple(map(find, ids))) for p, ids in self.neg}
+        return bool(negated) and any((p, tuple(map(find, ids))) in negated
+                                     for _, p, ids in self.pos)
 
 
 def _ground_disequalities(gamma) -> list:
@@ -282,13 +285,10 @@ def _ground_disequalities(gamma) -> list:
     return out
 
 
-_SUPPORTED_LITERAL = (Atom, Equality)
-
-
-def _expand_atom(atom: Atom, defs: dict):
+def _expand_atom(atom: Atom, defs: dict, encode):
     """Instantiated completed-definition body of the atom as a tuple of
-    disjuncts (each a tuple of literal conjuncts), or None when the
-    definition's shape is not usable by the refuter."""
+    disjuncts, each a tuple of its conjuncts encoded by ``encode``, or
+    None when the definition's shape is not usable by the refuter."""
     if atom.predicate not in defs:
         return None
     head_vars, body = defs[atom.predicate]
@@ -297,36 +297,57 @@ def _expand_atom(atom: Atom, defs: dict):
     for d in flatten_or(inst):
         if d == BOT:
             continue
-        conjuncts = tuple(flatten_and(d))
-        for c in conjuncts:
-            if isinstance(c, _SUPPORTED_LITERAL):
-                continue
-            if (isinstance(c, Implies) and c.right == BOT
-                    and isinstance(c.left, _SUPPORTED_LITERAL)):
-                continue
+        conjuncts = tuple(map(encode, flatten_and(d)))
+        if None in conjuncts:
             return None
         disjuncts.append(conjuncts)
     return tuple(disjuncts)
 
 
 class _Expansions(dict):
-    """Atom -> ``_expand_atom`` of it, computed on first lookup.  An
-    expansion depends only on the atom and the completion, so one table
-    serves every chain of a check."""
+    """Encoded atom -> ``_expand_atom`` of it with every literal
+    encoded, computed on first lookup.  An expansion depends only on the
+    atom and the completion, so one table serves every chain of a check.
+
+    The table also numbers the check's terms in ``numbers``, in order of
+    first sight, and encodes literals over those numbers: ``(0, p, ids)``
+    for an atom, ``(1, i, j)`` for an equality, ``(2, p, ids)`` for a
+    negated atom and ``(3, i, j)`` for a disequality."""
+
+    __slots__ = ("defs", "numbers")
 
     def __init__(self, defs: dict):
         super().__init__()
         self.defs = defs
+        self.numbers: dict = {}
 
-    def __missing__(self, atom):
-        value = self[atom] = _expand_atom(atom, self.defs)
+    def number(self, t) -> int:
+        return self.numbers.setdefault(t, len(self.numbers))
+
+    def encode(self, c):
+        """The literal tuple of conjunct ``c``, or None when ``c`` is
+        opaque to the refuter."""
+        kind = 0
+        if isinstance(c, Implies) and c.right == BOT:
+            kind, c = 2, c.left
+        if isinstance(c, Atom):
+            return (kind, c.predicate, tuple(map(self.number, c.args)))
+        if isinstance(c, Equality):
+            return (kind + 1, self.number(c.left), self.number(c.right))
+        return None
+
+    def __missing__(self, key):
+        _, p, ids = key
+        terms = list(self.numbers)   # in number order
+        value = self[key] = _expand_atom(
+            Atom(p, tuple(terms[i] for i in ids)), self.defs, self.encode)
         return value
 
 
-def _refute(node: _Node, gamma_diseqs, expansions, split_done: frozenset,
+def _refute(node: _Node, expansions, split_done: frozenset,
             depth: int) -> bool:
     for _ in range(MAX_SATURATION_ROUNDS):
-        if node.clashes(gamma_diseqs):
+        if node.clashes():
             return True
         # saturate with single-disjunct (unit) expansions, one per round
         progressed = False
@@ -350,8 +371,8 @@ def _refute(node: _Node, gamma_diseqs, expansions, split_done: frozenset,
             continue
         disjuncts = expansions[atom]
         if disjuncts and len(disjuncts) > 1:
-            if all(_refute(node.child(d), gamma_diseqs, expansions,
-                           split_done | {atom}, depth - 1)
+            if all(_refute(node.child(d), expansions, split_done | {atom},
+                           depth - 1)
                    for d in disjuncts):
                 return True
     return False
@@ -360,8 +381,9 @@ def _refute(node: _Node, gamma_diseqs, expansions, split_done: frozenset,
 def refuter_tables(gamma, comp: CompletionResult):
     """The refuter's tables for one check: the expansion table, over the
     definition table (predicate -> head variables and simplified forward
-    body of its completed definition), and Gamma's ground
-    disequalities."""
+    body of its completed definition), and Gamma's ground disequalities
+    as pairs of term numbers.  The expansion table holds the check's one
+    term-number table, which every chain of the check shares."""
     defs = {}
     for p, sentence in comp.completed_definitions:
         f = sentence
@@ -372,7 +394,10 @@ def refuter_tables(gamma, comp: CompletionResult):
         # f is (p(x) -> D) & (D -> p(x)); use the forward direction
         if isinstance(f, And) and isinstance(f.items[0], Implies):
             defs[p] = (head_vars, simplify(f.items[0].right))
-    return _Expansions(defs), _ground_disequalities(gamma)
+    expansions = _Expansions(defs)
+    number = expansions.number
+    return expansions, [(number(e.left), number(e.right))
+                        for e in _ground_disequalities(gamma)]
 
 
 def refute_chain_formula(fc, tables) -> bool:
@@ -386,12 +411,14 @@ def refute_chain_formula(fc, tables) -> bool:
     most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
     each multi-disjunct definition, nested at most ``MAX_SPLIT_DEPTH``
     deep.  Each atom is expanded once per table, and a split's children
-    carry their parent's conjuncts and congruence classes forward."""
+    carry their parent's conjuncts and congruence classes forward.
+    Conjuncts that are not literals are dropped (sound: ignoring
+    conjuncts only weakens the refutation)."""
     expansions, gamma_diseqs = tables
-    root = _Node()
-    root.add(flatten_and(fc))
-    return _refute(root, gamma_diseqs, expansions, frozenset(),
-                   MAX_SPLIT_DEPTH)
+    root = _Node(gamma_diseqs)
+    root.add([c for c in map(expansions.encode, flatten_and(fc))
+              if c is not None])
+    return _refute(root, expansions, frozenset(), MAX_SPLIT_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +527,15 @@ def _tptp_formula(f) -> str:
         for g in rest:
             out = f"({out}{op}{_tptp_formula(g)})"
         return out
-    if isinstance(f, Forall):
-        return f"(![{f.var.name}]: {_tptp_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(?[{f.var.name}]: {_tptp_formula(f.body)})"
+    if isinstance(f, (Forall, Exists)):
+        # a run of quantifiers in a loop: a closure over many variables
+        # must not exhaust the recursion limit
+        prefix = []
+        while isinstance(f, (Forall, Exists)):
+            q = "!" if isinstance(f, Forall) else "?"
+            prefix.append(f"({q}[{f.var.name}]: ")
+            f = f.body
+        return "".join(prefix) + _tptp_formula(f) + ")" * len(prefix)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import lttight.tightness as tightness
 from lttight.cli import run
 from lttight.parser import parse_program
 from lttight.syntax import pretty_print
@@ -279,6 +280,24 @@ def test_chain_commands_guard_the_chain_count(tmp_path, monkeypatch, capsys):
                        "length 3 exceed the ceiling of 100\n")
         code, out, err = invoke(capsys, command, str(path), "--n", "2")
         assert code in (0, 1) and out and err == "", command
+
+
+def test_chains_of_a_tight_program_rename_nothing(monkeypatch, capsys):
+    """prog1 is tight, so it has no chain of length 1,000,000; chains
+    says so without building the n + 1 renamed copies of its rules."""
+    renamed = []
+    monkeypatch.setattr(tightness, "rename_apart",
+                        lambda *args: renamed.append(args))
+    code, out, err = invoke(capsys, "chains", "fixture:prog1", "--n", "1000000")
+    assert (code, out, err, renamed) == (0, "", "", [])
+
+
+def test_export_tptp_closes_long_chains(capsys):
+    """At length 2000 the conjecture's universal closure nests more
+    quantifiers than the default recursion limit."""
+    code, out, err = invoke(capsys, "export-tptp", "fixture:prog2", "--n", "2000")
+    assert (code, err) == (0, "")
+    assert out.count("fof(chain_refutation, conjecture, (![") == 2
 
 
 def test_stable_and_ground_guard_the_universe(tmp_path, monkeypatch, capsys):

@@ -326,3 +326,33 @@ def test_moving4_at_n6_report(capsys):
     """Recorded before expansions were memoized."""
     code = run(["check-gamma-tight", "fixture:moving(4)", "--n", "6"])
     assert (code, capsys.readouterr().out) == (0, "entailed (syntactic)\n")
+
+
+# ---------------------------------------------------------------------------
+# The same search tree, pinned by a count
+
+@pytest.mark.parametrize("argv, calls, children", [
+    (["fixture:moving(1)", "--n", "3"], 8, 0),
+    (["fixture:moving(2)", "--n", "4"], 90, 80),
+    (["fixture:moving(3)", "--n", "5"], 264, 252),
+    (["fixture:moving(4)", "--n", "6"], 822, 808),
+    (["fixture:prog2", "--n", "1", "--bound", "3"], 2, 0),
+    ([str(UNKNOWN_LP), "--n", "1", "--bound", "3"], 3, 0),
+])
+def test_refuter_search_tree_is_unchanged(monkeypatch, capsys, argv, calls,
+                                          children):
+    """The number of refuter nodes, and of case-split children among
+    them, per ``check-gamma-tight`` job of the benchmark, recorded before
+    the refuter numbered its terms: a faster node must not prune."""
+    depths = []
+    refute = tightness._refute
+
+    def counting_refute(*args):
+        depths.append(args[-1])
+        return refute(*args)
+
+    monkeypatch.setattr(tightness, "_refute", counting_refute)
+    run(["check-gamma-tight", *argv])
+    capsys.readouterr()
+    assert len(depths) == calls
+    assert sum(d < tightness.MAX_SPLIT_DEPTH for d in depths) == children
