@@ -29,9 +29,7 @@ from typing import Iterator, Optional
 
 from .completion import desugar, is_desugared
 from .evaluation import GroundingError, compile_bindings, compile_sentence
-from .stability import (
-    BOT, TOP, Conj, Disj, Imp, has_smaller_model, implies, junction,
-)
+from .stability import BOT, TOP, Conj, Disj, Imp, has_smaller_model, junction
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
     Or, Program, Signature, Variable, conjoin,
@@ -419,7 +417,9 @@ def folded_reduct(g, numbers: dict):
         left = folded_reduct(g.left, numbers)
         if left is BOT:
             return TOP
-        return implies(left, folded_reduct(g.right, numbers))
+        right = folded_reduct(g.right, numbers)
+        return (right if left is TOP or right is TOP or right is BOT
+                else Imp(left, right))
     if cls is Conj or cls is Disj:
         items = []
         for x in g.items:

@@ -18,8 +18,10 @@ circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
 ``semantics.is_stable`` folds a ground formula's reduct with ``junction``
-and ``implies`` (``semantics.folded_reduct``), and ``has_smaller_model``
-decides minimality on the result.
+(``semantics.folded_reduct``, which folds implications itself, and folds
+``F -> false`` to ``false`` unless F folds to ``false``: sound for a
+reduct, not for a classical fold), and ``has_smaller_model`` decides
+minimality on the result.
 """
 
 from __future__ import annotations
@@ -90,15 +92,6 @@ def junction(cls, items):
     if len(out) > 1:
         return cls(tuple(out))
     return out[0] if out else unit
-
-
-def implies(left, right):
-    """The folded implication of folded ``left`` and ``right``."""
-    if left is BOT or right is TOP:
-        return TOP
-    if left is TOP or right is BOT:
-        return right
-    return Imp(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from .syntax import (
     BASIC, BOT, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
     Or, Program, conjoin, existential_closure,
     flatten_and, flatten_or, formula_to_str, free_variables, neg,
-    rename_apart, rule_to_str, substitute, universal_closure,
+    rename_apart, rule_to_str, universal_closure,
+    substitute,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
 
 
@@ -285,62 +286,48 @@ def _ground_disequalities(gamma) -> list:
     return out
 
 
-def _expand_atom(atom: Atom, defs: dict, encode):
-    """Instantiated completed-definition body of the atom as a tuple of
-    disjuncts, each a tuple of its conjuncts encoded by ``encode``, or
-    None when the definition's shape is not usable by the refuter."""
-    if atom.predicate not in defs:
-        return None
-    head_vars, body = defs[atom.predicate]
-    inst = substitute(body, dict(zip(head_vars, atom.args)))
-    disjuncts = []
-    for d in flatten_or(inst):
-        if d == BOT:
-            continue
-        conjuncts = tuple(map(encode, flatten_and(d)))
-        if None in conjuncts:
-            return None
-        disjuncts.append(conjuncts)
-    return tuple(disjuncts)
+def _encode(c, number):
+    """The literal tuple of conjunct ``c``, its terms numbered by
+    ``number``: ``(0, p, ids)`` for an atom, ``(1, i, j)`` for an
+    equality, ``(2, p, ids)`` for a negated atom and ``(3, i, j)`` for a
+    disequality; None when ``c`` is opaque to the refuter."""
+    kind = 0
+    if isinstance(c, Implies) and c.right == BOT:
+        kind, c = 2, c.left
+    if isinstance(c, Atom):
+        return (kind, c.predicate, tuple(map(number, c.args)))
+    if isinstance(c, Equality):
+        return (kind + 1, number(c.left), number(c.right))
+    return None
 
 
 class _Expansions(dict):
-    """Encoded atom -> ``_expand_atom`` of it with every literal
-    encoded, computed on first lookup.  An expansion depends only on the
+    """Encoded atom -> its predicate's template (see ``refuter_tables``)
+    with each head variable number ``~i`` mapped to the atom's i-th term
+    number, computed on first lookup.  An expansion depends only on the
     atom and the completion, so one table serves every chain of a check.
+    ``numbers`` is the check's one term table, in order of first sight."""
 
-    The table also numbers the check's terms in ``numbers``, in order of
-    first sight, and encodes literals over those numbers: ``(0, p, ids)``
-    for an atom, ``(1, i, j)`` for an equality, ``(2, p, ids)`` for a
-    negated atom and ``(3, i, j)`` for a disequality."""
+    __slots__ = ("templates", "numbers")
 
-    __slots__ = ("defs", "numbers")
-
-    def __init__(self, defs: dict):
+    def __init__(self):
         super().__init__()
-        self.defs = defs
+        self.templates: dict = {}
         self.numbers: dict = {}
 
     def number(self, t) -> int:
         return self.numbers.setdefault(t, len(self.numbers))
 
-    def encode(self, c):
-        """The literal tuple of conjunct ``c``, or None when ``c`` is
-        opaque to the refuter."""
-        kind = 0
-        if isinstance(c, Implies) and c.right == BOT:
-            kind, c = 2, c.left
-        if isinstance(c, Atom):
-            return (kind, c.predicate, tuple(map(self.number, c.args)))
-        if isinstance(c, Equality):
-            return (kind + 1, self.number(c.left), self.number(c.right))
-        return None
-
     def __missing__(self, key):
-        _, p, ids = key
-        terms = list(self.numbers)   # in number order
-        value = self[key] = _expand_atom(
-            Atom(p, tuple(terms[i] for i in ids)), self.defs, self.encode)
+        ids = key[2]
+
+        def at(n):
+            return ids[~n] if n < 0 else n
+        template = self.templates.get(key[1])
+        # None (opaque or undefined) and () (impossible) are kept as is
+        value = self[key] = template and tuple(
+            tuple((k, at(x), at(y)) if k & 1 else (k, x, tuple(map(at, y)))
+                  for k, x, y in d) for d in template)
         return value
 
 
@@ -379,24 +366,31 @@ def _refute(node: _Node, expansions, split_done: frozenset,
 
 
 def refuter_tables(gamma, comp: CompletionResult):
-    """The refuter's tables for one check: the expansion table, over the
-    definition table (predicate -> head variables and simplified forward
-    body of its completed definition), and Gamma's ground disequalities
-    as pairs of term numbers.  The expansion table holds the check's one
-    term-number table, which every chain of the check shares."""
-    defs = {}
-    for p, sentence in comp.completed_definitions:
-        f = sentence
-        head_vars = []
-        while isinstance(f, Forall):
-            head_vars.append(f.var)
-            f = f.body
-        # f is (p(x) -> D) & (D -> p(x)); use the forward direction
-        if isinstance(f, And) and isinstance(f.items[0], Implies):
-            defs[p] = (head_vars, simplify(f.items[0].right))
-    expansions = _Expansions(defs)
+    """The refuter's tables for one check: the expansion table and
+    Gamma's ground disequalities as pairs of term numbers.
+
+    Each completed definition ``forall x ((p(x) -> D) & (D -> p(x)))``
+    is encoded once, as the *template* of ``simplify(D)``: its disjuncts
+    other than false, each a tuple of encoded conjuncts in which head
+    variable i is numbered ``~i`` and every other term takes its number
+    from the expansion table's term table.  The template is None when a
+    conjunct is opaque."""
+    expansions = _Expansions()
     number = expansions.number
-    return expansions, [(number(e.left), number(e.right))
+    for p, sentence in comp.completed_definitions:
+        f, head = sentence, {}
+        while isinstance(f, Forall):
+            head[f.var] = ~len(head)
+            f = f.body
+
+        def term(t, head=head):
+            return head[t] if t in head else number(t)
+        body = simplify(f.items[0].right)
+        disjuncts = [tuple(_encode(c, term) for c in flatten_and(d))
+                     for d in flatten_or(body) if d != BOT]
+        expansions.templates[p] = (None if any(None in d for d in disjuncts)
+                                   else tuple(disjuncts))
+    return expansions, [_encode(e, number)[1:]
                         for e in _ground_disequalities(gamma)]
 
 
@@ -410,13 +404,15 @@ def refute_chain_formula(fc, tables) -> bool:
     Atoms whose definition has one disjunct are expanded in place, for at
     most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
     each multi-disjunct definition, nested at most ``MAX_SPLIT_DEPTH``
-    deep.  Each atom is expanded once per table, and a split's children
-    carry their parent's conjuncts and congruence classes forward.
-    Conjuncts that are not literals are dropped (sound: ignoring
-    conjuncts only weakens the refutation)."""
+    deep.  Each atom is expanded once per table, by mapping its term
+    numbers into its predicate's template, and a split's children carry
+    their parent's conjuncts and congruence classes forward.  Conjuncts
+    that are not literals are dropped (sound: ignoring conjuncts only
+    weakens the refutation)."""
     expansions, gamma_diseqs = tables
+    number = expansions.number
     root = _Node(gamma_diseqs)
-    root.add([c for c in map(expansions.encode, flatten_and(fc))
+    root.add([c for c in (_encode(g, number) for g in flatten_and(fc))
               if c is not None])
     return _refute(root, expansions, frozenset(), MAX_SPLIT_DEPTH)
 

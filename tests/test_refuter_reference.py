@@ -4,8 +4,10 @@
 below are the refuter as it was before expansions were memoized per
 check and case splits carried their parent's congruence classes:
 every node re-splits its conjunct list, rebuilds its union-find and
-re-instantiates every definition it expands.  The library's refuter must
-give the same verdict on every chain."""
+re-instantiates every definition it expands by ``substitute``.  The
+library's refuter must give the same verdict on every chain, and each
+entry of its expansion table must encode the reference's expansion of
+the same atom."""
 
 from pathlib import Path
 from random import Random
@@ -16,7 +18,7 @@ import lttight.tightness as tightness
 from lttight.cli import run
 from lttight.completion import completion, simplify
 from lttight.fixtures import builtin_fixture, fixture_names
-from lttight.parser import parse_program
+from lttight.parser import parse_formula, parse_program
 from lttight.syntax import (
     BOT, And, Atom, Equality, Forall, Implies, ObjectConstant, flatten_and,
     flatten_or, formula_to_str, neg, substitute,
@@ -183,7 +185,26 @@ def assert_reference_verdicts(prog, gammas, lengths) -> list:
                 assert refute_chain_formula(fc, table) == expected, (
                     formula_to_str(fc), [formula_to_str(g) for g in gamma])
                 verdicts.append(expected)
+    for _, (expansions, _) in tables:
+        assert_reference_expansions(expansions, defs)
     return verdicts
+
+
+def assert_reference_expansions(expansions, defs) -> None:
+    """Every entry of the library's expansion table is the reference's
+    substituted expansion of the same atom, encoded with the same term
+    table; None matches None."""
+    terms = list(expansions.numbers)
+    for key, entry in expansions.items():
+        _, p, ids = key
+        atom = Atom(p, tuple(terms[i] for i in ids))
+        reference = _expand_atom(atom, defs)
+        if reference is not None:
+            reference = tuple(
+                tuple(tightness._encode(c, expansions.numbers.__getitem__)
+                      for c in d)
+                for d in reference)
+        assert entry == reference, formula_to_str(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +327,66 @@ def test_expansions_are_kept_per_atom():
 
 
 # ---------------------------------------------------------------------------
+# Templates, by hand
+
+EXISTS_DISJUNCT = "p(X) :- q(X, Y). p(X) :- X = a."
+
+
+def _decode(literal, terms) -> str:
+    kind, x, y = literal
+    f = (Equality(terms[x], terms[y]) if kind & 1
+         else Atom(x, tuple(terms[i] for i in y)))
+    return formula_to_str(neg(f) if kind >= 2 else f)
+
+
+@pytest.mark.parametrize("rules, atom, expected", [
+    # a disjunct under exists makes every atom of its predicate opaque
+    (EXISTS_DISJUNCT, "p(a)", None),
+    (EXISTS_DISJUNCT, "p(X_1)", None),
+    # a false disjunct is dropped, and a body that is false is impossible
+    ("p(X) :- false. p(X) :- X = a.", "p(b)", [["b = a"]]),
+    ("p(X) :- false.", "p(b)", []),
+    # an intensional predicate with no rule is impossible
+    (EXISTS_DISJUNCT, "q(X_1, a)", []),
+    # a repeated head variable, and a head constant
+    ("q(X, X) :- r(X).", "q(a, X_1)", [["X_1 = a", "r(a)"]]),
+    ("q(a, Y) :- not r(Y), Y != a.", "q(X_1, b)",
+     [["X_1 = a", "not r(b)", "b != a"]]),
+    ("p(X) :- X = a. p(X) :- r(X, b).", "p(X_2)",
+     [["X_2 = a"], ["r(X_2, b)"]]),
+])
+def test_templates_by_hand(rules, atom, expected):
+    comp = completion(parse_program(rules))
+    expansions, _ = refuter_tables((), comp)
+    entry = expansions[tightness._encode(parse_formula(atom),
+                                         expansions.number)]
+    terms = list(expansions.numbers)
+    got = None if entry is None else [[_decode(c, terms) for c in d]
+                                      for d in entry]
+    assert got == expected
+    assert_reference_expansions(expansions, _reference_defs(comp))
+
+
+# ---------------------------------------------------------------------------
 # Expand once, pinned by a count
 
 @pytest.mark.parametrize("k, expanded", [(1, 4), (2, 10), (3, 12), (4, 14)])
 def test_each_atom_is_expanded_once_per_check(monkeypatch, k, expanded):
-    calls = []
+    """Expansion-table misses on atoms of a defined predicate, each key
+    once: the same counts as the substitutions of the refuter that
+    instantiated definitions by ``substitute``."""
+    keys = []
+    missing = tightness._Expansions.__missing__
 
-    def counting_substitute(f, mapping):
-        calls.append((f, tuple(mapping.items())))
-        return substitute(f, mapping)
+    def counting_missing(self, key):
+        if key[1] in self.templates:
+            keys.append(key)
+        return missing(self, key)
 
-    monkeypatch.setattr(tightness, "substitute", counting_substitute)
+    monkeypatch.setattr(tightness._Expansions, "__missing__", counting_missing)
     fx = builtin_fixture(f"moving({k})")
     assert check_gamma_tight(fx.program, fx.gamma, k + 2).status == ENTAILED
-    assert len(set(calls)) == len(calls) == expanded
+    assert len(set(keys)) == len(keys) == expanded
 
 
 def test_moving4_at_n6_report(capsys):
