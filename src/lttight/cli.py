@@ -7,12 +7,13 @@ Exit codes: 0 success/agree, 1 disagreement or countermodel found,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
 from .completion import completion, desugar, simplify_completion
 from .equiv import check_equivalence, check_proposition3
-from .fixtures import builtin_fixture
+from .fixtures import MAX_STEP_BOUND, builtin_fixture
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
     ResourceGuardError, ground_program, ground_to_str, guard_ceiling,
@@ -42,31 +43,37 @@ class UsageError(Exception):
     pass
 
 
-def _load_program(spec: str):
-    """Load a program from ``fixture:NAME`` or a file path.  Returns the
-    program and its fixture assumptions (empty for files)."""
-    if spec.startswith("fixture:"):
-        try:
-            fixture = builtin_fixture(spec[len("fixture:"):])
-        except (KeyError, ValueError) as exc:
-            raise UsageError(str(exc))
-        return fixture.program, list(fixture.gamma)
-    try:
-        with open(spec, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {spec}: {exc}")
-    return parse_program(text), []
-
-
-def _load_gamma(path, default):
-    if path is None:
-        return default
+def _read(path: str) -> str:
+    """The text of a UTF-8 file the command names."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_sentences(handle.read())
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+
+
+def _fixture(name: str):
+    try:
+        return builtin_fixture(name)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(str(exc))
+
+
+def _load_program(spec: str):
+    """Load a program from ``fixture:NAME`` or a file path.  Returns the
+    program and its fixture (None for files)."""
+    if spec.startswith("fixture:"):
+        fixture = _fixture(spec[len("fixture:"):])
+        return fixture.program, fixture
+    return parse_program(_read(spec)), None
+
+
+def _load_gamma(path, fixture):
+    """Gamma from the file at ``path``; without one, the fixture's
+    (parsed only now), and none for a program read from a file."""
+    if path is not None:
+        return parse_sentences(_read(path))
+    return list(fixture.gamma) if fixture is not None else []
 
 
 def _check_gamma(gamma, prog):
@@ -109,11 +116,9 @@ def _load_interp(path, prog):
     """Read an interpretation literal and check it against the program:
     every constant mapped, every extension of one of its predicates, and
     every tuple of that predicate's arity."""
+    text = _read(path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            interp = parse_interpretation(handle.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+        interp = parse_interpretation(text)
     except ValueError as exc:
         raise UsageError(str(exc))
     for name in sorted(prog.constants):
@@ -206,10 +211,16 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` of the process.
+    It holds only the command-line grammar, no input of any command."""
+    return _build_argparser()
+
+
 def run(argv) -> int:
-    ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = _argparser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -235,10 +246,7 @@ def _print_equiv_report(report, stats: bool) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "fixture":
-        try:
-            fixture = builtin_fixture(args.name)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(str(exc))
+        fixture = _fixture(args.name)
         print(pretty_print(fixture.program))
         if fixture.gamma:
             print("% gamma:")
@@ -248,13 +256,15 @@ def _dispatch(args) -> int:
     if cmd == "check-prop3":
         if args.k < 0:
             raise UsageError("--k must be nonnegative")
+        if args.k > MAX_STEP_BOUND:
+            raise UsageError(f"--k must be at most {MAX_STEP_BOUND}")
         if args.sample < 0:
             raise UsageError("--sample must be nonnegative")
         report = check_proposition3(args.k, sample_count=args.sample,
                                     seed=args.seed)
         return _print_equiv_report(report, args.stats)
 
-    prog, fixture_gamma = _load_program(args.input)
+    prog, fixture = _load_program(args.input)
 
     if cmd == "parse":
         print(pretty_print(prog))
@@ -298,7 +308,7 @@ def _dispatch(args) -> int:
         if args.bound < 1:
             raise UsageError("--bound must be at least 1")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture_gamma)
+        gamma = _load_gamma(args.gamma, fixture)
         _check_gamma(gamma, prog)
         verdict = check_gamma_tight(prog, gamma, args.n, args.bound)
         if verdict.status == ENTAILED:
@@ -330,7 +340,7 @@ def _dispatch(args) -> int:
         if args.sample is not None and args.sample < 0:
             raise UsageError("--sample must be nonnegative")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture_gamma)
+        gamma = _load_gamma(args.gamma, fixture)
         _check_gamma(gamma, prog)
         report = check_equivalence(
             prog, gamma, args.m_max, sample_count=args.sample,
@@ -340,7 +350,7 @@ def _dispatch(args) -> int:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture_gamma)
+        gamma = _load_gamma(args.gamma, fixture)
         comp = completion(prog)
         problems = [export_tptp(gamma, comp, chain_formula(c))
                     for c in chains(prog, args.n)]

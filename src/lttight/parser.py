@@ -18,7 +18,6 @@ Precedence: ``not`` > ``&`` > ``|`` > ``->`` (right-associative).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -77,38 +76,45 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of ``text`` in one pass, each at its line and column
+    (1-based; a column counts characters from the start of its line)."""
     tokens = []
-    line, col = 1, 1
+    append = tokens.append
+    line, line_start = 1, 0     # line_start: offset of the line's first character
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "WS":
-            if kind == "IDENT" and value in _KEYWORDS:
-                kind = "KEYWORD"
-            if kind == "PUNCT":
-                kind = value
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:        # the search skipped a character no token matches
+            break
         pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+        kind = m.lastgroup
+        if kind == "WS":
+            last = text.rfind("\n", start, pos)
+            if last >= 0:
+                line += text.count("\n", start, pos)
+                line_start = last + 1
+            continue
+        value = m.group()
+        if kind == "PUNCT":
+            kind = value
+        elif kind == "IDENT" and value in _KEYWORDS:
+            kind = "KEYWORD"
+        append(_Token(kind, value, line, start - line_start + 1))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         line, pos - line_start + 1)
+    append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -128,8 +134,10 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        # ``next`` never moves past the final EOF token, so this index
+        # stays inside the list.
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.peek()

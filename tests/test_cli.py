@@ -3,12 +3,15 @@
 Exit code contract: 0 success/agree, 1 disagreement or countermodel,
 2 usage or input error, 3 resource guard."""
 
+import argparse
 import time
 
 import pytest
 
+import lttight.cli as cli
 import lttight.tightness as tightness
 from lttight.cli import run
+from lttight.fixtures import MAX_STEP_BOUND
 from lttight.parser import parse_program
 from lttight.syntax import pretty_print
 
@@ -38,6 +41,33 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = invoke(capsys, "parse", "/no/such/file.lp")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "{path}"),
+    ("check-gamma-tight", "fixture:prog2", "--n", "1", "--gamma", "{path}"),
+    ("stable", "fixture:prog1", "--interp", "{path}"),
+], ids=["program", "gamma", "interp"])
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"p(a).\xff\n")
+    code, out, err = invoke(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
+def test_moving_step_bound_is_usage_error(capsys):
+    code, out, _ = invoke(capsys, "tight", f"fixture:moving({MAX_STEP_BOUND})")
+    assert (code, out) == (1, "not tight\n")
+    too_large = MAX_STEP_BOUND + 1
+    code, out, err = invoke(capsys, "tight", f"fixture:moving({too_large})")
+    assert (code, out, err) == (
+        2, "", f"error: step bound {too_large} exceeds the limit of "
+               f"{MAX_STEP_BOUND}\n")
+    code, out, err = invoke(capsys, "check-prop3", "--k", str(too_large))
+    assert (code, out, err) == (
+        2, "", f"error: --k must be at most {MAX_STEP_BOUND}\n")
 
 
 def test_unknown_fixture_is_usage_error(capsys):
@@ -444,6 +474,53 @@ def test_no_command_is_usage_error(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def fresh_argparser():
+    """Empty ``cli``'s one-per-process parser cache before and after."""
+    cli._argparser.cache_clear()
+    yield
+    cli._argparser.cache_clear()
+
+
+def test_argument_parser_is_built_once(monkeypatch, capsys, fresh_argparser):
+    built = []
+    build = cli._build_argparser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_argparser", counting_build)
+    for argv in (["tight", "fixture:prog1"], ["tight", "fixture:prog2"],
+                 ["--version"], ["frobnicate"], ["parse", "fixture:ex1"]):
+        run(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_help_matches_a_freshly_built_parser(monkeypatch, capsys,
+                                             fresh_argparser):
+    # argparse's layout differs between Python versions, so the text is
+    # compared with what this interpreter's argparse makes of a new
+    # parser, not with a recorded copy.
+    monkeypatch.setenv("COLUMNS", "93")
+    fresh = cli._build_argparser()
+    (commands,) = [a.choices for a in fresh._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert "check-gamma-tight" in commands
+    runs = [((), fresh)] + [((name,), sub) for name, sub in commands.items()]
+    for prefix, parser in runs + runs[:1]:
+        assert invoke(capsys, *prefix, "--help") == (
+            0, parser.format_help(), "")
+
+
+def test_usage_error_repeats_on_a_reused_parser(capsys, fresh_argparser):
+    first = invoke(capsys, "check-gamma-tight", "fixture:prog1")
+    assert first[:2] == (2, "")
+    assert "the following arguments are required: --n" in first[2]
+    assert invoke(capsys, "check-gamma-tight", "fixture:prog1") == first
 
 
 def test_version(capsys):

@@ -160,3 +160,33 @@ def test_iff_bound_counts_one_path_not_every_iff():
     parse_formula(both)
     with pytest.raises(ParseError):
         parse_formula(f"({both}) <-> (q <-> {both})")
+
+
+# (parser, text, line, col, message start), recorded before the tokenizer
+# became one pass over line-start offsets; each position must stay put.
+ERROR_POSITIONS = [
+    pytest.param(parse_program, ". p(a).", 1, 1, "expected predicate name",
+                 id="first-token"),
+    pytest.param(parse_program, "% one\n% two, with p(a).\np(a).\nq(X) :- .\n",
+                 4, 9, "expected formula", id="after-comments"),
+    pytest.param(parse_program, "p(a).   \n   \n\t \n  q(b) :- r(\n",
+                 5, 1, "expected term", id="after-blank-lines"),
+    pytest.param(parse_program, "p(a).\n\tq(X) :- r(X) & s(X.\n", 2, 20,
+                 "expected )", id="tab-indented"),
+    pytest.param(parse_program, "p(a).\n  q(b) :- r $ s.\n", 2, 13,
+                 "unexpected character '$'", id="unexpected-character"),
+    pytest.param(parse_program, "p(a) :- q(a),\n\n", 3, 1,
+                 "expected formula, found ''", id="end-of-input"),
+    pytest.param(parse_formula, "p(a) &\n   q(b) r", 2, 9,
+                 "expected end of input", id="formula-trailing-token"),
+    pytest.param(parse_sentences, "a != b.\n% c\n  forall X (p(X, Y)).\n",
+                 3, 3, "sentence has free variables: Y", id="free-variable"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, col, message", ERROR_POSITIONS)
+def test_parse_error_positions(parse, text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message.startswith(message)
