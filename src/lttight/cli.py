@@ -17,7 +17,7 @@ from .fixtures import MAX_STEP_BOUND, builtin_fixture
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
     ResourceGuardError, ground_program, ground_to_str, guard_ceiling,
-    is_sm_model, parse_interpretation,
+    is_sm_model, parse_interpretation, sm_tables,
 )
 from .tightness import (
     COUNTERMODEL, ENTAILED, chain_formula, chain_to_str, chains,
@@ -329,7 +329,7 @@ def _dispatch(args) -> int:
         if cmd == "ground":
             print(ground_to_str(ground_program(d, interp)[1]))
             return EXIT_OK
-        if is_sm_model(d, interp):
+        if is_sm_model(sm_tables(prog), interp):
             print("stable")
             return EXIT_OK
         print("not stable")

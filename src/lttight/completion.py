@@ -61,13 +61,6 @@ def desugar(prog: Program) -> Program:
     )
 
 
-def is_desugared(prog: Program) -> bool:
-    """Whether ``desugar`` would leave the program as it is: no choice
-    rules and no extensional predicates."""
-    return (all(r.kind != CHOICE for r in prog.rules)
-            and all(p in prog.intensional for p, _ in prog.predicates))
-
-
 def _fresh_head_vars(prog: Program, arity: int) -> list:
     avoid = set()
     for r in prog.rules:

@@ -9,16 +9,17 @@ from dataclasses import dataclass
 from itertools import chain
 from random import Random
 
-from .completion import completion, desugar
+from .completion import completion
 from .fixtures import (
     builtin_fixture, moving_constraint_formulas,
     moving_successor_state_formulas,
 )
 from .semantics import (
-    Interpretation, ResourceGuardError, classical_check, compile_sentence,
+    Interpretation, ResourceGuardError, compile_sentence,
     enumerate_interpretations, enumeration_key, is_sm_model, orbit,
     orbit_size, sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
+    sm_tables,
 )
 from .syntax import Program, conjoin
 
@@ -76,23 +77,24 @@ def _gamma_desc(gamma) -> str:
     return "; ".join(formula_to_str(g) for g in gamma)
 
 
-def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
-           mode_desc: str, classical=None, orbits: bool = False) -> EquivReport:
+def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
+           mode_desc: str, classical=False, orbits=False) -> EquivReport:
     """Compare every interpretation of the source ``interps`` that
     satisfies Gamma; one whose stability check trips the cap is counted
-    as guard-skipped instead of checked.  ``prog`` is desugared by the
-    caller, so it keeps its compiled rules for the whole check, and
-    Gamma and the completion are compiled once here.
+    as guard-skipped instead of checked.  ``tables`` are the program's
+    ``sm_tables``, passed to every ``is_sm_model`` call; Gamma and the
+    completion are compiled once here.
 
-    ``classical``, when given, is a check that every stable model and
-    every model of the completion pass: an interpretation that fails it
-    is counted as both-reject without deciding either side.  With
-    ``orbits``, each interpretation stands
+    With ``classical``, every model of ``comp_sentences`` is taken to
+    pass the tables' classical check, as every stable model does: an
+    interpretation that fails it is counted as both-reject without
+    deciding either side.  With ``orbits``, each interpretation stands
     for its orbit under permutations of the universe: it is counted
     ``orbit_size`` times, and a disagreement is reported for each member
     of its ``orbit``, in enumeration order."""
     gamma_holds = compile_sentence(conjoin(gamma))
     comp_holds = compile_sentence(conjoin(comp_sentences))
+    classical_holds, _ = tables
     disagreements = []
     checked = gamma_skipped = guard_skipped = both_accept = both_reject = 0
     for interp in interps:
@@ -100,12 +102,12 @@ def _check(prog: Program, comp_sentences, gamma, interps, program_id: str,
         if not gamma_holds(interp):
             gamma_skipped += weight
             continue
-        if classical is not None and not classical(interp):
+        if classical and not classical_holds(interp):
             checked += weight
             both_reject += weight
             continue
         try:
-            sm = is_sm_model(prog, interp)
+            sm = is_sm_model(tables, interp)
         except ResourceGuardError:
             guard_skipped += weight
             continue
@@ -147,7 +149,7 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     permutations of the universe and counts each interpretation for its
     orbit; the report is the one enumerating every interpretation would
     give.  An interpretation that violates the program read classically
-    (``classical_check``) is counted as both-reject without either
+    (``sm_tables``) is counted as both-reject without either
     check: the completion holds the constraints, and every rule is the
     if-half of its head's completed definition."""
     if m_max < 1:
@@ -161,9 +163,8 @@ def check_equivalence(prog: Program, gamma, m_max: int,
         mode_desc = f"sampled(seed={seed}, count={sample_count}) m<={m_max}"
         interps = _sampled(prog.signature, list(range(1, m_max + 1)),
                            sample_count, seed)
-    d = desugar(prog)
-    return _check(d, completion(prog).sentences(), list(gamma), interps,
-                  program_id, mode_desc, classical_check(d),
+    return _check(sm_tables(prog), completion(prog).sentences(), list(gamma),
+                  interps, program_id, mode_desc, classical=True,
                   orbits=sample_count is None)
 
 
@@ -228,7 +229,7 @@ def check_proposition3(k: int, sample_count: int = 1000,
     if k < 0:
         raise ValueError("step bound must be nonnegative")
     fixture = builtin_fixture(f"moving({k})")
-    prog = desugar(fixture.program)
+    prog = fixture.program
     rhs = moving_constraint_formulas(k) + moving_successor_state_formulas(k)
     directed = successor_state_interpretations(k) if k == 1 else []
     sizes = [2, 3]
@@ -236,5 +237,5 @@ def check_proposition3(k: int, sample_count: int = 1000,
                  f"m in {sizes} + {len(directed)} directed")
     interps = chain(directed,
                     _sampled(prog.signature, sizes, sample_count, seed))
-    return _check(prog, rhs, (), interps,
+    return _check(sm_tables(prog), rhs, (), interps,
                   f"moving({k}) vs successor-state formulas", mode_desc)

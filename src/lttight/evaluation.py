@@ -3,9 +3,10 @@
 A formula is translated once into the source of a Python function of an
 interpretation (see ``semantics.Interpretation``), which is compiled and
 then called on every interpretation a check examines.  The checks of
-``equiv``, ``semantics.is_sm_model`` and ``tightness`` compile their
-sentences once each; ``tests/conftest.py::fo_eval`` is the independent
-oracle the tests hold the compiled functions to.
+``equiv`` and ``tightness`` compile their sentences once each, and
+``semantics.sm_tables`` compiles the stable-model check's rules once
+per check for every ``is_sm_model`` call; ``tests/conftest.py::fo_eval``
+is the independent oracle the tests hold the compiled functions to.
 """
 
 from __future__ import annotations

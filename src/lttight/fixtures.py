@@ -148,7 +148,12 @@ def builtin_fixture(name: str) -> Fixture:
     key = name.strip()
     m = _MOVING_RE.match(key)
     if m:
-        k = int(m.group(1))
+        # a long k is refused here: int() refuses over 4,300 digits itself
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_STEP_BOUND)):
+            raise ValueError(f"step bound {digits} exceeds the limit of "
+                             f"{MAX_STEP_BOUND}")
+        k = int(digits)
         return Fixture(f"moving({k})", parse_program(moving_program_text(k)),
                        _moving_constraint_texts(k))
     if key not in _BASE_FIXTURES:

@@ -10,7 +10,8 @@ replaced by their numbers and constants are folded away, so that no
 searches the folded reduct for a smaller model
 (``stability.has_smaller_model``).  ``is_sm_model`` is ``is_stable`` on
 the rule instances whose body the interpretation satisfies
-(``relevant_grounding``), after a classical check.  First-order
+(``relevant_grounding``), after a classical check; both read the
+tables ``sm_tables`` compiles once per check.  First-order
 sentences are evaluated by functions compiled in ``evaluation``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
@@ -27,7 +28,7 @@ from math import perm
 from random import Random
 from typing import Iterator, Optional
 
-from .completion import desugar, is_desugared
+from .completion import desugar
 from .evaluation import GroundingError, compile_bindings, compile_sentence
 from .stability import BOT, TOP, Conj, Disj, Imp, has_smaller_model, junction
 from .syntax import (
@@ -132,6 +133,8 @@ class Interpretation:
 make_interpretation = Interpretation
 
 
+MAX_UNIVERSE_DIGITS = 100     # far fewer than int() refuses
+_LITERAL_SIZE = re.compile(r"[+-]?\d{1,%d}" % MAX_UNIVERSE_DIGITS)
 _LITERAL_ELEM = re.compile(r"e(\d+)$")
 _LITERAL_TUPLE = re.compile(r"\(([^()]*)\)")
 _LITERAL_TUPLES = re.compile(r"(\([^()]*\)(\s*,\s*\([^()]*\))*)?")
@@ -141,7 +144,8 @@ def parse_interpretation(text: str) -> Interpretation:
     """Parse the interpretation literal format, e.g.
     ``universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}``.
 
-    Raises ValueError on a universe size below 1, an empty name, a
+    Raises ValueError on a universe size that is below 1 or is not a
+    decimal integer of at most MAX_UNIVERSE_DIGITS digits, an empty name, a
     constant or a predicate given twice (one name may be both), an
     extension that is not a comma-separated list of parenthesized
     tuples, and an element that is not ``e<i>`` inside
@@ -149,7 +153,11 @@ def parse_interpretation(text: str) -> Interpretation:
     parts = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not parts or not parts[0].startswith("universe="):
         raise ValueError("interpretation literal must start with universe=<m>")
-    universe = int(parts[0].split("=", 1)[1])
+    size = parts[0].split("=", 1)[1].strip()
+    if not _LITERAL_SIZE.fullmatch(size):
+        raise ValueError("universe size must be a decimal integer of at most "
+                         f"{MAX_UNIVERSE_DIGITS} digits")
+    universe = int(size)
     if universe < 1:
         raise ValueError("universe size must be at least 1")
     consts: dict = {}
@@ -159,10 +167,11 @@ def parse_interpretation(text: str) -> Interpretation:
         m = _LITERAL_ELEM.match(s.strip())
         if not m:
             raise ValueError(f"bad element name {s!r}")
-        e = int(m.group(1))
-        if not 0 <= e < universe:
+        # more digits than the universe size: outside it, without int()
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(universe)) or int(digits) >= universe:
             raise ValueError(f"element {s!r} outside universe of size {universe}")
-        return e
+        return int(digits)
 
     for part in parts[1:]:
         name, _, rhs = part.partition("=")
@@ -463,41 +472,30 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
     return compile_sentence(sentence)(interp)
 
 
-def _sm_tables(prog: Program):
-    """The compiled tables ``is_sm_model`` needs, built from the
-    desugared program and kept on ``prog``: one function for the
-    classical check (every constraint, then every rule, read as a
-    sentence) and, per basic rule, its free variables' names and the
-    bindings under which its body holds."""
-    tables = prog.derived.get("sm_model")
-    if tables is None:
-        d = prog if is_desugared(prog) else desugar(prog)
-        rules = [r for r in d.rules if r.kind == CONSTRAINT]
-        rules += [r for r in d.rules if r.kind != CONSTRAINT]
-        classical = compile_sentence(conjoin(r.sentence() for r in rules))
-        bodies = []
-        for r in d.rules:
-            if r.kind == BASIC:
-                free = r.free_vars()
-                bodies.append((r, [v.name for v in free],
-                               compile_bindings(r.body, free)))
-        tables = prog.derived["sm_model"] = (classical, bodies)
-    return tables
+def sm_tables(prog: Program) -> tuple:
+    """The stable-model check's tables, built once per check and passed
+    to each ``is_sm_model`` call: a function that holds iff the
+    interpretation satisfies the desugared program read classically
+    (every constraint, then every rule as the universal closure of
+    ``body -> head``), and per basic rule its free variables' names and
+    the compiled bindings under which its body holds."""
+    d = desugar(prog)
+    rules = [r for r in d.rules if r.kind == CONSTRAINT]
+    rules += [r for r in d.rules if r.kind != CONSTRAINT]
+    classical = compile_sentence(conjoin(r.sentence() for r in rules))
+    bodies = []
+    for r in d.rules:
+        if r.kind == BASIC:
+            free = r.free_vars()
+            bodies.append((r, [v.name for v in free],
+                           compile_bindings(r.body, free)))
+    return classical, bodies
 
 
-def classical_check(prog: Program):
-    """The program read classically, compiled once and kept on ``prog``:
-    a function of an interpretation that holds iff it satisfies every
-    constraint and every rule of the desugared program, read as the
-    universal closure of ``body -> head``.  Every stable model passes
-    it, and so does every model of the completion."""
-    return _sm_tables(prog)[0]
-
-
-def relevant_grounding(prog: Program, interp: Interpretation):
+def relevant_grounding(tables: tuple, interp: Interpretation):
     """The conjunction of the ground instances ``body -> head`` of the
-    desugared program's basic rules whose body the interpretation
-    satisfies, in the order of ``ground_program``.
+    basic rules in ``tables`` (see ``sm_tables``) whose body the
+    interpretation satisfies, in the order of ``ground_program``.
 
     When the interpretation satisfies every rule, this has the same
     reduct relative to its true atoms as
@@ -505,7 +503,7 @@ def relevant_grounding(prog: Program, interp: Interpretation):
     out has a body the interpretation does not satisfy, so its reduct
     ``false -> ...`` is valid.  This is relevance-driven grounding, as in
     gringo."""
-    _, bodies = _sm_tables(prog)
+    _, bodies = tables
     instances = []
     for r, names, bindings in bodies:
         for values in bindings(interp):
@@ -515,22 +513,18 @@ def relevant_grounding(prog: Program, interp: Interpretation):
     return Conj(tuple(instances))
 
 
-def is_sm_model(prog: Program, interp: Interpretation,
+def is_sm_model(tables: tuple, interp: Interpretation,
                 cap: int = DEFAULT_STABILITY_CAP) -> bool:
-    """Whether the interpretation is a stable model of the program.
-
-    The program is desugared (choice rules and extensional predicates
-    become double-negation rules), and its rule sentences and bodies
-    compiled, on the first call; the program keeps them for the calls
-    that follow.  Cheap rejections come first: every constraint, then
-    every rule read classically as the universal closure of
-    ``body -> head``, stopping at the first violated instance.  An
+    """Whether the interpretation is a stable model of the program whose
+    ``sm_tables`` are given.  Cheap rejections come first: the tables'
+    classical check stops at the first violated rule instance.  An
     interpretation that passes is stable iff ``is_stable`` holds of its
     true atoms and the rule instances whose body it satisfies
     (``relevant_grounding``)."""
-    if not classical_check(prog)(interp):
+    classical, _ = tables
+    if not classical(interp):
         return False
-    return is_stable(relevant_grounding(prog, interp), list(interp.atoms()), cap)
+    return is_stable(relevant_grounding(tables, interp), list(interp.atoms()), cap)
 
 
 # ---------------------------------------------------------------------------

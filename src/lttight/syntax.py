@@ -9,7 +9,7 @@ the two quantifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -360,11 +360,6 @@ class Program:
     constants: tuple           # tuple[str, ...]
     rules: tuple               # tuple[Rule, ...]
     intensional: frozenset     # predicate names
-    # Tables that consumers derive from this program and keep for its
-    # lifetime, such as the compiled rule sentences of the stable-model
-    # check; not part of the value.
-    derived: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def signature(self) -> Signature:

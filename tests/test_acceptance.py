@@ -16,7 +16,7 @@ from lttight import (
     check_gamma_tight, check_proposition3, completion, enumerate_interpretations,
     ground_program, is_sm_model, is_stable, is_supported, is_tight, is_tight_on,
     make_interpretation, parse_formula, reduct, satisfies, satisfies_fo,
-    simplify_completion,
+    simplify_completion, sm_tables,
 )
 from lttight.completion import desugar
 from lttight.stability import BOT, Conj, Disj, Imp
@@ -154,7 +154,7 @@ def test_criterion_6_stable_model_oracle():
         q0, q1 = ("q", (0,)), ("q", (1,))
         atoms = [p0, p1, q0, q1]
 
-        prog1 = builtin_fixture("prog1").program
+        tables1 = sm_tables(builtin_fixture("prog1").program)
         # independent oracle: the Herbrand grounding of prog1 is definite,
         # so its unique stable model is the least model
         definite = [(p0, frozenset()), (q1, frozenset()),
@@ -168,11 +168,11 @@ def test_criterion_6_stable_model_oracle():
                     2, {"a": 0, "b": 1},
                     {"p": [t for name, t in chosen if name == "p"],
                      "q": [t for name, t in chosen if name == "q"]})
-                if is_sm_model(prog1, interp):
+                if is_sm_model(tables1, interp):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [expected]
 
-        prog2 = builtin_fixture("prog2").program
+        tables2 = sm_tables(builtin_fixture("prog2").program)
         stable_sets = []
         for size in range(len(atoms) + 1):
             for chosen in combinations(atoms, size):
@@ -180,7 +180,7 @@ def test_criterion_6_stable_model_oracle():
                     2, {"a": 0, "b": 1},
                     {"p": [t for name, t in chosen if name == "p"],
                      "q": [t for name, t in chosen if name == "q"]})
-                if is_sm_model(prog2, interp):
+                if is_sm_model(tables2, interp):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [frozenset()]
 

@@ -68,6 +68,12 @@ def test_moving_step_bound_is_usage_error(capsys):
     code, out, err = invoke(capsys, "check-prop3", "--k", str(too_large))
     assert (code, out, err) == (
         2, "", f"error: --k must be at most {MAX_STEP_BOUND}\n")
+    # more digits than int() converts, after leading zeros
+    long_k = "9" * 5000
+    code, out, err = invoke(capsys, "tight", f"fixture:moving(00{long_k})")
+    assert (code, out, err) == (
+        2, "", f"error: step bound {long_k} exceeds the limit of "
+               f"{MAX_STEP_BOUND}\n")
 
 
 def test_unknown_fixture_is_usage_error(capsys):
@@ -205,6 +211,19 @@ def test_malformed_interp_is_usage_error(tmp_path, capsys):
     interp.write_text("universe=1; s={e0}\n")
     code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
     assert (code, out, err) == (2, "", "error: bad extension for s\n")
+    # universe sizes int() would refuse with its own text
+    for size in ("x", "9" * 5000):
+        interp.write_text(f"universe={size}; r={{}}; s={{}}\n")
+        code, out, err = invoke(capsys, "stable", str(path),
+                                "--interp", str(interp))
+        assert (code, out, err) == (
+            2, "", "error: universe size must be a decimal integer of at "
+                   "most 100 digits\n")
+    # an element index too long for the universe is outside it
+    interp.write_text(f"universe=2; r={{(e{'1' * 5000})}}; s={{}}\n")
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (
+        2, "", f"error: element 'e{'1' * 5000}' outside universe of size 2\n")
 
 
 def test_ground_and_stable(tmp_path, capsys):

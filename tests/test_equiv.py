@@ -6,19 +6,21 @@ from random import Random
 
 import pytest
 
-from lttight import equiv
+from lttight import equiv, semantics
+from lttight.cli import run
 from lttight.completion import completion, desugar
 from lttight.equiv import (
     COMP_ONLY, SM_ONLY, EquivReport, check_equivalence, check_proposition3,
     successor_state_interpretations,
 )
+from lttight.evaluation import compile_bindings
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     ResourceGuardError, compile_sentence, enumerate_interpretations,
-    interpretation_count, is_sm_model, parse_interpretation,
+    interpretation_count, is_sm_model, parse_interpretation, sm_tables,
 )
-from lttight.syntax import conjoin, existential_closure, formula_to_str
+from lttight.syntax import BASIC, conjoin, existential_closure, formula_to_str
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains,
     check_gamma_tight, refute_chain_formula, refuter_tables,
@@ -89,9 +91,8 @@ def test_argument_validation():
 
 
 def test_directed_interpretations_cover_both_outcomes():
-    from lttight.semantics import is_sm_model
-    prog = builtin_fixture("moving(1)").program
-    outcomes = {is_sm_model(prog, i) for i in successor_state_interpretations(1)}
+    tables = sm_tables(builtin_fixture("moving(1)").program)
+    outcomes = {is_sm_model(tables, i) for i in successor_state_interpretations(1)}
     assert outcomes == {True, False}
 
 
@@ -128,6 +129,35 @@ def test_proposition3_k0():
     assert report.verdict == "agree"
 
 
+def test_stable_model_tables_are_built_once_per_check(
+        tmp_path, monkeypatch, capsys):
+    """An exhaustive and a sampled check, and the stable command, each
+    compile the body of each basic rule of the desugared program once,
+    not once per interpretation."""
+    compiled = []
+
+    def counting(f, variables):
+        compiled.append(f)
+        return compile_bindings(f, variables)
+
+    def bodies(prog) -> list:
+        return [r.body for r in desugar(prog).rules if r.kind == BASIC]
+
+    monkeypatch.setattr(semantics, "compile_bindings", counting)
+    prog2 = builtin_fixture("prog2").program
+    assert check_equivalence(prog2, (), 3).both_accept > 1
+    assert compiled == bodies(prog2)
+    compiled.clear()
+    assert check_proposition3(1, sample_count=20).both_accept > 1
+    assert compiled == bodies(builtin_fixture("moving(1)").program)
+    compiled.clear()
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
+    assert run(["stable", "fixture:prog1", "--interp", str(interp)]) == 0
+    assert capsys.readouterr().out == "stable\n"
+    assert compiled == bodies(builtin_fixture("prog1").program)
+
+
 # ---------------------------------------------------------------------------
 # Plain enumeration as the oracle of the orbit-weighted exhaustive check
 # and of the countermodel search
@@ -136,7 +166,7 @@ def reference_report(prog, gamma, m_max, decide=is_sm_model):
     """The exhaustive report by plain enumeration: Gamma, the stable-model
     check ``decide`` and the completion on every interpretation that
     ``enumerate_interpretations`` yields."""
-    d = desugar(prog)
+    tables = sm_tables(prog)
     gamma_holds = compile_sentence(conjoin(list(gamma)))
     comp_holds = compile_sentence(conjoin(completion(prog).sentences()))
     counts = Counter()
@@ -147,7 +177,7 @@ def reference_report(prog, gamma, m_max, decide=is_sm_model):
                 counts["gamma"] += 1
                 continue
             try:
-                sm = decide(d, interp)
+                sm = decide(tables, interp)
             except ResourceGuardError:
                 counts["guard"] += 1
                 continue
@@ -223,8 +253,8 @@ def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
         gamma = random_gamma(rng, prog)
         decide = is_sm_model
         if i % 3 == 0:
-            def decide(d, interp):
-                return is_sm_model(d, interp, cap=2)
+            def decide(tables, interp):
+                return is_sm_model(tables, interp, cap=2)
         monkeypatch.setattr(equiv, "is_sm_model", decide)
         witnesses += assert_matches_reference(prog, gamma, 2, decide)
     assert witnesses > 50
@@ -232,8 +262,8 @@ def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
 
 
 def test_exhaustive_check_weights_guard_skips(monkeypatch):
-    def decide(d, interp):
-        return is_sm_model(d, interp, cap=2)
+    def decide(tables, interp):
+        return is_sm_model(tables, interp, cap=2)
     monkeypatch.setattr(equiv, "is_sm_model", decide)
     report = check_equivalence(builtin_fixture("prog2").program, (), 3)
     assert report.guard_skipped > 0

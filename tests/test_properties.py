@@ -21,7 +21,7 @@ from lttight.semantics import (
     ResourceGuardError, atom_numbers, enumerate_interpretations,
     folded_reduct, ground, ground_program, ground_to_str, is_sm_model,
     is_stable, is_tight_on, make_interpretation, reduct, relevant_grounding,
-    sample_interpretation, satisfies, satisfies_fo,
+    sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -142,15 +142,16 @@ def test_is_sm_model_matches_grounding_reference():
     for name in SMALL_FIXTURES:
         prog = builtin_fixture(name).program
         d = desugar(prog)
+        tables, desugared_tables = sm_tables(prog), sm_tables(d)
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
                 _, gf = ground_program(d, interp)
                 j = frozenset(interp.atoms())
                 expected = is_stable(gf, j)
                 assert _oracle_stable(gf, j) == expected, (name, interp.literal())
-                assert is_sm_model(prog, interp) == expected, \
+                assert is_sm_model(tables, interp) == expected, \
                     (name, interp.literal())
-                assert is_sm_model(d, interp) == expected
+                assert is_sm_model(desugared_tables, interp) == expected
                 total += 1
                 stable += expected
     assert stable > 20
@@ -323,6 +324,7 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
     through is_sm_model, against the subset-sweep oracle on its ground
     program."""
     d = desugar(builtin_fixture("moving(1)").program)
+    tables = sm_tables(d)
     outcomes = []
     for base in successor_state_interpretations(1):
         drift = _drift(base)
@@ -330,7 +332,7 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
         for interp in (base, drift):
             _, gf = ground_program(d, interp)
             expected = _oracle_stable(gf, frozenset(interp.atoms()))
-            assert is_sm_model(d, interp) == expected, interp.literal()
+            assert is_sm_model(tables, interp) == expected, interp.literal()
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
     print(f"is_sm_model vs oracle on directed moving(1): {len(outcomes)} "
@@ -447,13 +449,12 @@ def test_is_sm_model_at_the_nesting_bounds():
     for text in deepest_texts():
         for head in ("goal", "{goal}"):
             prog = parse_program(f"{head} :- {text}.")
-            d = desugar(prog)
+            tables = sm_tables(prog)       # compiles outside the limit
             interps = list(enumerate_interpretations(prog.signature, 1))
-            is_sm_model(d, interps[0])      # compiles outside the limit
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(depth + STACK_HEADROOM)
             try:
-                stable += sum(is_sm_model(d, interp) for interp in interps)
+                stable += sum(is_sm_model(tables, interp) for interp in interps)
             finally:
                 sys.setrecursionlimit(limit)
     assert stable > 0
@@ -466,13 +467,13 @@ def _stability(decide):
         return "over the cap"
 
 
-def _same_reduct(d, interp, cap):
+def _same_reduct(d, tables, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
-    program ``d``: its atoms are listed in sorted order, the relevant
-    grounding's reduct folds, under that numbering, to the fold of the
-    whole grounding's, and is_sm_model gives is_stable's verdict on the
-    whole grounding, which is returned.  None for any other
-    interpretation."""
+    program ``d``, whose ``sm_tables`` are ``tables``: its atoms are
+    listed in sorted order, the relevant grounding's reduct folds, under
+    that numbering, to the fold of the whole grounding's, and is_sm_model
+    gives is_stable's verdict on the whole grounding, which is returned.
+    None for any other interpretation."""
     _, full = ground_program(d, interp)
     j = frozenset(interp.atoms())
     if not satisfies(j, full):
@@ -480,9 +481,9 @@ def _same_reduct(d, interp, cap):
     expected = {a: i for i, a in enumerate(sorted(j))}
     assert atom_numbers(sorted(j)) == expected
     assert list(interp.atoms()) == sorted(j), interp.literal()
-    assert folded_reduct(relevant_grounding(d, interp), expected) == \
+    assert folded_reduct(relevant_grounding(tables, interp), expected) == \
         folded_reduct(full, expected), interp.literal()
-    verdict = _stability(lambda: is_sm_model(d, interp, cap))
+    verdict = _stability(lambda: is_sm_model(tables, interp, cap))
     assert verdict == _stability(lambda: is_stable(full, j, cap)), interp.literal()
     return verdict
 
@@ -529,8 +530,8 @@ def test_relevant_grounding_has_the_same_reduct():
     rng = Random(SEED + 8)
     verdicts = []
 
-    def check(d, interp, cap):
-        verdict = _same_reduct(d, interp, cap)
+    def check(d, tables, interp, cap):
+        verdict = _same_reduct(d, tables, interp, cap)
         if verdict is not None:
             verdicts.append(verdict)
 
@@ -546,21 +547,23 @@ def test_relevant_grounding_has_the_same_reduct():
         exts = {p: [t for q, t in j if q == p]
                 for p, _ in prog.predicates}
         interp = make_interpretation(m, dict(interp.consts), exts)
-        check(d, interp, rng.choice((1, 3, 24)))
+        check(d, sm_tables(d), interp, rng.choice((1, 3, 24)))
     random_verdicts = set(verdicts)
     random_count = len(verdicts)
     for name in SMALL_FIXTURES:
         prog = builtin_fixture(name).program
         d = desugar(prog)
+        tables = sm_tables(d)
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
-                check(d, interp, 24)
-                check(d, interp, 2)
+                check(d, tables, interp, 24)
+                check(d, tables, interp, 2)
     d = desugar(builtin_fixture("moving(1)").program)
+    tables = sm_tables(d)
     for base in successor_state_interpretations(1):
         for interp in (base, _drift(base)):
-            check(d, interp, 24)
-            check(d, interp, 8)
+            check(d, tables, interp, 24)
+            check(d, tables, interp, 8)
     assert random_count > 100
     assert random_verdicts == set(verdicts) == {True, False, "over the cap"}
     print(f"relevant grounding vs ground_program: {len(verdicts)} classical "

@@ -17,7 +17,7 @@ from lttight.semantics import (
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
     orbit, parse_interpretation, pnn, pnn_nnn, reduct, relevant_grounding,
-    sample_interpretation, satisfies, satisfies_fo,
+    sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
 from lttight.syntax import (
@@ -306,9 +306,9 @@ def test_stability_cap():
 
 
 def test_is_sm_model_on_fixture():
-    prog = builtin_fixture("prog1").program
-    assert is_sm_model(prog, herbrand2(p=[(0,), (1,)], q=[(1,)]))
-    assert not is_sm_model(prog, herbrand2(p=[(0,)], q=[(1,)]))
+    tables = sm_tables(builtin_fixture("prog1").program)
+    assert is_sm_model(tables, herbrand2(p=[(0,), (1,)], q=[(1,)]))
+    assert not is_sm_model(tables, herbrand2(p=[(0,)], q=[(1,)]))
 
 
 def test_satisfies_fo():
@@ -392,24 +392,25 @@ def test_compiled_unbound_variable():
 
 def test_relevant_reduct_keeps_instances_whose_body_holds():
     d = desugar(parse_program("p(X) :- q(X). q(a). :- p(b), not q(b)."))
+    tables = sm_tables(d)
     interp = make_interpretation(2, {"a": 0, "b": 1},
                                  {"p": [(0,)], "q": [(0,)]})
     numbers = atom_numbers(sorted(frozenset(interp.atoms())))
     assert numbers == {("p", (0,)): 0, ("q", (0,)): 1}
     # q(e0) -> p(e0), and the fact q(a), whose body folds to true
-    relevant = relevant_grounding(d, interp)
+    relevant = relevant_grounding(tables, interp)
     assert ground_to_str(relevant) == \
         "((q(e0) -> p(e0)) & ((false -> false) -> q(e0)))"
     assert folded_reduct(relevant, numbers) == Conj((Imp(1, 0), 1))
     _, full = ground_program(d, interp)
     assert len(full.items) == 4
     assert folded_reduct(full, numbers) == folded_reduct(relevant, numbers)
-    assert is_sm_model(d, interp)
+    assert is_sm_model(tables, interp)
     # a choice rule is grounded as its desugared double-negation rule,
     # ((p -> false) -> false) -> p, which folds to p
     choice = make_interpretation(1, {}, {"p": [()]})
-    assert folded_reduct(relevant_grounding(parse_program("{p}."), choice),
-                         atom_numbers([("p", ())])) == 0
+    relevant = relevant_grounding(sm_tables(parse_program("{p}.")), choice)
+    assert folded_reduct(relevant, atom_numbers([("p", ())])) == 0
 
 
 def test_atoms_are_numbered_once_each():
@@ -418,8 +419,8 @@ def test_atoms_are_numbered_once_each():
     duplicated = make_interpretation(1, {"a": 0}, {"q": [(0,), (0,)]})
     assert list(duplicated.atoms()) == [("q", (0,))]
     assert atom_numbers([("q", (0,)), ("q", (0,))]) == {("q", (0,)): 0}
-    assert is_sm_model(parse_program("q(a)."), duplicated)
-    assert is_sm_model(parse_program("p."),
+    assert is_sm_model(sm_tables(parse_program("q(a).")), duplicated)
+    assert is_sm_model(sm_tables(parse_program("p.")),
                        make_interpretation(1, {}, {"p": [(), ()]}))
     assert is_stable(Conj((P,)), [P, P])
     assert not is_stable(Imp(P, P), [P, P])
@@ -430,7 +431,7 @@ def test_is_sm_model_deep_rule_body_rejects_classically():
     prog = parse_program(f"p(X) :- {body}. {{q(X)}} :- X = X.")
     # q(e0) holds, so the body holds at e0, but p(e0) does not
     breaks_rule = make_interpretation(1, {}, {"p": [], "q": [(0,)]})
-    assert not is_sm_model(prog, breaks_rule)
+    assert not is_sm_model(sm_tables(prog), breaks_rule)
 
 
 # ---------------------------------------------------------------------------
