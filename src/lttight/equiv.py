@@ -86,15 +86,15 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
     completion are compiled once here.
 
     With ``classical``, every model of ``comp_sentences`` is taken to
-    pass the tables' classical check, as every stable model does: an
-    interpretation that fails it is counted as both-reject without
-    deciding either side.  With ``orbits``, each interpretation stands
-    for its orbit under permutations of the universe: it is counted
-    ``orbit_size`` times, and a disagreement is reported for each member
-    of its ``orbit``, in enumeration order."""
+    satisfy the program read classically, as every stable model does:
+    an interpretation on which the tables' compiled rules return None is
+    counted as both-reject without deciding either side.  With
+    ``orbits``, each interpretation stands for its orbit under
+    permutations of the universe: it is counted ``orbit_size`` times,
+    and a disagreement is reported for each member of its ``orbit``, in
+    enumeration order."""
     gamma_holds = compile_sentence(conjoin(gamma))
     comp_holds = compile_sentence(conjoin(comp_sentences))
-    classical_holds, _ = tables
     disagreements = []
     checked = gamma_skipped = guard_skipped = both_accept = both_reject = 0
     for interp in interps:
@@ -102,7 +102,7 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
         if not gamma_holds(interp):
             gamma_skipped += weight
             continue
-        if classical and not classical_holds(interp):
+        if classical and tables[0](interp) is None:
             checked += weight
             both_reject += weight
             continue

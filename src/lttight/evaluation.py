@@ -4,9 +4,10 @@ A formula is translated once into the source of a Python function of an
 interpretation (see ``semantics.Interpretation``), which is compiled and
 then called on every interpretation a check examines.  The checks of
 ``equiv`` and ``tightness`` compile their sentences once each, and
-``semantics.sm_tables`` compiles the stable-model check's rules once
-per check for every ``is_sm_model`` call; ``tests/conftest.py::fo_eval``
-is the independent oracle the tests hold the compiled functions to.
+``semantics.sm_tables`` compiles the program's rules into one function
+per check (``compile_rules``) that both reads them classically and
+yields each rule body's bindings; ``tests/conftest.py::fo_eval`` is the
+independent oracle the tests hold the compiled functions to.
 """
 
 from __future__ import annotations
@@ -122,15 +123,14 @@ class _Codegen:
         targets = "".join(n + ", " for n in names)
         return f"({targets}) in _product(R, repeat={len(names)})"
 
-    def function(self, result: str) -> str:
+    def function(self, statements: list) -> str:
         lines = ["def compiled(I):",
                  "    C = I.consts",
                  "    R = range(I.universe)",
                  "    X = I.extensions"]
         lines += [f"    {ext} = X.get({p!r}, ())"
                   for p, ext in self.extensions.items()]
-        lines += ["    try:",
-                  f"        return {result}",
+        lines += ["    try:", *["        " + s for s in statements],
                   "    except KeyError as exc:",
                   "        raise _unmapped(exc.args[0]) from None"]
         return "".join(self.helpers) + "\n".join(lines) + "\n"
@@ -154,19 +154,31 @@ def compile_sentence(sentence):
     GroundingError."""
     gen = _Codegen()
     body, _ = gen.expr(sentence, {})
-    return _build(gen.function(body))
+    return _build(gen.function([f"return {body}"]))
 
 
-def compile_bindings(f, variables: list):
-    """A function of an interpretation that lists the value tuples of
-    ``variables`` (over the universe, in ``product`` order) under which
-    ``f`` holds.  Other free variables of ``f`` raise GroundingError
-    when reached."""
+def compile_rules(rules):
+    """A function of an interpretation that reads ``rules`` in order,
+    each as its ``Rule.sentence`` with instances in ``product`` order:
+    None at the first violated instance, else for each rule with a head
+    the value tuples of its free variables under which its body holds.
+    Each body is evaluated once per instance and stops where the
+    sentence would, so GroundingError is raised where it would be."""
     gen = _Codegen()
-    names = [gen.fresh() for _ in variables]
-    scope = {v.name: n for v, n in zip(variables, names)}
-    body, _ = gen.expr(f, scope)
-    params = "".join(n + ", " for n in names)
-    return _build(gen.function(
-        f"[({params}) for ({params}) in _product(R, repeat={len(names)}) "
-        f"if {body}]"))
+    lines, bound = [], []
+    for r in rules:
+        scope = {v.name: gen.fresh() for v in r.free_vars()}
+        names = list(scope.values())
+        test = f"if {gen.expr(r.body, scope)[0]}:"
+        if r.head is None:
+            inner = [test + " return None"]
+        else:
+            bound.append(f"b{len(bound)}")
+            lines.append(f"{bound[-1]} = []")
+            inner = [test, f"    if not {gen.expr(r.head, scope)[0]}: return None",
+                     f"    {bound[-1]}.append(({''.join(n + ', ' for n in names)}))"]
+        if names:
+            lines.append(f"for {gen.loop(names)}:")
+            inner = ["    " + line for line in inner]
+        lines += inner
+    return _build(gen.function(lines + [f"return [{', '.join(bound)}]"]))

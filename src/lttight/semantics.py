@@ -10,9 +10,9 @@ replaced by their numbers and constants are folded away, so that no
 searches the folded reduct for a smaller model
 (``stability.has_smaller_model``).  ``is_sm_model`` is ``is_stable`` on
 the rule instances whose body the interpretation satisfies
-(``relevant_grounding``), after a classical check; both read the
-tables ``sm_tables`` compiles once per check.  First-order
-sentences are evaluated by functions compiled in ``evaluation``.
+(``relevant_grounding``), which one compiled reading of the rules per
+check yields (``sm_tables``).  First-order sentences are evaluated by
+functions compiled in ``evaluation``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -29,11 +29,11 @@ from random import Random
 from typing import Iterator, Optional
 
 from .completion import desugar
-from .evaluation import GroundingError, compile_bindings, compile_sentence
+from .evaluation import GroundingError, compile_rules, compile_sentence
 from .stability import BOT, TOP, Conj, Disj, Imp, has_smaller_model, junction
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    Or, Program, Signature, Variable, conjoin,
+    Or, Program, Signature, Variable,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -474,39 +474,30 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
 
 def sm_tables(prog: Program) -> tuple:
     """The stable-model check's tables, built once per check and passed
-    to each ``is_sm_model`` call: a function that holds iff the
-    interpretation satisfies the desugared program read classically
-    (every constraint, then every rule as the universal closure of
-    ``body -> head``), and per basic rule its free variables' names and
-    the compiled bindings under which its body holds."""
+    to each ``is_sm_model`` call: the desugared program's constraints,
+    then its basic rules, compiled by ``compile_rules``, and per basic
+    rule the rule and its free variables' names."""
     d = desugar(prog)
-    rules = [r for r in d.rules if r.kind == CONSTRAINT]
-    rules += [r for r in d.rules if r.kind != CONSTRAINT]
-    classical = compile_sentence(conjoin(r.sentence() for r in rules))
-    bodies = []
-    for r in d.rules:
-        if r.kind == BASIC:
-            free = r.free_vars()
-            bodies.append((r, [v.name for v in free],
-                           compile_bindings(r.body, free)))
-    return classical, bodies
+    basic = [r for r in d.rules if r.kind == BASIC]
+    return (compile_rules([r for r in d.rules if r.kind == CONSTRAINT] + basic),
+            [(r, [v.name for v in r.free_vars()]) for r in basic])
 
 
 def relevant_grounding(tables: tuple, interp: Interpretation):
-    """The conjunction of the ground instances ``body -> head`` of the
-    basic rules in ``tables`` (see ``sm_tables``) whose body the
-    interpretation satisfies, in the order of ``ground_program``.
-
-    When the interpretation satisfies every rule, this has the same
-    reduct relative to its true atoms as
-    ``ground_program(desugar(prog), interp)[1]``: every instance left
-    out has a body the interpretation does not satisfy, so its reduct
-    ``false -> ...`` is valid.  This is relevance-driven grounding, as in
-    gringo."""
-    _, bodies = tables
+    """None when the interpretation violates an instance of a rule in
+    ``tables`` (``sm_tables``), else the conjunction of the instances
+    ``body -> head`` of the basic rules whose body it satisfies, in the
+    order of ``ground_program``.  Its reduct relative to the true atoms
+    is that of ``ground_program(desugar(prog), interp)[1]``: each
+    instance left out has the valid reduct ``false -> ...``.  This is
+    relevance-driven grounding, as in gringo."""
+    compiled, rules = tables
+    bindings = compiled(interp)
+    if bindings is None:
+        return None
     instances = []
-    for r, names, bindings in bodies:
-        for values in bindings(interp):
+    for (r, names), tuples in zip(rules, bindings):
+        for values in tuples:
             env = dict(zip(names, values))
             instances.append(Imp(ground(r.body, interp, env),
                                  ground(r.head, interp, env)))
@@ -516,15 +507,11 @@ def relevant_grounding(tables: tuple, interp: Interpretation):
 def is_sm_model(tables: tuple, interp: Interpretation,
                 cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """Whether the interpretation is a stable model of the program whose
-    ``sm_tables`` are given.  Cheap rejections come first: the tables'
-    classical check stops at the first violated rule instance.  An
-    interpretation that passes is stable iff ``is_stable`` holds of its
-    true atoms and the rule instances whose body it satisfies
-    (``relevant_grounding``)."""
-    classical, _ = tables
-    if not classical(interp):
-        return False
-    return is_stable(relevant_grounding(tables, interp), list(interp.atoms()), cap)
+    ``sm_tables`` are given: ``relevant_grounding`` is not None, which
+    stops at the first violated rule instance, and ``is_stable`` holds
+    of it and the true atoms."""
+    g = relevant_grounding(tables, interp)
+    return g is not None and is_stable(g, list(interp.atoms()), cap)
 
 
 # ---------------------------------------------------------------------------

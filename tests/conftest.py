@@ -1,9 +1,11 @@
-"""Shared test helpers: an independent first-order evaluator (used as an
-oracle against the grounding path) and random generators for ground
-formulas and ground programs."""
+"""Shared test helpers: an independent first-order evaluator and its
+reading of a list of rules (oracles against the grounding path and the
+compiled evaluator) and random generators for ground formulas and
+ground programs."""
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -45,6 +47,24 @@ def fo_eval(f, interp, env=None):
             results.append(fo_eval(f.body, interp, env2))
         return all(results) if isinstance(f, Forall) else any(results)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def rules_eval(rules, interp):
+    """What ``evaluation.compile_rules(rules)`` must return, by fo_eval:
+    None when some rule's sentence is false, else for each rule with a
+    head the value tuples of its free variables, in ``product`` order,
+    under which its body holds."""
+    if not all(fo_eval(r.sentence(), interp) for r in rules):
+        return None
+    bindings = []
+    for r in rules:
+        if r.head is not None:
+            free = r.free_vars()
+            bindings.append([
+                values for values in product(range(interp.universe),
+                                             repeat=len(free))
+                if fo_eval(r.body, interp, dict(zip(free, values)))])
+    return bindings
 
 
 def random_ground_formula(rng: Random, atoms, depth: int):

@@ -13,14 +13,16 @@ from lttight.equiv import (
     COMP_ONLY, SM_ONLY, EquivReport, check_equivalence, check_proposition3,
     successor_state_interpretations,
 )
-from lttight.evaluation import compile_bindings
+from lttight.evaluation import compile_rules
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     ResourceGuardError, compile_sentence, enumerate_interpretations,
     interpretation_count, is_sm_model, parse_interpretation, sm_tables,
 )
-from lttight.syntax import BASIC, conjoin, existential_closure, formula_to_str
+from lttight.syntax import (
+    BASIC, CONSTRAINT, conjoin, existential_closure, formula_to_str,
+)
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains,
     check_gamma_tight, refute_chain_formula, refuter_tables,
@@ -132,30 +134,33 @@ def test_proposition3_k0():
 def test_stable_model_tables_are_built_once_per_check(
         tmp_path, monkeypatch, capsys):
     """An exhaustive and a sampled check, and the stable command, each
-    compile the body of each basic rule of the desugared program once,
-    not once per interpretation."""
+    compile the desugared program's rules once, constraints first, not
+    once per interpretation."""
     compiled = []
 
-    def counting(f, variables):
-        compiled.append(f)
-        return compile_bindings(f, variables)
+    def counting(rules):
+        compiled.append(list(rules))
+        return compile_rules(rules)
 
-    def bodies(prog) -> list:
-        return [r.body for r in desugar(prog).rules if r.kind == BASIC]
+    def rules(prog) -> list:
+        d = desugar(prog).rules
+        return [[r for r in d if r.kind == CONSTRAINT]
+                + [r for r in d if r.kind == BASIC]]
 
-    monkeypatch.setattr(semantics, "compile_bindings", counting)
+    monkeypatch.setattr(semantics, "compile_rules", counting)
     prog2 = builtin_fixture("prog2").program
     assert check_equivalence(prog2, (), 3).both_accept > 1
-    assert compiled == bodies(prog2)
+    assert compiled == rules(prog2)
     compiled.clear()
     assert check_proposition3(1, sample_count=20).both_accept > 1
-    assert compiled == bodies(builtin_fixture("moving(1)").program)
+    assert compiled == rules(builtin_fixture("moving(1)").program)
+    assert any(r.kind == CONSTRAINT for r in compiled[0])
     compiled.clear()
     interp = tmp_path / "i.txt"
     interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
     assert run(["stable", "fixture:prog1", "--interp", str(interp)]) == 0
     assert capsys.readouterr().out == "stable\n"
-    assert compiled == bodies(builtin_fixture("prog1").program)
+    assert compiled == rules(builtin_fixture("prog1").program)
 
 
 # ---------------------------------------------------------------------------

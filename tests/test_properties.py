@@ -6,7 +6,7 @@ relevant grounding against the whole grounding."""
 
 import json
 import sys
-from itertools import product
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -16,7 +16,7 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import (
     MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
 )
-from lttight.evaluation import compile_bindings, compile_sentence
+from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
     ResourceGuardError, atom_numbers, enumerate_interpretations,
     folded_reduct, ground, ground_program, ground_to_str, is_sm_model,
@@ -24,13 +24,15 @@ from lttight.semantics import (
     sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from lttight.syntax import (
-    BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
-    Or, Signature, Variable, formula_to_str, free_variables, neg, rename_apart,
-    substitute,
+    BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
+    Implies, ObjectConstant, Or, Rule, Signature, Variable, formula_to_str,
+    free_variables, neg, rename_apart, substitute,
 )
 from lttight.tightness import ENTAILED, check_gamma_tight
 
-from conftest import fo_eval, random_ground_formula, random_ground_program
+from conftest import (
+    fo_eval, random_ground_formula, random_ground_program, rules_eval,
+)
 from test_acceptance import _oracle_stable
 from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
 
@@ -362,9 +364,18 @@ def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
           f"{merged} with merged constants")
 
 
+def body_rules(rules) -> list:
+    """Each rule's body under the head ``true``: rules that hold
+    everywhere, so their compiled bindings are checked on every
+    interpretation, not only on models."""
+    return [Rule(BASIC, TOP, r.body) for r in rules]
+
+
 def test_compiled_evaluator_matches_fo_eval_on_fixtures():
-    """Completion, rule and Gamma sentences and rule-body bindings of the
-    small fixtures, on every interpretation at m <= 2."""
+    """Completion, rule and Gamma sentences and the compiled rules of
+    the small fixtures, on every interpretation at m <= 2, and the
+    compiled rules of seeded random programs on sampled
+    interpretations."""
     total = 0
     for name in SMALL_FIXTURES:
         fx = builtin_fixture(name)
@@ -372,19 +383,47 @@ def test_compiled_evaluator_matches_fo_eval_on_fixtures():
         sentences = (completion(fx.program).sentences()
                      + [r.sentence() for r in d.rules] + list(fx.gamma))
         compiled = [(s, compile_sentence(s)) for s in sentences]
-        bodies = [(r.body, r.free_vars()) for r in d.rules]
-        bodies = [(b, free, compile_bindings(b, free)) for b, free in bodies]
+        rule_lists = [sorted(d.rules, key=lambda r: r.kind != CONSTRAINT),
+                      body_rules(d.rules)]
+        rule_lists = [(rules, compile_rules(rules)) for rules in rule_lists]
         for m in (1, 2):
             for interp in enumerate_interpretations(fx.program.signature, m):
                 for s, holds in compiled:
                     assert holds(interp) == fo_eval(s, interp), \
                         (name, formula_to_str(s), interp.literal())
-                for body, free, bindings in bodies:
-                    assert bindings(interp) == [
-                        values for values in product(range(m), repeat=len(free))
-                        if fo_eval(body, interp, dict(zip(free, values)))]
+                for rules, bindings in rule_lists:
+                    assert bindings(interp) == rules_eval(rules, interp), \
+                        (name, interp.literal())
                 total += 1
-    print(f"compiled evaluator vs fo_eval on fixtures: {total} interpretations")
+    rng = Random(SEED + 9)
+    shapes, models = Counter(), 0
+    for _ in range(300):
+        prog = parse_program(random_program_text(rng))
+        shapes.update(r.kind for r in prog.rules)
+        shapes.update("extensional head" for r in prog.rules
+                      if r.head and r.head.predicate not in prog.intensional)
+        d = desugar(prog)
+        for r in d.rules:
+            shapes[f"{min(len(r.free_vars()), 2)} variables"] += 1
+            shapes.update("head constant" for t in getattr(r.head, "args", ())
+                          if type(t) is ObjectConstant)
+        real = list(d.rules)
+        for rules in (real, body_rules(real)):
+            bindings = compile_rules(rules)
+            for _ in range(4):
+                interp = sample_interpretation(prog.signature,
+                                               rng.randint(1, 3), rng)
+                expected = rules_eval(rules, interp)
+                assert bindings(interp) == expected, \
+                    (formula_to_str(rules[0].body), interp.literal())
+                models += rules is real and expected is not None
+    assert 100 < models < 1100
+    assert min(shapes[k] for k in (
+        BASIC, CHOICE, CONSTRAINT, "extensional head", "head constant",
+        "0 variables", "1 variables", "2 variables")) > 20, shapes
+    print(f"compiled evaluator vs fo_eval on fixtures: {total} "
+          f"interpretations; on random programs: {models} of 1200 models, "
+          f"{dict(shapes)}")
 
 
 # Each shape opens several Python brackets per parser level once compiled.
@@ -415,7 +454,7 @@ def deepest_texts() -> list:
 
 def test_compiled_evaluator_at_the_nesting_bounds():
     """Formulas nested as deep as the parser allows, their rule
-    sentences, rule-body bindings and completions compile and agree with
+    sentences, compiled rules and completions compile and agree with
     fo_eval on every interpretation of their signature at m = 1.  (At
     m = 2, fifty nested quantifiers have 2**50 instances.)"""
     for text in deepest_texts():
@@ -424,12 +463,13 @@ def test_compiled_evaluator_at_the_nesting_bounds():
         sentences = ([parse_formula(text), rule.sentence()]
                      + completion(prog).sentences())
         compiled = [(s, compile_sentence(s)) for s in sentences]
-        bindings = compile_bindings(rule.body, [])
+        rule_lists = [(rules, compile_rules(rules))
+                      for rules in ([rule], body_rules([rule]))]
         for interp in enumerate_interpretations(prog.signature, 1):
             for s, holds in compiled:
                 assert holds(interp) == fo_eval(s, interp), text[:60]
-            holds = fo_eval(rule.body, interp)
-            assert bindings(interp) == ([()] if holds else []), text[:60]
+            for rules, bindings in rule_lists:
+                assert bindings(interp) == rules_eval(rules, interp), text[:60]
 
 
 # Frames each check may use on top of the caller's; the deepest shapes

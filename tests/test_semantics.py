@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from lttight.completion import desugar
-from lttight.evaluation import compile_bindings, compile_sentence
+from lttight.evaluation import compile_rules, compile_sentence
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
@@ -21,11 +21,11 @@ from lttight.semantics import (
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
 from lttight.syntax import (
-    And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or, Signature,
-    Variable, neg,
+    BASIC, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant, Or,
+    Rule, Signature, Variable, neg,
 )
 
-from conftest import fo_eval
+from conftest import fo_eval, rules_eval
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
 
@@ -354,6 +354,7 @@ def test_compiled_names_are_data_not_code():
     identifiers, some of them code, are evaluated as names."""
     pred = "p') or (1"
     other = "__import__('sys').exit(3)"
+    head = "b0.append(()); return ('"
     c, d = "a'] or C['b", "b\\\n\"; raise SystemExit(4) #"
     X, Y = Variable("X') or (1"), Variable("e0")
     sentences = [
@@ -365,18 +366,28 @@ def test_compiled_names_are_data_not_code():
         Equality(ObjectConstant(c), ObjectConstant(d)),
     ]
     compiled = [compile_sentence(f) for f in sentences]
-    bindings = compile_bindings(Atom(pred, (X, Y)), [Y, X])
+    # the head lists Y first, so the bindings are (Y, X) tuples
+    rule = Rule(BASIC, Atom(head, (Y, X)), Atom(pred, (X, Y)))
+    assert rule.free_vars() == [Y, X]
+    bindings = compile_rules([rule])
     rng = Random(11)
+    models = 0
     for _ in range(200):
         m = rng.randint(1, 3)
+        body = [t for t in product(range(m), repeat=2) if rng.random() < 0.5]
         interp = make_interpretation(
             m, {c: rng.randrange(m), d: rng.randrange(m)},
-            {pred: [t for t in product(range(m), repeat=2) if rng.random() < 0.5],
-             other: [(e,) for e in range(m) if rng.random() < 0.5]})
+            {pred: body, other: [(e,) for e in range(m) if rng.random() < 0.5],
+             head: [(y, x) for x, y in body if rng.random() < 0.9]})
         for f, holds in zip(sentences, compiled):
             assert holds(interp) == fo_eval(f, interp)
-        assert bindings(interp) == [(y, x) for y, x in product(range(m), repeat=2)
-                                    if (x, y) in interp.extensions[pred]]
+        expected = rules_eval([rule], interp)
+        assert bindings(interp) == expected
+        if expected is not None:
+            models += 1
+            assert expected == [[(y, x) for y, x in product(range(m), repeat=2)
+                                 if (x, y) in interp.extensions[pred]]]
+    assert 20 < models < 180
     unmapped = make_interpretation(1, {}, {pred: [], other: []})
     with pytest.raises(GroundingError, match=r"constant a'\] or C\['b is not"):
         compiled[2](unmapped)
@@ -424,6 +435,28 @@ def test_atoms_are_numbered_once_each():
                        make_interpretation(1, {}, {"p": [(), ()]}))
     assert is_stable(Conj((P,)), [P, P])
     assert not is_stable(Imp(P, P), [P, P])
+
+
+def test_rules_are_read_constraints_first():
+    """The compiled rules stop at the first violated instance, and the
+    constraints come first: with q true, ``:- q.`` is violated before
+    ``p(c) :- q.`` reaches the unmapped constant c, wherever the
+    constraint is written; with r false, the rule's head reaches it."""
+    q_true = make_interpretation(1, {}, {"p": [], "q": [()], "r": []})
+    for text in (":- q. p(c) :- q.", "p(c) :- q. :- q."):
+        assert not is_sm_model(sm_tables(parse_program(text)), q_true)
+    with pytest.raises(GroundingError, match="constant c is not mapped"):
+        is_sm_model(sm_tables(parse_program(":- r. p(c) :- q.")), q_true)
+
+
+def test_relevant_grounding_is_none_on_a_non_model():
+    tables = sm_tables(parse_program(":- r. p :- q."))
+    assert relevant_grounding(
+        tables, make_interpretation(1, {}, {"p": [()], "q": [()], "r": [()]})) is None
+    assert relevant_grounding(
+        tables, make_interpretation(1, {}, {"p": [], "q": [()], "r": []})) is None
+    model = make_interpretation(1, {}, {"p": [()], "q": [()], "r": []})
+    assert ground_to_str(relevant_grounding(tables, model)) == "((q -> p))"
 
 
 def test_is_sm_model_deep_rule_body_rejects_classically():
