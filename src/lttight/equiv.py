@@ -5,6 +5,7 @@ check and the completion check must agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
@@ -14,6 +15,7 @@ from .fixtures import (
     builtin_fixture, moving_constraint_formulas,
     moving_successor_state_formulas,
 )
+from .evaluation import predicates_read
 from .semantics import (
     Interpretation, ResourceGuardError, compile_sentence,
     enumerate_interpretations, enumeration_key, is_sm_model, orbit,
@@ -77,35 +79,72 @@ def _gamma_desc(gamma) -> str:
     return "; ".join(formula_to_str(g) for g in gamma)
 
 
-def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
-           mode_desc: str, classical=False, orbits=False) -> EquivReport:
-    """Compare every interpretation of the source ``interps`` that
-    satisfies Gamma; one whose stability check trips the cap is counted
-    as guard-skipped instead of checked.  ``tables`` are the program's
-    ``sm_tables``, passed to every ``is_sm_model`` call; Gamma and the
-    completion are compiled once here.
+GAMMA = "gamma"     # keys of a check's count of dropped interpretations
+REJECT = "reject"
 
-    With ``classical``, every model of ``comp_sentences`` is taken to
-    satisfy the program read classically, as every stable model does:
-    an interpretation on which the tables' compiled rules return None is
-    counted as both-reject without deciding either side.  With
-    ``orbits``, each interpretation stands for its orbit under
-    permutations of the universe: it is counted ``orbit_size`` times,
-    and a disagreement is reported for each member of its ``orbit``, in
-    enumeration order."""
-    gamma_holds = compile_sentence(conjoin(gamma))
+
+def _cut(gamma, rules, dropped: Counter):
+    """One depth's cut, or None when nothing is read there: the Gamma
+    conjuncts ``gamma``, then the rule sentences ``rules``, each list
+    compiled into one function; the weight of a subtree that one of them
+    drops is counted in ``dropped`` under GAMMA or REJECT."""
+    tests = [(compile_sentence(conjoin(fs)), key)
+             for fs, key in ((gamma, GAMMA), (rules, REJECT)) if fs]
+    if not tests:
+        return None
+
+    def cut(interp, weight) -> bool:
+        for holds, key in tests:
+            if not holds(interp):
+                dropped[key] += weight
+                return True
+        return False
+    return cut
+
+
+def _cuts(sig, gamma, rules, dropped: Counter) -> list:
+    """One cut per depth of ``enumerate_interpretations``' walk over
+    ``sig``: each of Gamma's conjuncts and of the sentences of ``rules``
+    is read at the depth of the last predicate it reads.  A rule is read
+    no shallower than Gamma's deepest conjunct, so an interpretation is
+    counted under REJECT only when it satisfies Gamma.  Tried in depth
+    order, the cuts screen a whole interpretation alike."""
+    depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
+    levels = [([], []) for _ in range(len(sig.predicates) + 1)]
+
+    def level(sentence) -> int:
+        return max((depth.get(p, 0) for p in predicates_read(sentence)),
+                   default=0)
+
+    for g in gamma:
+        levels[level(g)][0].append(g)
+    floor = max((d for d, (gs, _) in enumerate(levels) if gs), default=0)
+    for r in rules:
+        s = r.sentence()
+        levels[max(floor, level(s))][1].append(s)
+    return [_cut(gs, rs, dropped) for gs, rs in levels]
+
+
+def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
+           mode_desc: str, dropped: Counter, orbits=False) -> EquivReport:
+    """Compare every interpretation of the source ``interps``; one whose
+    stability check trips the cap is counted as guard-skipped instead of
+    checked.  ``tables`` are the program's ``sm_tables``, passed to every
+    ``is_sm_model`` call; the completion is compiled once here.
+
+    The source is screened, by ``_cuts`` or none: what it dropped is
+    counted in ``dropped``, under GAMMA as skipped by Gamma and under
+    REJECT as checked and both-reject.  Every model of ``comp_sentences``
+    satisfies the program read classically, as every stable model does,
+    so such an interpretation needs neither check.  With ``orbits``, each
+    interpretation stands for its orbit under permutations of the
+    universe: it is counted ``orbit_size`` times, and a disagreement is
+    reported for each member of its ``orbit``, in enumeration order."""
     comp_holds = compile_sentence(conjoin(comp_sentences))
     disagreements = []
-    checked = gamma_skipped = guard_skipped = both_accept = both_reject = 0
+    checked = guard_skipped = both_accept = both_reject = 0
     for interp in interps:
         weight = orbit_size(interp) if orbits else 1
-        if not gamma_holds(interp):
-            gamma_skipped += weight
-            continue
-        if classical and tables[0](interp) is None:
-            checked += weight
-            both_reject += weight
-            continue
         try:
             sm = is_sm_model(tables, interp)
         except ResourceGuardError:
@@ -124,9 +163,10 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
             ((kind, image) for kind, interp in disagreements
              for image in orbit(interp)),
             key=lambda d: enumeration_key(d[1]))
-    return EquivReport(program_id, _gamma_desc(gamma), mode_desc, checked,
-                       tuple(disagreements), guard_skipped, gamma_skipped,
-                       both_accept, both_reject)
+    return EquivReport(program_id, _gamma_desc(gamma), mode_desc,
+                       checked + dropped[REJECT], tuple(disagreements),
+                       guard_skipped, dropped[GAMMA], both_accept,
+                       both_reject + dropped[REJECT])
 
 
 def _sampled(sig, sizes: list, count: int, seed: int):
@@ -145,27 +185,39 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     seeded samples.  Both sides see the constraint sentences and Gamma
     identically.
 
-    An exhaustive check visits one constant map per orbit under
-    permutations of the universe and counts each interpretation for its
-    orbit; the report is the one enumerating every interpretation would
-    give.  An interpretation that violates the program read classically
-    (``sm_tables``) is counted as both-reject without either
+    An interpretation that violates the program read classically (the
+    rules of its ``sm_tables``) is counted as both-reject without either
     check: the completion holds the constraints, and every rule is the
-    if-half of its head's completed definition."""
+    if-half of its head's completed definition.  Gamma and the rules are
+    compiled once per check into ``_cuts``.  A sample is screened by all
+    of them.  An exhaustive check walks the interpretations one
+    predicate at a time and drops a subtree at the first cut that fails
+    (``enumerate_interpretations``), so only interpretations that pass
+    every cut are built whole.  It visits one constant map per orbit
+    under permutations of the universe and counts each interpretation
+    for its orbit; the report is the one enumerating and screening every
+    interpretation would give."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    gamma = list(gamma)
+    tables = sm_tables(prog)
+    dropped = Counter()
+    cuts = _cuts(prog.signature, gamma, tables[2], dropped)
     if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
-            enumerate_interpretations(prog.signature, m, canonical=True)
+            enumerate_interpretations(prog.signature, m, canonical=True,
+                                      cuts=cuts)
             for m in range(1, m_max + 1))
     else:
         mode_desc = f"sampled(seed={seed}, count={sample_count}) m<={m_max}"
-        interps = _sampled(prog.signature, list(range(1, m_max + 1)),
-                           sample_count, seed)
-    return _check(sm_tables(prog), completion(prog).sentences(), list(gamma),
-                  interps, program_id, mode_desc, classical=True,
-                  orbits=sample_count is None)
+        # each whole sample tried by the cuts in depth order
+        interps = (i for i in _sampled(prog.signature,
+                                       list(range(1, m_max + 1)),
+                                       sample_count, seed)
+                   if not any(cut(i, 1) for cut in cuts if cut is not None))
+    return _check(tables, completion(prog).sentences(), gamma, interps,
+                  program_id, mode_desc, dropped, orbits=sample_count is None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,4 +290,5 @@ def check_proposition3(k: int, sample_count: int = 1000,
     interps = chain(directed,
                     _sampled(prog.signature, sizes, sample_count, seed))
     return _check(sm_tables(prog), rhs, (), interps,
-                  f"moving({k}) vs successor-state formulas", mode_desc)
+                  f"moving({k}) vs successor-state formulas", mode_desc,
+                  Counter())

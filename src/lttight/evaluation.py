@@ -157,6 +157,14 @@ def compile_sentence(sentence):
     return _build(gen.function([f"return {body}"]))
 
 
+def predicates_read(sentence) -> list:
+    """The predicates whose extensions ``compile_sentence(sentence)``
+    reads, in the order it first reads them."""
+    gen = _Codegen()
+    gen.expr(sentence, {})
+    return list(gen.extensions)
+
+
 def compile_rules(rules):
     """A function of an interpretation that reads ``rules`` in order,
     each as its ``Rule.sentence`` with instances in ``product`` order:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import perm
 from random import Random
 from typing import Iterator, Optional
@@ -216,17 +216,29 @@ def _restricted_growth(values) -> bool:
     return True
 
 
-def enumerate_interpretations(sig: Signature, m: int,
-                              canonical: bool = False) -> Iterator[Interpretation]:
+def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
+                              cuts=None) -> Iterator[Interpretation]:
     """All interpretations with universe 0..m-1, in deterministic
-    lexicographic order.  Refuses when the state count exceeds the
-    guard ceiling (see LT_TIGHT_GUARD_CEILING); use sampling instead.
+    lexicographic order: constant maps, then the extensions of the
+    predicates in signature order, the last one varying fastest.
+    Refuses when the state count exceeds the guard ceiling (see
+    LT_TIGHT_GUARD_CEILING); use sampling instead.
 
     With ``canonical``, constant maps that are not restricted-growth
     strings are skipped.  Programs cannot name elements, so a
     permutation of the universe preserves every verdict, and each map
     visited stands for the ``orbit_size`` maps a permutation carries it
-    to (see ``orbit``).  The ceiling still counts every interpretation."""
+    to (see ``orbit``).  The ceiling still counts every interpretation.
+
+    ``cuts``, one entry per depth 0..n for the n predicates, prunes the
+    walk, which assigns one predicate at a time on its own stack, as
+    finite model finders do (SEM; Mace4).  At depth d, with the first d
+    predicates assigned, a cut that is not None is called with the
+    partial interpretation, one object per constant map written in
+    place, and the number of interpretations below it (orbits counted
+    with ``canonical``).  It must read only assigned predicates; a true
+    return drops the subtree.  Past the deepest cut the walk is one
+    ``product``, as it is without cuts."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
     limit = guard_ceiling()
@@ -243,12 +255,35 @@ def enumerate_interpretations(sig: Signature, m: int,
         ext_choices.append([
             (p, frozenset(t for i, t in enumerate(tuples) if mask >> i & 1))
             for mask in range(2 ** len(tuples))])
+    # the tuples of the predicates not yet assigned at each depth
+    bits = [m ** arity for _, arity in reversed(sig.predicates)]
+    free = list(accumulate(bits, initial=0))[::-1]
+    cuts = cuts or [None] * len(free)
+    deepest = max((d for d, cut in enumerate(cuts) if cut is not None), default=0)
     for cvals in product(range(m), repeat=len(sig.constants)):
         if canonical and not _restricted_growth(cvals):
             continue
         consts = dict(zip(sig.constants, cvals))
-        for extensions in product(*ext_choices):
-            yield Interpretation(m, consts, dict(extensions))
+        partial = Interpretation(m, consts, {})
+        assigned = partial.extensions
+        orbit_weight = perm(m, len(set(cvals))) if canonical else 1
+        stack = [iter((None,))]     # the root, at depth 0
+        while stack:
+            depth = len(stack) - 1
+            for choice in stack[-1]:
+                if depth:
+                    assigned[choice[0]] = choice[1]
+                cut = cuts[depth]
+                if cut is not None and cut(partial, orbit_weight << free[depth]):
+                    continue
+                if depth < deepest:
+                    stack.append(iter(ext_choices[depth]))
+                    break
+                for extensions in product(*ext_choices[depth:]):
+                    assigned.update(extensions)
+                    yield Interpretation(m, consts, assigned)
+            else:
+                stack.pop()
 
 
 def orbit_size(interp: Interpretation) -> int:
@@ -475,12 +510,14 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
 def sm_tables(prog: Program) -> tuple:
     """The stable-model check's tables, built once per check and passed
     to each ``is_sm_model`` call: the desugared program's constraints,
-    then its basic rules, compiled by ``compile_rules``, and per basic
-    rule the rule and its free variables' names."""
+    then its basic rules, compiled by ``compile_rules``; per basic rule
+    the rule and its free variables' names; and the rules compiled, in
+    that order, for callers that read them otherwise."""
     d = desugar(prog)
     basic = [r for r in d.rules if r.kind == BASIC]
-    return (compile_rules([r for r in d.rules if r.kind == CONSTRAINT] + basic),
-            [(r, [v.name for v in r.free_vars()]) for r in basic])
+    rules = [r for r in d.rules if r.kind == CONSTRAINT] + basic
+    return (compile_rules(rules),
+            [(r, [v.name for v in r.free_vars()]) for r in basic], rules)
 
 
 def relevant_grounding(tables: tuple, interp: Interpretation):
@@ -491,7 +528,7 @@ def relevant_grounding(tables: tuple, interp: Interpretation):
     is that of ``ground_program(desugar(prog), interp)[1]``: each
     instance left out has the valid reduct ``false -> ...``.  This is
     relevance-driven grounding, as in gringo."""
-    compiled, rules = tables
+    compiled, rules, _ = tables
     bindings = compiled(interp)
     if bindings is None:
         return None

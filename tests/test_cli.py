@@ -10,7 +10,8 @@ import pytest
 
 import lttight.cli as cli
 import lttight.tightness as tightness
-from lttight.cli import run
+from lttight.cli import GROUND_BINDING_LIMIT, run
+from lttight.completion import desugar
 from lttight.fixtures import MAX_STEP_BOUND
 from lttight.parser import parse_program
 from lttight.syntax import pretty_print
@@ -366,6 +367,47 @@ def test_stable_and_ground_guard_the_universe(tmp_path, monkeypatch, capsys):
     interp.write_text("universe=10; p={}; q={}\n")
     code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
     assert (code, out, err) == (0, "stable\n", "")
+
+
+def test_ground_limits_what_it_prints(tmp_path, capsys):
+    """ground prints every rule instance, so it refuses more bindings
+    than GROUND_BINDING_LIMIT, far below the ceiling, which stable
+    keeps: at universe size 120 the three-variable rule would print for
+    about 45 s."""
+    path = tmp_path / "prog.lp"
+    path.write_text("p(X) :- q(X, Y), q(Y, Z), q(Z, X).\n")
+    interp = tmp_path / "i.txt"
+    for m in (120, 47):
+        interp.write_text(f"universe={m}; p={{}}; q={{}}\n")
+        code, out, err = invoke(capsys, "ground", str(path),
+                                "--interp", str(interp))
+        assert (code, out) == (3, "")
+        assert err == (f"resource guard: {m ** 3} rule bindings at universe "
+                       f"size {m} exceed the 100000 that ground prints\n")
+    assert GROUND_BINDING_LIMIT == 100_000 < 47 ** 3
+    code, out, err = invoke(capsys, "stable", str(path), "--interp", str(interp))
+    assert (code, out, err) == (0, "stable\n", "")
+
+
+def test_stable_and_ground_desugar_once(tmp_path, monkeypatch, capsys):
+    """stable guards the grounding with the rules its stable-model
+    tables hold, so the program is desugared once per command."""
+    import lttight.semantics as semantics
+    calls = []
+
+    def counting(prog):
+        calls.append(prog)
+        return desugar(prog)
+
+    monkeypatch.setattr(cli, "desugar", counting)
+    monkeypatch.setattr(semantics, "desugar", counting)
+    interp = tmp_path / "i.txt"
+    interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
+    for command in ("stable", "ground"):
+        calls.clear()
+        code, _, err = invoke(capsys, command, "fixture:prog1",
+                              "--interp", str(interp))
+        assert (code, err, len(calls)) == (0, "", 1)
 
 
 def test_check_equiv_agree_and_disagree(capsys):

@@ -18,10 +18,11 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     ResourceGuardError, compile_sentence, enumerate_interpretations,
-    interpretation_count, is_sm_model, parse_interpretation, sm_tables,
+    interpretation_count, is_sm_model, make_interpretation,
+    parse_interpretation, sm_tables,
 )
 from lttight.syntax import (
-    BASIC, CONSTRAINT, conjoin, existential_closure, formula_to_str,
+    BASIC, CONSTRAINT, Signature, conjoin, existential_closure, formula_to_str,
 )
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains,
@@ -222,11 +223,15 @@ def assert_matches_reference(prog, gamma, m_max, decide=is_sm_model) -> int:
 
 
 AB = (parse_formula("a != b"),)
-# (fixture, Gamma, m_max, witnesses); ex1 exceeds the ceiling at m = 3
+# (fixture, Gamma, m_max, witnesses); ex1 exceeds the ceiling at m = 3.
+# The last two Gammas read the last predicate of the signature, so the
+# exhaustive walk reads every rule only at its leaves.
 ORACLE_CASES = (
     [(name, builtin_fixture(name).gamma, 3, 6 if name == "prog2" else 0)
      for name in SMALL_FIXTURES]
-    + [("ex1", (), 2, 0), ("prog4", AB, 3, 0), ("example3", (), 3, 6)])
+    + [("ex1", (), 2, 0), ("prog4", AB, 3, 0), ("example3", (), 3, 6),
+       ("ex2", (parse_formula("exists X (s(X))"),), 3, 0),
+       ("prog2", (parse_formula("exists X (q(X))"),), 3, 6)])
 
 
 @pytest.mark.parametrize("name, gamma, m_max, witnesses", ORACLE_CASES)
@@ -237,12 +242,19 @@ def test_exhaustive_check_matches_plain_enumeration_on_fixtures(
 
 
 def random_gamma(rng: Random, prog) -> tuple:
-    """No assumption, or one over the program's own signature."""
+    """No assumption, or one over the program's own signature: one of
+    them over its last predicate, at the foot of the exhaustive walk."""
     choices = [()]
     if {"a", "b"} <= set(prog.constants):
         choices.append(AB)
     if ("p", 1) in prog.predicates:
         choices.append((parse_formula("exists X (p(X))"),))
+    name, arity = prog.signature.predicates[-1]
+    variables = ["X", "Y"][:arity]
+    last = f"{name}({', '.join(variables)})" if variables else name
+    for v in variables:
+        last = f"exists {v} ({last})"
+    choices.append((parse_formula(last),))
     return rng.choice(choices)
 
 
@@ -264,6 +276,68 @@ def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
         witnesses += assert_matches_reference(prog, gamma, 2, decide)
     assert witnesses > 50
     print(f"orbit-weighted check vs plain enumeration: {witnesses} witnesses")
+
+
+def test_exhaustive_walk_yields_only_interpretations_no_cut_drops(
+        monkeypatch):
+    """The exhaustive walk builds whole only the interpretations that
+    satisfy Gamma and the program read classically, in enumeration
+    order: plain enumeration of the restricted-growth maps yields 4,368
+    on ex2 at m <= 3 and 1,028 on prog4."""
+    yielded = []
+    walk = equiv.enumerate_interpretations
+
+    def recording(*args, **kwargs):
+        for interp in walk(*args, **kwargs):
+            yielded.append(interp)
+            yield interp
+
+    monkeypatch.setattr(equiv, "enumerate_interpretations", recording)
+    for name, count in (("ex2", 155), ("prog4", 234)):
+        prog = builtin_fixture(name).program
+        yielded.clear()
+        check_equivalence(prog, (), 3)
+        tables = sm_tables(prog)
+        assert yielded == [
+            i for m in (1, 2, 3)
+            for i in enumerate_interpretations(prog.signature, m, canonical=True)
+            if tables[0](i) is not None]
+        assert len(yielded) == count
+
+
+def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
+    """The walk keeps its own stack: 1,500 zero-arity predicates, more
+    than the default recursion limit, each dropped at its own depth when
+    true, leave one leaf.  And a check over 300 of them, each ruled out
+    by a constraint and the first by Gamma too, counts the rest
+    exactly."""
+    n = 1500
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", str(2 ** n))
+    sig = Signature(tuple((f"p{i:04}", 0) for i in range(n)), ())
+    dropped = []
+
+    def cut(name):
+        def drop(interp, weight):
+            if interp.extensions[name]:
+                dropped.append(weight)
+                return True
+            return False
+        return drop
+
+    leaves = list(enumerate_interpretations(
+        sig, 1, cuts=[None] + [cut(p) for p, _ in sig.predicates]))
+    assert leaves == [make_interpretation(1, {}, dict.fromkeys(
+        (p for p, _ in sig.predicates), ()))]
+    # false first: the deepest subtree, of one interpretation, goes first
+    assert dropped == [2 ** k for k in range(n)]
+    n = 300
+    prog = parse_program(" ".join(f":- p{i:04}." for i in range(n)))
+    report = check_equivalence(prog, [parse_formula("not p0000")], 1)
+    assert report.stats_line() == (
+        f"stats: examined={2 ** n} gamma_skipped={2 ** (n - 1)} "
+        f"guard_skipped=0 checked={2 ** (n - 1)} both_accept=1 "
+        f"both_reject={2 ** (n - 1) - 1} disagree=0")
+    assert report.verdict == "agree"
 
 
 def test_exhaustive_check_weights_guard_skips(monkeypatch):
