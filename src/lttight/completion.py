@@ -9,6 +9,7 @@ basic rules and constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .syntax import (
     BASIC, BOT, CHOICE, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
@@ -61,50 +62,44 @@ def desugar(prog: Program) -> Program:
     )
 
 
-def _fresh_head_vars(prog: Program, arity: int) -> list:
-    avoid = set()
-    for r in prog.rules:
-        avoid |= r.variables()
-    names = {v.name for v in avoid}
-    out = []
-    i = 1
-    while len(out) < arity:
-        name = f"X{i}"
-        if name not in names:
-            out.append(Variable(name))
-        i += 1
-    return out
-
-
-def _definition_body(prog: Program, p: str, head_vars: list):
-    disjuncts = []
+def _definitions(prog: Program, predicates):
+    """The definition of each of ``predicates``, its head variables the
+    first of ``X1``, ``X2``, ... that no rule of the program uses.  The
+    rules are read once, not once per predicate, so a completion is
+    linear in them."""
+    names = {v.name for r in prog.rules for v in r.variables()}
+    heading = {}
     for r in prog.basic_rules():
-        if r.head.predicate != p:
-            continue
-        eqs = [Equality(x, t) for x, t in zip(head_vars, r.head.args)]
-        conjuncts = list(eqs)
-        if r.body != TOP:
-            conjuncts.append(r.body)
-        inner = conjoin(conjuncts)
-        for v in reversed(r.free_vars()):
-            inner = Exists(v, inner)
-        disjuncts.append(inner)
-    return disjoin(disjuncts)
+        heading.setdefault(r.head.predicate, []).append(r)
+    arity = dict(prog.predicates)
+    for p in predicates:
+        fresh = (x for x in map("X{}".format, count(1)) if x not in names)
+        head_vars = [Variable(next(fresh)) for _ in range(arity[p])]
+        disjuncts = []
+        for r in heading.get(p, ()):
+            conjuncts = [Equality(x, t) for x, t in zip(head_vars, r.head.args)]
+            if r.body != TOP:
+                conjuncts.append(r.body)
+            inner = conjoin(conjuncts)
+            for v in reversed(r.free_vars()):
+                inner = Exists(v, inner)
+            disjuncts.append(inner)
+        yield Rule(BASIC, Atom(p, tuple(head_vars)), disjoin(disjuncts))
 
 
 def definition_of(prog: Program, p: str) -> Rule:
     """The definition of ``p``: one rule collecting all rules with head
     predicate ``p`` into a disjunction of existentially quantified
     equality-guarded bodies.  Requires a desugared program."""
-    arity = prog.arity(p)
-    head_vars = _fresh_head_vars(prog, arity)
-    body = _definition_body(prog, p, head_vars)
-    return Rule(BASIC, Atom(p, tuple(head_vars)), body)
+    return next(_definitions(prog, [p]))
 
 
 def completed_definition(prog: Program, p: str):
     """Universal closure of ``p(x) <-> D`` with the biconditional expanded."""
-    d = definition_of(prog, p)
+    return _completed(definition_of(prog, p))
+
+
+def _completed(d: Rule):
     return universal_closure_ordered(iff(d.head, d.body), list(d.head.args))
 
 
@@ -122,7 +117,8 @@ def completion(prog: Program) -> CompletionResult:
     """
     d = desugar(prog)
     defined = prog.intensional | {r.head.predicate for r in prog.basic_rules()}
-    defs = [(name, completed_definition(d, name)) for name in sorted(defined)]
+    defs = [(r.head.predicate, _completed(r))
+            for r in _definitions(d, sorted(defined))]
     constraints = tuple(universal_closure(neg(r.body)) for r in d.constraints())
     return CompletionResult(tuple(defs), constraints)
 

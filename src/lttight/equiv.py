@@ -15,11 +15,10 @@ from .fixtures import (
     builtin_fixture, moving_constraint_formulas,
     moving_successor_state_formulas,
 )
-from .evaluation import predicates_read
 from .semantics import (
-    Interpretation, ResourceGuardError, compile_sentence,
-    enumerate_interpretations, enumeration_key, is_sm_model, orbit,
-    orbit_size, sample_interpretation,
+    GAMMA, REJECT, Interpretation, ResourceGuardError, compile_sentence,
+    depth_cuts, enumerate_interpretations, enumeration_key, is_sm_model,
+    orbit, orbit_size, sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
     sm_tables,
 )
@@ -79,52 +78,6 @@ def _gamma_desc(gamma) -> str:
     return "; ".join(formula_to_str(g) for g in gamma)
 
 
-GAMMA = "gamma"     # keys of a check's count of dropped interpretations
-REJECT = "reject"
-
-
-def _cut(gamma, rules, dropped: Counter):
-    """One depth's cut, or None when nothing is read there: the Gamma
-    conjuncts ``gamma``, then the rule sentences ``rules``, each list
-    compiled into one function; the weight of a subtree that one of them
-    drops is counted in ``dropped`` under GAMMA or REJECT."""
-    tests = [(compile_sentence(conjoin(fs)), key)
-             for fs, key in ((gamma, GAMMA), (rules, REJECT)) if fs]
-    if not tests:
-        return None
-
-    def cut(interp, weight) -> bool:
-        for holds, key in tests:
-            if not holds(interp):
-                dropped[key] += weight
-                return True
-        return False
-    return cut
-
-
-def _cuts(sig, gamma, rules, dropped: Counter) -> list:
-    """One cut per depth of ``enumerate_interpretations``' walk over
-    ``sig``: each of Gamma's conjuncts and of the sentences of ``rules``
-    is read at the depth of the last predicate it reads.  A rule is read
-    no shallower than Gamma's deepest conjunct, so an interpretation is
-    counted under REJECT only when it satisfies Gamma.  Tried in depth
-    order, the cuts screen a whole interpretation alike."""
-    depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
-    levels = [([], []) for _ in range(len(sig.predicates) + 1)]
-
-    def level(sentence) -> int:
-        return max((depth.get(p, 0) for p in predicates_read(sentence)),
-                   default=0)
-
-    for g in gamma:
-        levels[level(g)][0].append(g)
-    floor = max((d for d, (gs, _) in enumerate(levels) if gs), default=0)
-    for r in rules:
-        s = r.sentence()
-        levels[max(floor, level(s))][1].append(s)
-    return [_cut(gs, rs, dropped) for gs, rs in levels]
-
-
 def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
            mode_desc: str, dropped: Counter, orbits=False) -> EquivReport:
     """Compare every interpretation of the source ``interps``; one whose
@@ -132,7 +85,7 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
     checked.  ``tables`` are the program's ``sm_tables``, passed to every
     ``is_sm_model`` call; the completion is compiled once here.
 
-    The source is screened, by ``_cuts`` or none: what it dropped is
+    The source is screened, by ``depth_cuts`` or none: what it dropped is
     counted in ``dropped``, under GAMMA as skipped by Gamma and under
     REJECT as checked and both-reject.  Every model of ``comp_sentences``
     satisfies the program read classically, as every stable model does,
@@ -188,21 +141,23 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     An interpretation that violates the program read classically (the
     rules of its ``sm_tables``) is counted as both-reject without either
     check: the completion holds the constraints, and every rule is the
-    if-half of its head's completed definition.  Gamma and the rules are
-    compiled once per check into ``_cuts``.  A sample is screened by all
-    of them.  An exhaustive check walks the interpretations one
-    predicate at a time and drops a subtree at the first cut that fails
-    (``enumerate_interpretations``), so only interpretations that pass
-    every cut are built whole.  It visits one constant map per orbit
-    under permutations of the universe and counts each interpretation
-    for its orbit; the report is the one enumerating and screening every
-    interpretation would give."""
+    if-half of its head's completed definition.  Gamma and the rules'
+    sentences are compiled once per check into ``depth_cuts``, as
+    ``check_gamma_tight`` compiles Gamma and the completion.  A sample
+    is screened by all of them.  An exhaustive check walks the
+    interpretations one predicate at a time and drops a subtree at the
+    first cut that fails, so only those that pass every cut are built
+    whole.  It visits one constant map per orbit under permutations of
+    the universe and counts each interpretation for its orbit; the
+    report is the one enumerating and screening every interpretation
+    would give."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = list(gamma)
     tables = sm_tables(prog)
     dropped = Counter()
-    cuts = _cuts(prog.signature, gamma, tables[2], dropped)
+    cuts = depth_cuts(prog.signature, gamma,
+                      [r.sentence() for r in tables[2]], dropped)
     if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(

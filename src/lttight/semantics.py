@@ -6,13 +6,14 @@ Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 ``BOT``.  ``ground`` is the one translation of first-order formulas into
 that type.  A reduct relative to J is *folded* when J's atoms are
 replaced by their numbers and constants are folded away, so that no
-``TOP`` or ``BOT`` is left inside (``folded_reduct``); ``is_stable``
-searches the folded reduct for a smaller model
+``TOP`` or ``BOT`` is left inside (``stability.folded_reduct``);
+``is_stable`` searches the folded reduct for a smaller model
 (``stability.has_smaller_model``).  ``is_sm_model`` is ``is_stable`` on
 the rule instances whose body the interpretation satisfies
 (``relevant_grounding``), which one compiled reading of the rules per
 check yields (``sm_tables``).  First-order sentences are evaluated by
-functions compiled in ``evaluation``.
+functions compiled in ``evaluation``.  ``depth_cuts`` builds the cuts by
+which both exhaustive searches prune ``enumerate_interpretations``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -29,11 +30,15 @@ from random import Random
 from typing import Iterator, Optional
 
 from .completion import desugar
-from .evaluation import GroundingError, compile_rules, compile_sentence
-from .stability import BOT, TOP, Conj, Disj, Imp, has_smaller_model, junction
+from .evaluation import (
+    GroundingError, compile_rules, compile_sentence, predicates_read,
+)
+from .stability import (
+    BOT, TOP, Conj, Disj, Imp, atom_numbers, folded_reduct, has_smaller_model,
+)
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
-    Or, Program, Signature, Variable,
+    Or, Program, Signature, Variable, conjoin,
 )
 
 DEFAULT_ENUMERATION_CEILING = 2_000_000
@@ -238,7 +243,8 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
     place, and the number of interpretations below it (orbits counted
     with ``canonical``).  It must read only assigned predicates; a true
     return drops the subtree.  Past the deepest cut the walk is one
-    ``product``, as it is without cuts."""
+    ``product``, as it is without cuts, and what is left comes in the
+    unpruned order.  ``depth_cuts`` builds them for a model search."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
     limit = guard_ceiling()
@@ -284,6 +290,43 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
                     yield Interpretation(m, consts, assigned)
             else:
                 stack.pop()
+
+
+GAMMA = "gamma"     # keys of a search's count of dropped interpretations
+REJECT = "reject"
+
+
+def depth_cuts(sig: Signature, gamma, sentences, dropped) -> list:
+    """The ``cuts`` of ``enumerate_interpretations``' walk over ``sig``
+    that keep the models of Gamma's conjuncts ``gamma`` and of the other
+    ``sentences``.  Each is read at the depth of the last predicate it
+    reads, a sentence no shallower than Gamma's deepest conjunct, and
+    compiled with the rest of its kind and depth.  A dropped subtree's
+    weight is counted in ``dropped`` under GAMMA when it fails Gamma,
+    else under REJECT.  Tried in depth order, the cuts screen a whole
+    interpretation alike."""
+    depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
+    levels = [{} for _ in range(len(depth) + 1)]
+    deepest = 0
+    for key, fs in ((GAMMA, gamma), (REJECT, sentences)):
+        floor = deepest
+        for f in fs:
+            d = max([floor] + [depth.get(p, 0) for p in predicates_read(f)])
+            levels[d].setdefault(key, []).append(f)
+            deepest = max(deepest, d)
+
+    def cut(level):
+        tests = [(compile_sentence(conjoin(fs)), key)
+                 for key, fs in level.items()]
+
+        def drops(interp, weight) -> bool:
+            for holds, key in tests:
+                if not holds(interp):
+                    dropped[key] += weight
+                    return True
+            return False
+        return drops
+    return [cut(level) if level else None for level in levels]
 
 
 def orbit_size(interp: Interpretation) -> int:
@@ -437,39 +480,6 @@ def reduct(g, j):
     if cls is Imp:
         return Imp(reduct(g.left, j), reduct(g.right, j))
     return cls(tuple(reduct(x, j) for x in g.items))
-
-
-def atom_numbers(atoms) -> dict:
-    """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
-    the order they first occur."""
-    numbers = dict.fromkeys(atoms)
-    for i, a in enumerate(numbers):
-        numbers[a] = i
-    return numbers
-
-
-def folded_reduct(g, numbers: dict):
-    """The reduct of the ground formula ``g`` relative to j, folded over
-    atom numbers (see ``stability``), where ``numbers`` maps each atom
-    of j to its number.  A subformula that j does not satisfy folds to
-    ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
-    ``g``.  The walk takes one stack frame per level of ``g``."""
-    cls = type(g)
-    if cls is tuple:
-        return numbers.get(g, BOT)
-    if cls is Imp:
-        left = folded_reduct(g.left, numbers)
-        if left is BOT:
-            return TOP
-        right = folded_reduct(g.right, numbers)
-        return (right if left is TOP or right is TOP or right is BOT
-                else Imp(left, right))
-    if cls is Conj or cls is Disj:
-        items = []
-        for x in g.items:
-            items.append(folded_reduct(x, numbers))
-        return junction(cls, items)
-    raise TypeError(f"not a ground formula: {g!r}")
 
 
 def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:

@@ -17,11 +17,11 @@ The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
 circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
-``semantics.is_stable`` folds a ground formula's reduct with ``junction``
-(``semantics.folded_reduct``, which folds implications itself, and folds
-``F -> false`` to ``false`` unless F folds to ``false``: sound for a
-reduct, not for a classical fold), and ``has_smaller_model`` decides
-minimality on the result.
+``semantics.is_stable`` numbers the atoms (``atom_numbers``), folds a
+ground formula's reduct with ``junction`` (``folded_reduct``, which
+folds implications itself, and folds ``F -> false`` to ``false`` unless
+F folds to ``false``: sound for a reduct, not for a classical fold), and
+``has_smaller_model`` decides minimality on the result.
 """
 
 from __future__ import annotations
@@ -92,6 +92,39 @@ def junction(cls, items):
     if len(out) > 1:
         return cls(tuple(out))
     return out[0] if out else unit
+
+
+def atom_numbers(atoms) -> dict:
+    """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
+    the order they first occur."""
+    numbers = dict.fromkeys(atoms)
+    for i, a in enumerate(numbers):
+        numbers[a] = i
+    return numbers
+
+
+def folded_reduct(g, numbers: dict):
+    """The reduct of the ground formula ``g`` relative to j, folded over
+    atom numbers (see above), where ``numbers`` maps each atom
+    of j to its number.  A subformula that j does not satisfy folds to
+    ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
+    ``g``.  The walk takes one stack frame per level of ``g``."""
+    cls = type(g)
+    if cls is tuple:
+        return numbers.get(g, BOT)
+    if cls is Imp:
+        left = folded_reduct(g.left, numbers)
+        if left is BOT:
+            return TOP
+        right = folded_reduct(g.right, numbers)
+        return (right if left is TOP or right is TOP or right is BOT
+                else Imp(left, right))
+    if cls is Conj or cls is Disj:
+        items = []
+        for x in g.items:
+            items.append(folded_reduct(x, numbers))
+        return junction(cls, items)
+    raise TypeError(f"not a ground formula: {g!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ renaming); chains with canonical variable tags are enumerated directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .completion import CompletionResult, completion, desugar, simplify
 from .semantics import (
-    Interpretation, ResourceGuardError, compile_sentence,
+    Interpretation, ResourceGuardError, compile_sentence, depth_cuts,
     enumerate_interpretations, guard_ceiling, is_acyclic,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
 )
@@ -442,12 +443,14 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     chain; ``countermodel`` when some interpretation within the universe
     bound satisfies Gamma, the completion, and the existential closure
     of a chain formula; ``unknown`` otherwise.  The refuter's tables are
-    built once, before the chain loop, and serve every chain.  Each open
-    chain's closure is compiled when the first interpretation that
-    satisfies Gamma and the completion reaches it, so a search that no
-    interpretation gets through compiles one sentence.  Raises
-    ``ResourceGuardError`` as ``chains`` does, before refuting any
-    chain."""
+    built once, before the chain loop, and serve every chain.  The
+    search walks the interpretations as an exhaustive
+    ``check_equivalence`` does, dropping a subtree at the first depth
+    where a sentence of Gamma or the completion fails (``depth_cuts``),
+    so only their models are built whole.  The cuts are compiled once
+    some chain stays open, and each closure when the first such model
+    reaches it.  Raises ``ResourceGuardError`` as ``chains`` does,
+    before refuting any chain."""
     if n < 1:
         raise ValueError("chain length must be at least 1")
     if universe_bound < 1:
@@ -461,8 +464,10 @@ def check_gamma_tight(prog: Program, gamma, n: int,
             open_chains.append((c, existential_closure(fc)))
     if not open_chains:
         return TightnessVerdict(ENTAILED, n, universe_bound)
-    # compiled only now: a search that never runs compiles nothing
-    targets = compile_sentence(conjoin(list(gamma) + comp.sentences()))
+    # Gamma among the other sentences: the search counts no drops, so no
+    # sentence need wait below Gamma's deepest conjunct
+    cuts = depth_cuts(prog.signature, (), [*gamma, *comp.sentences()],
+                      Counter())
     compiled = [None] * len(open_chains)
     # Only restricted-growth constant maps: a permutation of the universe
     # carries a countermodel under any other map to one under the
@@ -470,9 +475,7 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     # earlier, so the first countermodel found is enumeration's first.
     for m in range(1, universe_bound + 1):
         for interp in enumerate_interpretations(prog.signature, m,
-                                                canonical=True):
-            if not targets(interp):
-                continue
+                                                canonical=True, cuts=cuts):
             for i, (c, closed) in enumerate(open_chains):
                 if compiled[i] is None:
                     compiled[i] = compile_sentence(closed)

@@ -7,7 +7,9 @@ from lttight.completion import (
 )
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
-from lttight.syntax import TOP, Atom, Variable, formula_to_str, rule_to_str
+from lttight.syntax import (
+    TOP, Atom, Rule, Variable, formula_to_str, rule_to_str,
+)
 
 
 def test_desugar_choice_rule():
@@ -96,6 +98,32 @@ def test_simplify_exists_both_orientations():
         parse_formula("p(a)")
     assert simplify(parse_formula("exists X (a = X & p(X))")) == \
         parse_formula("p(a)")
+
+
+def test_completion_reads_each_rule_once(monkeypatch):
+    """The head variables avoid every rule's variables; those are
+    collected once per completion, not once per completed predicate, so
+    the calls grow linearly with the rules."""
+    calls = []
+    variables = Rule.variables
+
+    def counting(rule):
+        calls.append(rule)
+        return variables(rule)
+
+    monkeypatch.setattr(Rule, "variables", counting)
+    counts = {}
+    for n in (50, 100, 200):
+        prog = parse_program(" ".join(f"p{i} :- not p{i}." for i in range(n)))
+        calls.clear()
+        comp = completion(prog)
+        counts[n] = len(calls)
+        assert len(comp.completed_definitions) == n
+    assert counts == {50: 50, 100: 100, 200: 200}
+    # and the head variables are still the first names no rule uses
+    prog = parse_program("p(X1, X3) :- q(X2). q(X) :- p(X, X).")
+    assert formula_to_str(completion(prog).definition_for("q")).startswith(
+        "forall X4 ((q(X4) -> ")
 
 
 def test_simplify_keeps_self_equality():

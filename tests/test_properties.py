@@ -26,9 +26,12 @@ from lttight.semantics import (
 from lttight.syntax import (
     BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
     Implies, ObjectConstant, Or, Rule, Signature, Variable, formula_to_str,
-    free_variables, neg, rename_apart, substitute,
+    existential_closure, free_variables, neg, rename_apart, substitute,
 )
-from lttight.tightness import ENTAILED, check_gamma_tight
+from lttight.tightness import (
+    COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains, check_gamma_tight,
+    refute_chain_formula, refuter_tables,
+)
 
 from conftest import (
     fo_eval, random_ground_formula, random_ground_program, rules_eval,
@@ -646,3 +649,70 @@ def test_classical_non_models_falsify_the_completion():
     assert non_models > 3000 and extensional_heads == 0
     print(f"classical non-models falsify the completion: {non_models} "
           "checked")
+
+
+def names_used(f) -> set:
+    """The predicates and constants that ``f`` names."""
+    if isinstance(f, Atom):
+        return {f.predicate} | {t.name for t in f.args
+                                if isinstance(t, ObjectConstant)}
+    if isinstance(f, Equality):
+        return {t.name for t in (f.left, f.right)
+                if isinstance(t, ObjectConstant)}
+    if isinstance(f, (And, Or)):
+        return set().union(*map(names_used, f.items))
+    if isinstance(f, Implies):
+        return names_used(f.left) | names_used(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return names_used(f.body)
+    return set()
+
+
+def random_program_gamma(rng: Random, prog) -> list:
+    """One or two ``random_sentence``s naming only the program's
+    predicates and constants, as the command line requires; fewer when
+    the draws keep naming others."""
+    known = {p for p, _ in prog.predicates} | set(prog.constants)
+    drawn = (random_sentence(rng, 2) for _ in range(30))
+    return [g for g in drawn if names_used(g) <= known][:rng.randint(1, 2)]
+
+
+def plain_countermodel_search(prog, gamma, n: int, bound: int) -> tuple:
+    """What ``check_gamma_tight`` must answer, by plain enumeration and
+    fo_eval: every constant map, no cuts, and the first interpretation
+    where Gamma, the completion and an open chain's closure hold."""
+    comp = completion(prog)
+    tables = refuter_tables(gamma, comp)
+    open_chains = [(c, existential_closure(chain_formula(c)))
+                   for c in chains(prog, n)
+                   if not refute_chain_formula(chain_formula(c), tables)]
+    if not open_chains:
+        return ENTAILED, None, None
+    theory = list(gamma) + comp.sentences()
+    for m in range(1, bound + 1):
+        for interp in enumerate_interpretations(prog.signature, m):
+            if all(fo_eval(s, interp) for s in theory):
+                for c, closed in open_chains:
+                    if fo_eval(closed, interp):
+                        return COUNTERMODEL, c, interp
+    return UNKNOWN, None, None
+
+
+def test_countermodel_search_matches_plain_oracle():
+    """check_gamma_tight walks restricted-growth constant maps only and
+    drops a subtree where Gamma or the completion fails; its status,
+    chain and countermodel are those of the plain search, on seeded
+    random programs with an empty Gamma and with random ones."""
+    rng = Random(SEED + 12)
+    statuses = Counter()
+    for i in range(150):
+        prog = parse_program(random_program_text(rng))
+        gamma = [] if i % 2 else random_program_gamma(rng, prog)
+        for n in (1, 2):
+            v = check_gamma_tight(prog, gamma, n, 2)
+            assert (v.status, v.chain, v.interpretation) == \
+                plain_countermodel_search(prog, gamma, n, 2)
+            statuses[v.status, bool(gamma)] += 1
+    assert all(statuses[s, g] > 0 for s in (ENTAILED, COUNTERMODEL, UNKNOWN)
+               for g in (False, True))
+    print(f"countermodel search vs plain oracle: {dict(statuses)}")

@@ -5,11 +5,13 @@ from random import Random
 
 import pytest
 
-from lttight import tightness
+from lttight import semantics, tightness
 from lttight.completion import completion, desugar
 from lttight.fixtures import builtin_fixture, fixture_names
 from lttight.parser import parse_formula, parse_program
-from lttight.syntax import BASIC, BOT, And, Atom, Exists, Forall, Implies, Or
+from lttight.syntax import (
+    BASIC, BOT, And, Atom, Exists, Forall, Implies, Or, conjoin,
+)
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_count, chain_formula,
     chain_to_str, chains, check_chain, check_gamma_tight, export_dot,
@@ -256,39 +258,47 @@ def test_check_gamma_tight_argument_validation():
         list(chains(prog, -1))
 
 
-def test_countermodel_search_compiles_only_when_it_runs(monkeypatch):
+def count_compiles(monkeypatch) -> list:
+    """Record each sentence compiled by the countermodel search, as
+    (module, sentence): the cuts compile in ``semantics``, the chains'
+    closures in ``tightness``."""
     compiled = []
+    for module in (semantics, tightness):
+        def counting(sentence, module=module,
+                     original=module.compile_sentence):
+            compiled.append((module.__name__.rsplit(".", 1)[1], sentence))
+            return original(sentence)
+        monkeypatch.setattr(module, "compile_sentence", counting)
+    return compiled
 
-    def counting(sentence):
-        compiled.append(sentence)
-        return compile_sentence(sentence)
 
-    compile_sentence = tightness.compile_sentence
-    monkeypatch.setattr(tightness, "compile_sentence", counting)
+def test_countermodel_search_compiles_only_when_it_runs(monkeypatch):
+    compiled = count_compiles(monkeypatch)
     fx = builtin_fixture("moving(1)")
     assert check_gamma_tight(fx.program, fx.gamma, 3).status == ENTAILED
     assert compiled == []
-    # one conjunction of Gamma and the completion, one per open chain
-    verdict = check_gamma_tight(builtin_fixture("prog2").program, [], 1, 3)
+    # both completed definitions read p and q: one cut, at depth 2; then
+    # both chains' closures, tried on the first completion model
+    prog = builtin_fixture("prog2").program
+    verdict = check_gamma_tight(prog, [], 1, 3)
     assert verdict.status == COUNTERMODEL
-    assert len(compiled) == 1 + len(list(chains(builtin_fixture("prog2").program, 1)))
+    assert len(list(chains(prog, 1))) == 2
+    assert [module for module, _ in compiled] == [
+        "semantics", "tightness", "tightness"]
+    assert compiled[0][1] == conjoin(completion(prog).sentences())
 
 
 def test_open_chain_compiles_when_an_interpretation_reaches_it(monkeypatch):
     """The refuter leaves this chain open, and no interpretation
-    satisfies Gamma, so only Gamma and the completion are compiled."""
-    compiled = []
-
-    def counting(sentence):
-        compiled.append(sentence)
-        return compile_sentence(sentence)
-
-    compile_sentence = tightness.compile_sentence
-    monkeypatch.setattr(tightness, "compile_sentence", counting)
+    satisfies Gamma, so only the cuts are compiled: Gamma at depth 0
+    and the completion at depth 1."""
+    compiled = count_compiles(monkeypatch)
     prog = parse_program("p(a) :- p(X), not (X = a | X = b).")
-    verdict = check_gamma_tight(prog, [parse_formula("exists X (X != X)")], 1)
+    gamma = parse_formula("exists X (X != X)")
+    verdict = check_gamma_tight(prog, [gamma], 1)
     assert verdict.status == UNKNOWN
-    assert len(compiled) == 1
+    assert compiled == [("semantics", gamma),
+                        ("semantics", conjoin(completion(prog).sentences()))]
 
 
 def test_export_dot_predicate_graph():
