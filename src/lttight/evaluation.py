@@ -8,12 +8,18 @@ then called on every interpretation a check examines.  The checks of
 per check (``compile_rules``) that both reads them classically and
 yields each rule body's bindings; ``tests/conftest.py::fo_eval`` is the
 independent oracle the tests hold the compiled functions to.
+
+``compile_fold`` reads a rule once into closures, not source, that fold
+each of its instances straight to the folded reduct over atom numbers
+(``stability``) for the stable-model leaf; ``tests/conftest.py``'s
+``relevant_grounding``, which grounds the instances first, is its oracle.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from .stability import BOT, TOP, Conj, Disj, implication, junction
 from .syntax import And, Atom, Bot, Equality, Exists, Forall, Implies, Or, Variable
 
 
@@ -190,3 +196,92 @@ def compile_rules(rules):
             inner = ["    " + line for line in inner]
         lines += inner
     return _build(gen.function(lines + [f"return [{', '.join(bound)}]"]))
+
+
+# ---------------------------------------------------------------------------
+# The stable-model leaf: rule instances folded as they are grounded
+
+class _Folder:
+    """Reads one rule into closures of ``(env, leaf)``.  ``env`` holds
+    an instance's binding, the values of the rule's free variables in
+    order of first occurrence, head then body, as ``Rule.free_vars``
+    lists them, then one slot per quantifier, counted from the end.
+    ``leaf`` is ``(numbers, consts, range(universe))``."""
+
+    def __init__(self):
+        self.free: dict = {}    # free variable name -> position in env
+        self.slots = 0          # quantifier slots taken
+
+    def element(self, t, bound: dict):
+        """The element the term denotes: a variable's value, a
+        constant's under the constant map ``leaf[1]``, which raises
+        KeyError when it has none."""
+        if type(t) is Variable:
+            i = bound.get(t.name)
+            if i is None:
+                i = self.free.setdefault(t.name, len(self.free))
+            return lambda env, leaf: env[i]
+        return lambda env, leaf: leaf[1][t.name]
+
+    def fold(self, f, bound: dict):
+        """``f``'s grounding's folded reduct; ``bound`` maps the names
+        of the variables that quantifiers bind to their slots."""
+        cls = type(f)
+        if cls is Atom:
+            p = f.predicate
+            terms = [self.element(t, bound) for t in f.args]
+            return lambda env, leaf: leaf[0].get(
+                (p, tuple([t(env, leaf) for t in terms])), BOT)
+        if cls is Implies:
+            left, right = self.fold(f.left, bound), self.fold(f.right, bound)
+            return lambda env, leaf: implication(left(env, leaf), right(env, leaf))
+        if cls is And or cls is Or:
+            kind = Conj if cls is And else Disj
+            items = [self.fold(g, bound) for g in f.items]
+            return lambda env, leaf: junction(kind, [g(env, leaf) for g in items])
+        if cls is Forall or cls is Exists:
+            kind = Conj if cls is Forall else Disj
+            self.slots += 1
+            i = -self.slots
+            body = self.fold(f.body, {**bound, f.var.name: i})
+
+            def quantified(env, leaf):
+                items = []
+                for e in leaf[2]:
+                    env[i] = e
+                    items.append(body(env, leaf))
+                return junction(kind, items)
+            return quantified
+        if cls is Equality:
+            left, right = self.element(f.left, bound), self.element(f.right, bound)
+            return lambda env, leaf: TOP if left(env, leaf) == right(env, leaf) else BOT
+        if cls is Bot:
+            return lambda env, leaf: BOT
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def compile_fold(rule):
+    """A function of a rule's bindings, the value tuples of its free
+    variables as ``compile_rules`` returns them, and ``leaf``, that is
+    ``(numbers, consts, range(universe))`` for an interpretation whose
+    atoms ``numbers`` numbers: the list of the instances ``body -> head``
+    folded, each equal to ``stability.folded_reduct`` of its grounding
+    (``semantics.ground``).  The rule is read once, into closures over
+    binding positions and constant names; no source is generated.  Every
+    term is read, so GroundingError is raised where ``ground`` raises
+    it."""
+    folder = _Folder()
+    head = folder.fold(rule.head, {})
+    body = folder.fold(rule.body, {})
+    extra = [None] * folder.slots
+
+    def fold(bindings, leaf):
+        out = []
+        try:
+            for values in bindings:
+                env = [*values, *extra]
+                out.append(implication(body(env, leaf), head(env, leaf)))
+        except KeyError as exc:
+            raise _unmapped(exc.args[0]) from None
+        return out
+    return fold

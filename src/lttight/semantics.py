@@ -7,13 +7,15 @@ Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 that type.  A reduct relative to J is *folded* when J's atoms are
 replaced by their numbers and constants are folded away, so that no
 ``TOP`` or ``BOT`` is left inside (``stability.folded_reduct``);
-``is_stable`` searches the folded reduct for a smaller model
-(``stability.has_smaller_model``).  ``is_sm_model`` is ``is_stable`` on
-the rule instances whose body the interpretation satisfies
-(``relevant_grounding``), which one compiled reading of the rules per
-check yields (``sm_tables``).  First-order sentences are evaluated by
-functions compiled in ``evaluation``.  ``depth_cuts`` builds the cuts by
-which both exhaustive searches prune ``enumerate_interpretations``.
+``is_stable`` folds a ground formula's reduct and ``stable_fold``
+searches it for a smaller model (``stability.has_smaller_model``).
+``is_sm_model`` grounds nothing: ``relevant_reduct`` numbers the
+interpretation's atoms once and folds the rule instances whose body it
+satisfies as it instantiates them, by the closures ``sm_tables`` builds
+once per check (``evaluation.compile_fold``), and ``stable_fold``
+decides.  First-order sentences are evaluated by functions compiled in
+``evaluation``.  ``depth_cuts`` builds the cuts by which both exhaustive
+searches prune ``enumerate_interpretations``.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -31,10 +33,12 @@ from typing import Iterator, Optional
 
 from .completion import desugar
 from .evaluation import (
-    GroundingError, compile_rules, compile_sentence, predicates_read,
+    GroundingError, compile_fold, compile_rules, compile_sentence,
+    predicates_read,
 )
 from .stability import (
     BOT, TOP, Conj, Disj, Imp, atom_numbers, folded_reduct, has_smaller_model,
+    junction,
 )
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
@@ -484,23 +488,25 @@ def reduct(g, j):
 
 def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of g relative to j and no proper
-    subset of j does.
-
-    j's distinct atoms are numbered in sorted order (``atom_numbers``)
-    and g's reduct is folded over those numbers (``folded_reduct``); a
-    fold to ``BOT`` means j does not satisfy g.  Minimality is decided by
-    ``stability.has_smaller_model``: a depth-first search that
-    assigns the atoms in number order, false first, propagates what the
-    reduct's conjuncts force, and ends a branch as soon as the
-    three-valued value of the reduct is decided.  The search is complete
-    for arbitrary ground formulas.  More than ``cap`` atoms raise
-    ResourceGuardError, after the reduct is found satisfied and before
-    the search."""
+    subset of j does.  j's distinct atoms are numbered in sorted order
+    (``atom_numbers``), g's reduct is folded over those numbers
+    (``folded_reduct``), and ``stable_fold`` decides."""
     numbers = atom_numbers(sorted(j))
-    r = folded_reduct(g, numbers)
+    return stable_fold(folded_reduct(g, numbers), len(numbers), cap)
+
+
+def stable_fold(r, n: int, cap: int) -> bool:
+    """Whether the atoms ``0 .. n-1`` are a stable model of the folded
+    reduct ``r`` relative to them.  ``BOT`` means they do not satisfy
+    it.  Minimality is decided by ``stability.has_smaller_model``: a
+    depth-first search that assigns the atoms in number order, false
+    first, propagates what the reduct's conjuncts force, and ends a
+    branch as soon as the three-valued value of the reduct is decided.
+    The search is complete for arbitrary ground formulas.  More than
+    ``cap`` atoms raise ResourceGuardError, after the reduct is found
+    satisfied and before the search."""
     if r is BOT:
         return False
-    n = len(numbers)
     if n > cap:
         raise ResourceGuardError(
             f"minimality check over {n} atoms exceeds the cap of {cap}")
@@ -520,45 +526,45 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
 def sm_tables(prog: Program) -> tuple:
     """The stable-model check's tables, built once per check and passed
     to each ``is_sm_model`` call: the desugared program's constraints,
-    then its basic rules, compiled by ``compile_rules``; per basic rule
-    the rule and its free variables' names; and the rules compiled, in
+    then its basic rules, compiled by ``compile_rules``; each basic
+    rule's instance fold (``compile_fold``); and the rules compiled, in
     that order, for callers that read them otherwise."""
     d = desugar(prog)
     basic = [r for r in d.rules if r.kind == BASIC]
     rules = [r for r in d.rules if r.kind == CONSTRAINT] + basic
-    return (compile_rules(rules),
-            [(r, [v.name for v in r.free_vars()]) for r in basic], rules)
+    return compile_rules(rules), [compile_fold(r) for r in basic], rules
 
 
-def relevant_grounding(tables: tuple, interp: Interpretation):
+def relevant_reduct(tables: tuple, interp: Interpretation):
     """None when the interpretation violates an instance of a rule in
-    ``tables`` (``sm_tables``), else the conjunction of the instances
-    ``body -> head`` of the basic rules whose body it satisfies, in the
-    order of ``ground_program``.  Its reduct relative to the true atoms
-    is that of ``ground_program(desugar(prog), interp)[1]``: each
-    instance left out has the valid reduct ``false -> ...``.  This is
-    relevance-driven grounding, as in gringo."""
-    compiled, rules, _ = tables
+    ``tables`` (``sm_tables``).  Else the pair of a folded reduct and the
+    numbers of the true atoms, in sorted order.  The reduct is that of
+    the conjunction of the instances ``body -> head`` of the basic rules
+    whose body the interpretation satisfies, in the order of
+    ``ground_program``, and so it is the fold of
+    ``ground_program(desugar(prog), interp)[1]``'s: each instance left
+    out has the valid reduct ``false -> ...``.  This is relevance-driven
+    grounding, as in gringo, folded as it grounds."""
+    compiled, folds, _ = tables
     bindings = compiled(interp)
     if bindings is None:
         return None
+    numbers = atom_numbers(interp.atoms())
+    leaf = (numbers, interp.consts, range(interp.universe))
     instances = []
-    for (r, names), tuples in zip(rules, bindings):
-        for values in tuples:
-            env = dict(zip(names, values))
-            instances.append(Imp(ground(r.body, interp, env),
-                                 ground(r.head, interp, env)))
-    return Conj(tuple(instances))
+    for fold, tuples in zip(folds, bindings):
+        instances += fold(tuples, leaf)
+    return junction(Conj, instances), numbers
 
 
 def is_sm_model(tables: tuple, interp: Interpretation,
                 cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """Whether the interpretation is a stable model of the program whose
-    ``sm_tables`` are given: ``relevant_grounding`` is not None, which
-    stops at the first violated rule instance, and ``is_stable`` holds
-    of it and the true atoms."""
-    g = relevant_grounding(tables, interp)
-    return g is not None and is_stable(g, list(interp.atoms()), cap)
+    ``sm_tables`` are given: ``relevant_reduct`` is not None, which
+    stops at the first violated rule instance, and ``stable_fold``
+    holds of it."""
+    folded = relevant_reduct(tables, interp)
+    return folded is not None and stable_fold(folded[0], len(folded[1]), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
 circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
-``semantics.is_stable`` numbers the atoms (``atom_numbers``), folds a
-ground formula's reduct with ``junction`` (``folded_reduct``, which
-folds implications itself, and folds ``F -> false`` to ``false`` unless
-F folds to ``false``: sound for a reduct, not for a classical fold), and
-``has_smaller_model`` decides minimality on the result.
+``semantics.is_stable`` numbers the atoms (``atom_numbers``) and folds a
+ground formula's reduct (``folded_reduct``) with ``junction`` and
+``implication``, which folds ``F -> false`` to ``false`` unless F folds
+to ``false``: sound for a reduct, not for a classical fold.  The
+stable-model leaf, ``semantics.relevant_reduct``, folds rule instances
+with the same two rules as it instantiates them
+(``evaluation.compile_fold``), with no ground formula in between.
+``has_smaller_model`` decides minimality on either result.
 """
 
 from __future__ import annotations
@@ -94,6 +97,17 @@ def junction(cls, items):
     return out[0] if out else unit
 
 
+def implication(left, right):
+    """The folded reduct of ``left -> right`` from the folded reducts of
+    its sides: ``TOP`` when the antecedent is ``BOT`` (j does not satisfy
+    it), else the consequent when either side is decided, else the
+    implication."""
+    if left is BOT:
+        return TOP
+    return (right if left is TOP or right is TOP or right is BOT
+            else Imp(left, right))
+
+
 def atom_numbers(atoms) -> dict:
     """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
     the order they first occur."""
@@ -113,12 +127,8 @@ def folded_reduct(g, numbers: dict):
     if cls is tuple:
         return numbers.get(g, BOT)
     if cls is Imp:
-        left = folded_reduct(g.left, numbers)
-        if left is BOT:
-            return TOP
-        right = folded_reduct(g.right, numbers)
-        return (right if left is TOP or right is TOP or right is BOT
-                else Imp(left, right))
+        return implication(folded_reduct(g.left, numbers),
+                           folded_reduct(g.right, numbers))
     if cls is Conj or cls is Disj:
         items = []
         for x in g.items:

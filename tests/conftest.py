@@ -1,6 +1,7 @@
 """Shared test helpers: an independent first-order evaluator and its
 reading of a list of rules (oracles against the grounding path and the
-compiled evaluator) and random generators for ground formulas and
+compiled evaluator), the unfolded relevant grounding (the oracle of the
+stable-model leaf's fold) and random generators for ground formulas and
 ground programs."""
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from random import Random
 
 import pytest
 
+from lttight.semantics import ground
 from lttight.stability import BOT, Conj, Disj, Imp
 from lttight.syntax import (
-    And, Atom, Bot, Equality, Exists, Forall, Implies, ObjectConstant, Or,
-    Variable,
+    BASIC, And, Atom, Bot, Equality, Exists, Forall, Implies, ObjectConstant,
+    Or, Variable,
 )
 
 
@@ -65,6 +67,27 @@ def rules_eval(rules, interp):
                                              repeat=len(free))
                 if fo_eval(r.body, interp, dict(zip(free, values)))])
     return bindings
+
+
+def relevant_grounding(tables: tuple, interp):
+    """The unfolded relevant grounding: None when the interpretation
+    violates an instance of a rule in ``tables`` (``sm_tables``), else
+    the conjunction of the instances ``body -> head``, each grounded by
+    ``ground``, of the basic rules whose body it satisfies, in the order
+    of ``ground_program``.  ``semantics.relevant_reduct`` must give its
+    folded reduct."""
+    compiled, _, rules = tables
+    bindings = compiled(interp)
+    if bindings is None:
+        return None
+    instances = []
+    for r, tuples in zip([r for r in rules if r.kind == BASIC], bindings):
+        names = [v.name for v in r.free_vars()]
+        for values in tuples:
+            env = dict(zip(names, values))
+            instances.append(Imp(ground(r.body, interp, env),
+                                 ground(r.head, interp, env)))
+    return Conj(tuple(instances))
 
 
 def random_ground_formula(rng: Random, atoms, depth: int):

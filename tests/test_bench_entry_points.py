@@ -41,4 +41,5 @@ def test_idle_traced_entry_points_are_pinned():
                    for node in ast.walk(tree)):
             idle.append(f"{module}.{attr}")
     assert idle == ["equiv.satisfies_fo", "semantics.ground_program",
-                    "tightness.substitute", "tightness.satisfies_fo"]
+                    "semantics.is_stable", "tightness.substitute",
+                    "tightness.satisfies_fo"]

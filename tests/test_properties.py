@@ -1,14 +1,17 @@
 """Seeded randomized invariants beyond the core acceptance properties:
 printer/parser round trip, substitution, grounding and the compiled
 evaluator against a direct first-order evaluator, simplification
-soundness, the tight-on consequence of chain refutation, and the
-relevant grounding against the whole grounding."""
+soundness, the tight-on consequence of chain refutation, the relevant
+grounding against the whole grounding, and the stable-model leaf's fold
+against the relevant grounding."""
 
 import json
 import sys
 from collections import Counter
 from pathlib import Path
 from random import Random
+
+import pytest
 
 from lttight.completion import completion, desugar, simplify
 from lttight.equiv import successor_state_interpretations
@@ -18,10 +21,11 @@ from lttight.parser import (
 )
 from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
-    ResourceGuardError, atom_numbers, enumerate_interpretations,
-    folded_reduct, ground, ground_program, ground_to_str, is_sm_model,
-    is_stable, is_tight_on, make_interpretation, reduct, relevant_grounding,
-    sample_interpretation, satisfies, satisfies_fo, sm_tables,
+    GroundingError, ResourceGuardError, atom_numbers,
+    enumerate_interpretations, folded_reduct, ground, ground_program,
+    ground_to_str, is_sm_model, is_stable, is_tight_on, make_interpretation,
+    reduct, relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
+    sm_tables,
 )
 from lttight.syntax import (
     BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
@@ -34,7 +38,8 @@ from lttight.tightness import (
 )
 
 from conftest import (
-    fo_eval, random_ground_formula, random_ground_program, rules_eval,
+    fo_eval, random_ground_formula, random_ground_program, relevant_grounding,
+    rules_eval,
 )
 from test_acceptance import _oracle_stable
 from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
@@ -514,18 +519,25 @@ def _same_reduct(d, tables, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
     program ``d``, whose ``sm_tables`` are ``tables``: its atoms are
     listed in sorted order, the relevant grounding's reduct folds, under
-    that numbering, to the fold of the whole grounding's, and is_sm_model
-    gives is_stable's verdict on the whole grounding, which is returned.
-    None for any other interpretation."""
+    that numbering, to the fold of the whole grounding's, relevant_reduct
+    gives that numbering and that fold, and is_sm_model gives is_stable's
+    verdict on the whole grounding, which is returned.  None for any
+    other interpretation, for which relevant_reduct and
+    relevant_grounding are None."""
     _, full = ground_program(d, interp)
     j = frozenset(interp.atoms())
-    if not satisfies(j, full):
+    folded = relevant_reduct(tables, interp)
+    g = relevant_grounding(tables, interp)
+    assert (folded is None) == (g is None) == (not satisfies(j, full)), \
+        interp.literal()
+    if g is None:
         return None
     expected = {a: i for i, a in enumerate(sorted(j))}
     assert atom_numbers(sorted(j)) == expected
     assert list(interp.atoms()) == sorted(j), interp.literal()
-    assert folded_reduct(relevant_grounding(tables, interp), expected) == \
-        folded_reduct(full, expected), interp.literal()
+    assert folded_reduct(g, expected) == folded_reduct(full, expected), \
+        interp.literal()
+    assert folded == (folded_reduct(g, expected), expected), interp.literal()
     verdict = _stability(lambda: is_sm_model(tables, interp, cap))
     assert verdict == _stability(lambda: is_stable(full, j, cap)), interp.literal()
     return verdict
@@ -564,12 +576,41 @@ def random_program_text(rng: Random) -> str:
     return " ".join(rules)
 
 
+def random_formula_program_text(rng: Random) -> str:
+    """A random program over SIG whose rule bodies are random formulas:
+    quantifiers, disjunctions, implications, equalities and constants."""
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        name, arity = rng.choice(SIG.predicates)
+        head = formula_to_str(Atom(name, tuple(rng.choice(VARS + CONSTS)
+                                               for _ in range(arity))))
+        head = rng.choice((head, head, f"{{{head}}}", ""))
+        rules.append(f"{head} :- {formula_to_str(random_formula(rng, 3))}.")
+    return " ".join(rules)
+
+
+def _steered(prog, d, m: int, rng: Random):
+    """A sampled interpretation of ``prog`` at universe size m with its
+    atoms replaced by four steps of the immediate-consequence operator of
+    the desugared ``d``'s grounding, so that many are classical models."""
+    interp = sample_interpretation(prog.signature, m, rng)
+    gp, _ = ground_program(d, interp)
+    j = frozenset(interp.atoms())
+    for _ in range(4):
+        j = frozenset(head for head, body in gp if satisfies(j, body))
+    exts = {p: [t for q, t in j if q == p] for p, _ in prog.predicates}
+    return make_interpretation(m, dict(interp.consts), exts)
+
+
 def test_relevant_grounding_has_the_same_reduct():
-    """relevant_grounding against ground_program's formula: random programs
-    with J steered through the immediate-consequence operator, every
-    m <= 2 interpretation of the small fixtures, and the directed
-    moving(1) interpretations with one drift of each.  Small caps make
-    some atom sets trip ResourceGuardError on both."""
+    """relevant_grounding, and the leaf's fold relevant_reduct, against
+    ground_program's formula: random literal programs and random formula
+    programs (quantifiers, disjunctions, implications, equalities and
+    constants in the bodies) with J steered through the
+    immediate-consequence operator, every m <= 2 interpretation of the
+    small fixtures, and the directed moving(1) interpretations with one
+    drift of each.  Small caps make some atom sets trip
+    ResourceGuardError on both."""
     rng = Random(SEED + 8)
     verdicts = []
 
@@ -578,19 +619,13 @@ def test_relevant_grounding_has_the_same_reduct():
         if verdict is not None:
             verdicts.append(verdict)
 
-    for _ in range(400):
-        prog = parse_program(random_program_text(rng))
-        d = desugar(prog)
-        m = rng.randint(1, 3)
-        interp = sample_interpretation(prog.signature, m, rng)
-        gp, _ = ground_program(d, interp)
-        j = frozenset(interp.atoms())
-        for _ in range(4):
-            j = frozenset(head for head, body in gp if satisfies(j, body))
-        exts = {p: [t for q, t in j if q == p]
-                for p, _ in prog.predicates}
-        interp = make_interpretation(m, dict(interp.consts), exts)
-        check(d, sm_tables(d), interp, rng.choice((1, 3, 24)))
+    for text, count in ((random_program_text, 400),
+                        (random_formula_program_text, 200)):
+        for _ in range(count):
+            prog = parse_program(text(rng))
+            d = desugar(prog)
+            interp = _steered(prog, d, rng.randint(1, 3), rng)
+            check(d, sm_tables(d), interp, rng.choice((1, 3, 24)))
     random_verdicts = set(verdicts)
     random_count = len(verdicts)
     for name in SMALL_FIXTURES:
@@ -612,6 +647,16 @@ def test_relevant_grounding_has_the_same_reduct():
     print(f"relevant grounding vs ground_program: {len(verdicts)} classical "
           f"models ({random_count} random), {verdicts.count(True)} stable, "
           f"{verdicts.count('over the cap')} over the cap")
+
+
+def test_the_fold_reads_every_term_as_ground_does():
+    """The classical check stops at q, and the fold, like ground, still
+    reaches the unmapped constant c."""
+    tables = sm_tables(parse_program("p :- q | r(c)."))
+    q_true = make_interpretation(1, {}, {"p": [()], "q": [()], "r": []})
+    for leaf in (relevant_grounding, relevant_reduct, is_sm_model):
+        with pytest.raises(GroundingError, match="constant c is not mapped"):
+            leaf(tables, q_true)
 
 
 def test_classical_non_models_falsify_the_completion():

@@ -16,7 +16,7 @@ from lttight.semantics import (
     enumeration_key, folded_reduct,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
-    orbit, parse_interpretation, pnn, pnn_nnn, reduct, relevant_grounding,
+    orbit, parse_interpretation, pnn, pnn_nnn, reduct,
     sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
@@ -25,7 +25,7 @@ from lttight.syntax import (
     Rule, Signature, Variable, neg,
 )
 
-from conftest import fo_eval, rules_eval
+from conftest import fo_eval, relevant_grounding, rules_eval
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
 
