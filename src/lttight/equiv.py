@@ -80,10 +80,11 @@ def _gamma_desc(gamma) -> str:
 
 def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
            mode_desc: str, dropped: Counter, orbits=False) -> EquivReport:
-    """Compare every interpretation of the source ``interps``; one whose
-    stability check trips the cap is counted as guard-skipped instead of
-    checked.  ``tables`` are the program's ``sm_tables``, passed to every
-    ``is_sm_model`` call; the completion is compiled once here.
+    """Compare every interpretation of the source ``interps``, each
+    with its rules' bindings or None; one whose stability check trips
+    the cap is counted as guard-skipped instead of checked.  ``tables``
+    are the program's ``sm_tables``, passed to every ``is_sm_model``
+    call; the completion is compiled once here.
 
     The source is screened, by ``depth_cuts`` or none: what it dropped is
     counted in ``dropped``, under GAMMA as skipped by Gamma and under
@@ -96,10 +97,10 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
     comp_holds = compile_sentence(conjoin(comp_sentences))
     disagreements = []
     checked = guard_skipped = both_accept = both_reject = 0
-    for interp in interps:
+    for interp, bindings in interps:
         weight = orbit_size(interp) if orbits else 1
         try:
-            sm = is_sm_model(tables, interp)
+            sm = is_sm_model(tables, interp, bindings=bindings)
         except ResourceGuardError:
             guard_skipped += weight
             continue
@@ -141,10 +142,11 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     An interpretation that violates the program read classically (the
     rules of its ``sm_tables``) is counted as both-reject without either
     check: the completion holds the constraints, and every rule is the
-    if-half of its head's completed definition.  Gamma and the rules'
-    sentences are compiled once per check into ``depth_cuts``, as
-    ``check_gamma_tight`` compiles Gamma and the completion.  A sample
-    is screened by all of them.  An exhaustive check walks the
+    if-half of its head's completed definition.  Gamma and the rules are
+    compiled once per check, only into ``depth_cuts``, as
+    ``check_gamma_tight`` compiles Gamma and the completion; the
+    stable-model check folds the rule bindings the cuts record.  A
+    sample is screened by all of them.  An exhaustive check walks the
     interpretations one predicate at a time and drops a subtree at the
     first cut that fails, so only those that pass every cut are built
     whole.  It visits one constant map per orbit under permutations of
@@ -154,10 +156,10 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = list(gamma)
-    tables = sm_tables(prog)
+    tables = sm_tables(prog, whole_check=False)
     dropped = Counter()
-    cuts = depth_cuts(prog.signature, gamma,
-                      [r.sentence() for r in tables[2]], dropped)
+    cuts, with_bindings = depth_cuts(prog.signature, gamma, (), dropped,
+                                     rules=tables[2])
     if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
@@ -171,8 +173,9 @@ def check_equivalence(prog: Program, gamma, m_max: int,
                                        list(range(1, m_max + 1)),
                                        sample_count, seed)
                    if not any(cut(i, 1) for cut in cuts if cut is not None))
-    return _check(tables, completion(prog).sentences(), gamma, interps,
-                  program_id, mode_desc, dropped, orbits=sample_count is None)
+    return _check(tables, completion(prog).sentences(), gamma,
+                  with_bindings(interps), program_id, mode_desc, dropped,
+                  orbits=sample_count is None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,6 @@ def check_proposition3(k: int, sample_count: int = 1000,
                  f"m in {sizes} + {len(directed)} directed")
     interps = chain(directed,
                     _sampled(prog.signature, sizes, sample_count, seed))
-    return _check(sm_tables(prog), rhs, (), interps,
+    return _check(sm_tables(prog), rhs, (), ((i, None) for i in interps),
                   f"moving({k}) vs successor-state formulas", mode_desc,
                   Counter())

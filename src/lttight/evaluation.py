@@ -2,11 +2,13 @@
 
 A formula is translated once into the source of a Python function of an
 interpretation (see ``semantics.Interpretation``), which is compiled and
-then called on every interpretation a check examines.  The checks of
-``equiv`` and ``tightness`` compile their sentences once each, and
-``semantics.sm_tables`` compiles the program's rules into one function
-per check (``compile_rules``) that both reads them classically and
-yields each rule body's bindings; ``tests/conftest.py::fo_eval`` is the
+then called on every interpretation a check examines.  A biconditional
+compiles to one comparison, each side once, and an existential's
+leading ``X = Y`` reads Y off X instead of looping.  The checks of
+``equiv`` and ``tightness`` compile their sentences once each, and each
+command its rules once (``compile_rules``), by ``semantics.sm_tables``
+or ``depth_cuts``, into functions that both read them classically and
+yield each rule body's bindings; ``tests/conftest.py::fo_eval`` is the
 independent oracle the tests hold the compiled functions to.
 
 ``compile_fold`` reads a rule once into closures, not source, that fold
@@ -47,11 +49,15 @@ MAX_CODE_DEPTH = 40
 class _Codegen:
     """Python source for a formula evaluated on an interpretation.
 
-    Connectives become ``and``/``or``/``not``, a run of like quantifiers
-    becomes one ``all``/``any`` over ``range(m)`` (or its product), an
-    atom a tuple membership test in the predicate's extension, read once
-    per call, and a constant a lookup in ``consts`` made where it is
-    evaluated.  Python evaluates left to right and short-circuits, so
+    Connectives become ``and``/``or``/``not``, and a biconditional
+    (``syntax.iff``: ``F -> G`` then ``G -> F`` in a conjunction) the
+    bool comparison ``F == G``, which evaluates F, then G, as the
+    implications do.  A run of like quantifiers becomes one
+    ``all``/``any`` over ``range(m)`` (or its product), less what
+    ``one_point`` reads off; an atom a tuple membership test in the
+    predicate's extension, read once per call, and a constant a lookup
+    in ``consts`` made where it is evaluated.  Python evaluates left to
+    right and short-circuits, so
     evaluation stops where ``fo_eval`` could first tell the value, and
     an unmapped constant fails only when it is reached.  Variables
     become locals ``v0, v1, ...``; user names appear only as ``repr``
@@ -81,7 +87,9 @@ class _Codegen:
         source, depth = self.node(f, scope)
         if depth <= MAX_CODE_DEPTH:
             return source, depth
-        params = ", ".join(["C", "R", *self.extensions.values(), *scope.values()])
+        # two variables may share a local (``one_point``)
+        params = ", ".join(["C", "R", *self.extensions.values(),
+                            *dict.fromkeys(scope.values())])
         name = f"h{len(self.helpers)}"
         self.helpers.append(f"def {name}({params}):\n    return {source}\n")
         return f"{name}({params})", 1
@@ -95,7 +103,20 @@ class _Codegen:
             source = "".join(a + ", " for a, _ in args)
             return f"(({source}) in {ext})", 2 + max((d for _, d in args), default=0)
         if cls is And or cls is Or:
-            items = [self.expr(g, scope) for g in f.items]
+            items, i = [], 0
+            while i < len(f.items):
+                g = f.items[i]
+                if (cls is And and type(g) is Implies
+                        and f.items[i + 1:i + 2] == (Implies(g.right, g.left),)):
+                    left, dl = self.expr(g.left, scope)
+                    right, dr = self.expr(g.right, scope)
+                    items.append((f"({left} == {right})", 1 + max(dl, dr)))
+                    i += 1
+                else:
+                    items.append(self.expr(g, scope))
+                i += 1
+            if len(items) == 1:
+                return items[0]
             op = " and " if cls is And else " or "
             return ("(" + op.join(s for s, _ in items) + ")",
                     1 + max(d for _, d in items))
@@ -115,12 +136,43 @@ class _Codegen:
                 scope = {**scope, f.var.name: self.fresh()}
                 names.append(scope[f.var.name])
                 f = f.body
-            body, depth = self.expr(f, scope)
+            if cls is Exists:
+                f, scope = self.one_point(f, names, scope)
+            body, depth = self.expr(f, scope) if f is not None else ("True", 0)
+            if not names:
+                return body, depth
             return (f"{'all' if cls is Forall else 'any'}({body} "
                     f"for {self.loop(names)})", 1 + max(depth, 1))
         if cls is Bot:
             return "False", 0
         raise TypeError(f"not a formula: {f!r}")
+
+    @staticmethod
+    def one_point(f, names: list, scope: dict) -> tuple:
+        """The body ``f`` of existentials over the locals ``names``,
+        None for true, and its scope, less each leading ``V = W`` where
+        V is one of ``names`` and W a variable bound before it: V leaves
+        ``names`` and reads W's local.  The rest meets the same
+        instances in the same order, so value and errors are kept."""
+        items = list(f.items) if type(f) is And else [f]
+        kept = []
+        for i, g in enumerate(items):
+            if type(g) is not Equality:
+                kept += items[i:]
+                break
+            rank = {local: k for k, local in enumerate(names)}
+            sides = [scope.get(t.name) if type(t) is Variable else None
+                     for t in (g.left, g.right)]
+            w, v = sorted(sides, key=lambda local: rank.get(local, -1))
+            if v not in rank or w is None or w == v:
+                kept.append(g)
+                continue
+            names.remove(v)
+            scope = {name: w if local == v else local
+                     for name, local in scope.items()}
+        if len(kept) == len(items):
+            return f, scope
+        return (And(*kept) if len(kept) > 1 else kept[0] if kept else None), scope
 
     @staticmethod
     def loop(names: list) -> str:

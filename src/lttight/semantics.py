@@ -15,7 +15,8 @@ satisfies as it instantiates them, by the closures ``sm_tables`` builds
 once per check (``evaluation.compile_fold``), and ``stable_fold``
 decides.  First-order sentences are evaluated by functions compiled in
 ``evaluation``.  ``depth_cuts`` builds the cuts by which both exhaustive
-searches prune ``enumerate_interpretations``.
+searches prune ``enumerate_interpretations``; ``check-equiv``'s cuts
+record the rule bindings its stable-model leaf folds.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -298,39 +299,62 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
 
 GAMMA = "gamma"     # keys of a search's count of dropped interpretations
 REJECT = "reject"
+_RULES = "rules"
 
 
-def depth_cuts(sig: Signature, gamma, sentences, dropped) -> list:
+def depth_cuts(sig: Signature, gamma, sentences, dropped, rules=()) -> tuple:
     """The ``cuts`` of ``enumerate_interpretations``' walk over ``sig``
-    that keep the models of Gamma's conjuncts ``gamma`` and of the other
-    ``sentences``.  Each is read at the depth of the last predicate it
-    reads, a sentence no shallower than Gamma's deepest conjunct, and
-    compiled with the rest of its kind and depth.  A dropped subtree's
-    weight is counted in ``dropped`` under GAMMA when it fails Gamma,
-    else under REJECT.  Tried in depth order, the cuts screen a whole
-    interpretation alike."""
+    that keep the models of Gamma's conjuncts ``gamma``, of the other
+    ``sentences`` and of ``rules`` read classically, and a generator
+    function that pairs each interpretation the cuts pass, drawn from
+    the source it is given, with the bindings of ``rules`` there, as
+    ``compile_rules(rules)`` returns them.  Each is read at the depth of
+    the last predicate it reads, no shallower than the kinds before it,
+    and compiled with the rest of its kind and depth; a cut that passes
+    records its rules' bindings for the current path, which the walk
+    overwrites as it advances, so the pairing is made as each
+    interpretation is drawn.  A dropped subtree's weight is counted in
+    ``dropped`` under GAMMA when it fails Gamma, else under REJECT.
+    Tried in depth order, the cuts screen a whole interpretation
+    alike."""
     depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
     levels = [{} for _ in range(len(depth) + 1)]
+    heads = [0] * len(levels)
+    where = []      # per rule with a head: its depth, its place there
     deepest = 0
-    for key, fs in ((GAMMA, gamma), (REJECT, sentences)):
+    for key, fs in ((GAMMA, gamma), (REJECT, sentences), (_RULES, rules)):
         floor = deepest
         for f in fs:
-            d = max([floor] + [depth.get(p, 0) for p in predicates_read(f)])
+            read = predicates_read(f if key != _RULES else f.sentence())
+            d = max([floor] + [depth.get(p, 0) for p in read])
             levels[d].setdefault(key, []).append(f)
             deepest = max(deepest, d)
+            if key == _RULES and f.head is not None:
+                where.append((d, heads[d]))
+                heads[d] += 1
+    found = [None] * len(levels)
 
-    def cut(level):
-        tests = [(compile_sentence(conjoin(fs)), key)
+    def cut(d, level):
+        tests = [(compile_rules(fs) if key == _RULES
+                  else compile_sentence(conjoin(fs)), key)
                  for key, fs in level.items()]
 
         def drops(interp, weight) -> bool:
-            for holds, key in tests:
-                if not holds(interp):
-                    dropped[key] += weight
+            for test, key in tests:
+                value = test(interp)
+                if key == _RULES and value is not None:
+                    found[d] = value
+                elif not value:
+                    dropped[GAMMA if key == GAMMA else REJECT] += weight
                     return True
             return False
         return drops
-    return [cut(level) if level else None for level in levels]
+
+    def with_bindings(interps):
+        for interp in interps:
+            yield interp, [found[d][i] for d, i in where]
+    return [cut(d, level) if level else None
+            for d, level in enumerate(levels)], with_bindings
 
 
 def orbit_size(interp: Interpretation) -> int:
@@ -523,19 +547,21 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
     return compile_sentence(sentence)(interp)
 
 
-def sm_tables(prog: Program) -> tuple:
+def sm_tables(prog: Program, whole_check: bool = True) -> tuple:
     """The stable-model check's tables, built once per check and passed
     to each ``is_sm_model`` call: the desugared program's constraints,
-    then its basic rules, compiled by ``compile_rules``; each basic
-    rule's instance fold (``compile_fold``); and the rules compiled, in
-    that order, for callers that read them otherwise."""
+    then its basic rules, compiled by ``compile_rules``, or None without
+    ``whole_check`` (the caller passes bindings, as ``depth_cuts``
+    records them); each basic rule's instance fold (``compile_fold``);
+    and the rules, in that order."""
     d = desugar(prog)
     basic = [r for r in d.rules if r.kind == BASIC]
     rules = [r for r in d.rules if r.kind == CONSTRAINT] + basic
-    return compile_rules(rules), [compile_fold(r) for r in basic], rules
+    return (compile_rules(rules) if whole_check else None,
+            [compile_fold(r) for r in basic], rules)
 
 
-def relevant_reduct(tables: tuple, interp: Interpretation):
+def relevant_reduct(tables: tuple, interp: Interpretation, bindings=None):
     """None when the interpretation violates an instance of a rule in
     ``tables`` (``sm_tables``).  Else the pair of a folded reduct and the
     numbers of the true atoms, in sorted order.  The reduct is that of
@@ -544,11 +570,17 @@ def relevant_reduct(tables: tuple, interp: Interpretation):
     ``ground_program``, and so it is the fold of
     ``ground_program(desugar(prog), interp)[1]``'s: each instance left
     out has the valid reduct ``false -> ...``.  This is relevance-driven
-    grounding, as in gringo, folded as it grounds."""
+    grounding, as in gringo, folded as it grounds.  Given ``bindings``,
+    those of a classical model as ``depth_cuts`` records them, it runs
+    no rule check."""
     compiled, folds, _ = tables
-    bindings = compiled(interp)
     if bindings is None:
-        return None
+        if compiled is None:
+            raise ValueError("tables built without whole_check need the "
+                             "rules' bindings")
+        bindings = compiled(interp)
+        if bindings is None:
+            return None
     numbers = atom_numbers(interp.atoms())
     leaf = (numbers, interp.consts, range(interp.universe))
     instances = []
@@ -558,12 +590,12 @@ def relevant_reduct(tables: tuple, interp: Interpretation):
 
 
 def is_sm_model(tables: tuple, interp: Interpretation,
-                cap: int = DEFAULT_STABILITY_CAP) -> bool:
+                cap: int = DEFAULT_STABILITY_CAP, bindings=None) -> bool:
     """Whether the interpretation is a stable model of the program whose
-    ``sm_tables`` are given: ``relevant_reduct`` is not None, which
-    stops at the first violated rule instance, and ``stable_fold``
-    holds of it."""
-    folded = relevant_reduct(tables, interp)
+    ``sm_tables`` are given: ``relevant_reduct`` (of ``bindings``, when
+    given) is not None, which stops at the first violated rule instance,
+    and ``stable_fold`` holds of it."""
+    folded = relevant_reduct(tables, interp, bindings)
     return folded is not None and stable_fold(folded[0], len(folded[1]), cap)
 
 

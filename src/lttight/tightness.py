@@ -466,8 +466,8 @@ def check_gamma_tight(prog: Program, gamma, n: int,
         return TightnessVerdict(ENTAILED, n, universe_bound)
     # Gamma among the other sentences: the search counts no drops, so no
     # sentence need wait below Gamma's deepest conjunct
-    cuts = depth_cuts(prog.signature, (), [*gamma, *comp.sentences()],
-                      Counter())
+    cuts, _ = depth_cuts(prog.signature, (), [*gamma, *comp.sentences()],
+                         Counter())
     compiled = [None] * len(open_chains)
     # Only restricted-growth constant maps: a permutation of the universe
     # carries a countermodel under any other map to one under the

@@ -134,34 +134,68 @@ def test_proposition3_k0():
 
 def test_stable_model_tables_are_built_once_per_check(
         tmp_path, monkeypatch, capsys):
-    """An exhaustive and a sampled check, and the stable command, each
-    compile the desugared program's rules once, constraints first, not
-    once per interpretation."""
-    compiled = []
+    """Exhaustive and sampled check-equiv, check-prop3 and the stable
+    command each compile every desugared rule exactly once, not once per
+    interpretation.  check-equiv compiles them by depth into its cuts,
+    the others into one check of the whole program, constraints first.
+    Exhaustive check-equiv runs no rule check on a whole interpretation:
+    its leaves fold the bindings the cuts recorded, and with no Gamma it
+    compiles no sentence in ``semantics``, where the cuts are built."""
+    compiled, checked, sentences = [], [], []
 
     def counting(rules):
         compiled.append(list(rules))
-        return compile_rules(rules)
+        check = compile_rules(rules)
 
-    def rules(prog) -> list:
+        def recording(interp):
+            checked.append(interp)
+            return check(interp)
+        return recording
+
+    def whole(prog) -> list:
         d = desugar(prog).rules
         return [[r for r in d if r.kind == CONSTRAINT]
                 + [r for r in d if r.kind == BASIC]]
 
+    def each_once(prog) -> bool:
+        return (Counter(r for rules in compiled for r in rules)
+                == Counter(desugar(prog).rules))
+
+    leaves = []
+    walk = equiv.enumerate_interpretations
+
+    def recording_walk(*args, **kwargs):
+        for interp in walk(*args, **kwargs):
+            leaves.append(interp)
+            yield interp
+
     monkeypatch.setattr(semantics, "compile_rules", counting)
-    prog2 = builtin_fixture("prog2").program
-    assert check_equivalence(prog2, (), 3).both_accept > 1
-    assert compiled == rules(prog2)
+    monkeypatch.setattr(semantics, "compile_sentence",
+                        lambda f, original=compile_sentence:
+                        sentences.append(f) or original(f))
+    monkeypatch.setattr(equiv, "enumerate_interpretations", recording_walk)
+    for name, sample in (("prog2", None), ("ex1", None), ("prog2", 50)):
+        prog = builtin_fixture(name).program
+        compiled.clear()
+        checked.clear()
+        leaves.clear()
+        report = check_equivalence(prog, (), 2 if name == "ex1" else 3,
+                                   sample_count=sample)
+        assert report.both_accept > 1 and each_once(prog) and not sentences
+        if sample is None:
+            assert len(leaves) > 1 and checked
+            whole_ids = {id(leaf) for leaf in leaves}
+            assert not any(id(i) in whole_ids for i in checked)
     compiled.clear()
     assert check_proposition3(1, sample_count=20).both_accept > 1
-    assert compiled == rules(builtin_fixture("moving(1)").program)
+    assert compiled == whole(builtin_fixture("moving(1)").program)
     assert any(r.kind == CONSTRAINT for r in compiled[0])
     compiled.clear()
     interp = tmp_path / "i.txt"
     interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
     assert run(["stable", "fixture:prog1", "--interp", str(interp)]) == 0
     assert capsys.readouterr().out == "stable\n"
-    assert compiled == rules(builtin_fixture("prog1").program)
+    assert compiled == whole(builtin_fixture("prog1").program)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +304,8 @@ def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
         gamma = random_gamma(rng, prog)
         decide = is_sm_model
         if i % 3 == 0:
-            def decide(tables, interp):
-                return is_sm_model(tables, interp, cap=2)
+            def decide(tables, interp, bindings=None):
+                return is_sm_model(tables, interp, cap=2, bindings=bindings)
         monkeypatch.setattr(equiv, "is_sm_model", decide)
         witnesses += assert_matches_reference(prog, gamma, 2, decide)
     assert witnesses > 50
@@ -303,6 +337,26 @@ def test_exhaustive_walk_yields_only_interpretations_no_cut_drops(
             for i in enumerate_interpretations(prog.signature, m, canonical=True)
             if tables[0](i) is not None]
         assert len(yielded) == count
+
+
+def test_cut_bindings_stay_with_their_interpretation():
+    """``depth_cuts`` pairs each interpretation the walk yields with the
+    bindings the whole-program rule check gives it, also when every pair
+    is drawn before the first is used.  Tables built without the whole
+    check refuse an interpretation that comes without bindings."""
+    for name in ("ex1", "prog4"):
+        prog = builtin_fixture(name).program
+        tables = sm_tables(prog)
+        cuts, with_bindings = semantics.depth_cuts(
+            prog.signature, (), (), Counter(), rules=tables[2])
+        pairs = list(with_bindings(
+            i for m in (1, 2)
+            for i in enumerate_interpretations(prog.signature, m,
+                                               canonical=True, cuts=cuts)))
+        assert len({repr(b) for _, b in pairs}) > 1
+        assert all(b == tables[0](i) for i, b in pairs)
+    with pytest.raises(ValueError, match="whole_check"):
+        is_sm_model(sm_tables(prog, whole_check=False), pairs[0][0])
 
 
 def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
@@ -341,8 +395,8 @@ def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
 
 
 def test_exhaustive_check_weights_guard_skips(monkeypatch):
-    def decide(tables, interp):
-        return is_sm_model(tables, interp, cap=2)
+    def decide(tables, interp, bindings=None):
+        return is_sm_model(tables, interp, cap=2, bindings=bindings)
     monkeypatch.setattr(equiv, "is_sm_model", decide)
     report = check_equivalence(builtin_fixture("prog2").program, (), 3)
     assert report.guard_skipped > 0

@@ -19,6 +19,7 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import (
     MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
 )
+from lttight import evaluation
 from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
     GroundingError, ResourceGuardError, atom_numbers,
@@ -30,7 +31,7 @@ from lttight.semantics import (
 from lttight.syntax import (
     BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
     Implies, ObjectConstant, Or, Rule, Signature, Variable, formula_to_str,
-    existential_closure, free_variables, neg, rename_apart, substitute,
+    existential_closure, free_variables, iff, neg, rename_apart, substitute,
 )
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains, check_gamma_tight,
@@ -352,9 +353,60 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
 # ---------------------------------------------------------------------------
 # The compiled evaluator and the relevant grounding against their oracles
 
+def closed(rng: Random, f):
+    """``f`` closed by a random quantifier per free variable."""
+    for v in sorted(free_variables(f), key=lambda v: v.name):
+        f = rng.choice((Forall, Exists))(v, f)
+    return f
+
+
+def iff_sentence(rng: Random):
+    """A biconditional of random formulas, alone, between two more
+    conjuncts or nested in another."""
+    f, g, h = (random_formula(rng, 2) for _ in range(3))
+    shape = rng.randrange(4)
+    if shape == 0:
+        return closed(rng, iff(f, g))
+    if shape == 1:
+        return closed(rng, And(h, *iff(f, g).items, random_formula(rng, 1)))
+    return closed(rng, iff(iff(f, g), h) if shape == 2 else iff(f, iff(g, h)))
+
+
+def one_point_sentence(rng: Random):
+    """A run of existentials whose body begins with equalities between
+    a variable of the run and a variable or a constant, either way
+    round: some ``V = W`` the evaluator reads as one point, some it must
+    not (a constant, ``V = V``, and, now and then, every equality after
+    a non-equality conjunct)."""
+    run = rng.sample(VARS, rng.randint(1, 3))
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        pair = [rng.choice(run), rng.choice(VARS + CONSTS)]
+        rng.shuffle(pair)
+        items.append(Equality(*pair))
+    items.append(random_formula(rng, 2))
+    if rng.random() < 0.2:
+        items.insert(0, random_formula(rng, 1))
+    body = And(*items)
+    for v in reversed(run):
+        body = Exists(v, body)
+    return closed(rng, body)
+
+
+# Sentences that reach the constant ``c``, unmapped, at every
+# interpretation: through a one-point run, an equality the evaluator
+# must keep, and a biconditional.
+UNMAPPED = ["exists Y (Y = c)", "forall X (exists Y (X = Y & Y = c))",
+            "forall X (exists Y (exists Z (Z = X & Y = Z & q(Y, c))))",
+            "exists Y (Y = a & p(c))", "r <-> p(c)"]
+
+
 def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
     """Each compiled sentence is evaluated on several sampled
-    interpretations (constants merge freely) and on an m <= 2 one."""
+    interpretations (constants merge freely) and on an m <= 2 one: first
+    random sentences, then biconditionals and runs of existentials with
+    leading equalities, which the evaluator compiles in shapes of their
+    own, and sentences that reach an unmapped constant."""
     rng = Random(SEED + 7)
     merged = 0
     enumerated = [i for m in (1, 2) for i in enumerate_interpretations(SIG, m)]
@@ -368,8 +420,44 @@ def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
         interp = rng.choice(enumerated)
         assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
     assert merged > 300
+    rng = Random(SEED + 13)
+    for make in (iff_sentence, one_point_sentence):
+        for _ in range(600):
+            f = make(rng)
+            holds = compile_sentence(f)
+            for interp in (sample_interpretation(SIG, rng.randint(1, 3), rng),
+                           rng.choice(enumerated)):
+                assert holds(interp) == fo_eval(f, interp), formula_to_str(f)
+    interp = make_interpretation(2, {"a": 0, "b": 1}, {"p": [(0,)], "r": [()]})
+    for text in UNMAPPED:
+        f = parse_formula(text)
+        with pytest.raises(KeyError):
+            fo_eval(f, interp)
+        with pytest.raises(GroundingError, match="constant c is not mapped"):
+            compile_sentence(f)(interp)
     print(f"compiled evaluator vs fo_eval: 1200 sentences, 4800 cases, "
-          f"{merged} with merged constants")
+          f"{merged} with merged constants; 1200 biconditionals and "
+          f"one-point runs, 2400 cases")
+
+
+def test_compiled_biconditional_chain_grows_linearly(monkeypatch):
+    """A biconditional compiles each side once: the source of a
+    ``<->`` chain grows by the same length per level, up to the
+    parser's bound, where expanding it into two implications doubles
+    it."""
+    sizes = []
+
+    def recording(source, original=evaluation._build):
+        sizes.append(len(source))
+        return original(source)
+
+    monkeypatch.setattr(evaluation, "_build", recording)
+    for shape in IFF_SHAPES:
+        sizes.clear()
+        for depth in range(1, MAX_IFF_NESTING + 1):
+            compile_sentence(parse_formula(nested(shape, depth)))
+        steps = {b - a for a, b in zip(sizes, sizes[1:])}
+        assert len(steps) == 1, (shape, sizes)
 
 
 def body_rules(rules) -> list:
