@@ -17,8 +17,7 @@ from .semantics import (
     Interpretation, ResourceGuardError, enumerate_interpretations, ground,
     ground_program, interpretation_count, is_sm_model, is_stable,
     is_supported, is_tight_on, make_interpretation, parse_interpretation,
-    pnn_nnn, reduct, sample_interpretation, satisfies, satisfies_fo,
-    sm_tables,
+    pnn_nnn, sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from .syntax import (
     Atom, Equality, Formula, Program, Rule, Variable, free_variables,

@@ -16,8 +16,8 @@ from .equiv import check_equivalence, check_proposition3
 from .fixtures import MAX_STEP_BOUND, builtin_fixture
 from .parser import ParseError, parse_program, parse_sentences
 from .semantics import (
-    ResourceGuardError, ground_program, ground_to_str, guard_ceiling,
-    is_sm_model, parse_interpretation, sm_tables,
+    ResourceGuardError, compile_rules, ground_program, ground_to_str,
+    guard_ceiling, is_sm_model, parse_interpretation, sm_tables,
 )
 from .tightness import (
     COUNTERMODEL, ENTAILED, chain_formula, chain_to_str, chains,
@@ -340,8 +340,8 @@ def _dispatch(args) -> int:
             print(ground_to_str(ground_program(d, interp)[1]))
             return EXIT_OK
         tables = sm_tables(prog)
-        _guard_grounding(tables[2], interp)
-        if is_sm_model(tables, interp):
+        _guard_grounding(tables[0], interp)
+        if is_sm_model(tables, interp, compile_rules(tables[0])(interp)):
             print("stable")
             return EXIT_OK
         print("not stable")

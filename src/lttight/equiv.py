@@ -1,6 +1,9 @@
 """Executable comparison of stable-model semantics against completion:
 for each interpretation satisfying the assumptions, the stable-model
-check and the completion check must agree.
+check and the completion check must agree.  Each check reads the rules
+once into a function that gives an interpretation's rule bindings
+(``depth_cuts``' cuts for ``check_equivalence``, ``compile_rules`` for
+``check_proposition3``) and hands them to ``is_sm_model``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from .fixtures import (
     moving_successor_state_formulas,
 )
 from .semantics import (
-    GAMMA, REJECT, Interpretation, ResourceGuardError, compile_sentence,
-    depth_cuts, enumerate_interpretations, enumeration_key, is_sm_model,
-    orbit, orbit_size, sample_interpretation,
+    GAMMA, REJECT, Interpretation, ResourceGuardError, compile_rules,
+    compile_sentence, depth_cuts, enumerate_interpretations, enumeration_key,
+    is_sm_model, orbit, orbit_size, sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
     sm_tables,
 )
@@ -81,10 +84,10 @@ def _gamma_desc(gamma) -> str:
 def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
            mode_desc: str, dropped: Counter, orbits=False) -> EquivReport:
     """Compare every interpretation of the source ``interps``, each
-    with its rules' bindings or None; one whose stability check trips
-    the cap is counted as guard-skipped instead of checked.  ``tables``
-    are the program's ``sm_tables``, passed to every ``is_sm_model``
-    call; the completion is compiled once here.
+    with its rules' bindings, None on a classical non-model; one whose
+    stability check trips the cap is counted as guard-skipped instead of
+    checked.  ``tables`` are the program's ``sm_tables``, passed to
+    every ``is_sm_model`` call; the completion is compiled once here.
 
     The source is screened, by ``depth_cuts`` or none: what it dropped is
     counted in ``dropped``, under GAMMA as skipped by Gamma and under
@@ -100,7 +103,7 @@ def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
     for interp, bindings in interps:
         weight = orbit_size(interp) if orbits else 1
         try:
-            sm = is_sm_model(tables, interp, bindings=bindings)
+            sm = is_sm_model(tables, interp, bindings)
         except ResourceGuardError:
             guard_skipped += weight
             continue
@@ -156,10 +159,10 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = list(gamma)
-    tables = sm_tables(prog, whole_check=False)
+    tables = sm_tables(prog)
     dropped = Counter()
-    cuts, with_bindings = depth_cuts(prog.signature, gamma, (), dropped,
-                                     rules=tables[2])
+    cuts, with_bindings = depth_cuts(prog.signature, gamma, dropped,
+                                     rules=tables[0])
     if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
@@ -247,6 +250,8 @@ def check_proposition3(k: int, sample_count: int = 1000,
                  f"m in {sizes} + {len(directed)} directed")
     interps = chain(directed,
                     _sampled(prog.signature, sizes, sample_count, seed))
-    return _check(sm_tables(prog), rhs, (), ((i, None) for i in interps),
+    tables = sm_tables(prog)
+    bindings = compile_rules(tables[0])
+    return _check(tables, rhs, (), ((i, bindings(i)) for i in interps),
                   f"moving({k}) vs successor-state formulas", mode_desc,
                   Counter())

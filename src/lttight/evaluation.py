@@ -6,10 +6,11 @@ then called on every interpretation a check examines.  A biconditional
 compiles to one comparison, each side once, and an existential's
 leading ``X = Y`` reads Y off X instead of looping.  The checks of
 ``equiv`` and ``tightness`` compile their sentences once each, and each
-command its rules once (``compile_rules``), by ``semantics.sm_tables``
-or ``depth_cuts``, into functions that both read them classically and
-yield each rule body's bindings; ``tests/conftest.py::fo_eval`` is the
-independent oracle the tests hold the compiled functions to.
+command its rules once (``compile_rules``), whole for ``check-prop3``
+and ``stable`` and by depth in ``semantics.depth_cuts``, into functions
+that both read them classically and yield each rule body's bindings;
+``tests/conftest.py::fo_eval`` is the independent oracle the tests hold
+the compiled functions to.
 
 ``compile_fold`` reads a rule once into closures, not source, that fold
 each of its instances straight to the folded reduct over atom numbers
@@ -317,11 +318,11 @@ def compile_fold(rule):
     variables as ``compile_rules`` returns them, and ``leaf``, that is
     ``(numbers, consts, range(universe))`` for an interpretation whose
     atoms ``numbers`` numbers: the list of the instances ``body -> head``
-    folded, each equal to ``stability.folded_reduct`` of its grounding
-    (``semantics.ground``).  The rule is read once, into closures over
-    binding positions and constant names; no source is generated.  Every
-    term is read, so GroundingError is raised where ``ground`` raises
-    it."""
+    folded, each equal to the folded reduct of its grounding
+    (``semantics.ground``; ``tests/conftest.py::folded_reduct``).  The
+    rule is read once, into closures over binding positions and constant
+    names; no source is generated.  Every term is read, so
+    GroundingError is raised where ``ground`` raises it."""
     folder = _Folder()
     head = folder.fold(rule.head, {})
     body = folder.fold(rule.body, {})

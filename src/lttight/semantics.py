@@ -1,22 +1,20 @@
-"""Finite first-order interpretations, grounding, reducts, and
-stable/supported/tight-on checks.
+"""Finite first-order interpretations, grounding, and the stable,
+supported and tight-on checks.
 
 Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 ``Imp`` over ground atoms ``(predicate, args)``, with ``TOP`` and
 ``BOT``.  ``ground`` is the one translation of first-order formulas into
-that type.  A reduct relative to J is *folded* when J's atoms are
-replaced by their numbers and constants are folded away, so that no
-``TOP`` or ``BOT`` is left inside (``stability.folded_reduct``);
-``is_stable`` folds a ground formula's reduct and ``stable_fold``
-searches it for a smaller model (``stability.has_smaller_model``).
-``is_sm_model`` grounds nothing: ``relevant_reduct`` numbers the
-interpretation's atoms once and folds the rule instances whose body it
-satisfies as it instantiates them, by the closures ``sm_tables`` builds
-once per check (``evaluation.compile_fold``), and ``stable_fold``
-decides.  First-order sentences are evaluated by functions compiled in
+that type.  The stable-model check grounds nothing: ``is_sm_model``
+takes an interpretation's rule bindings, which the caller reads with
+the rules of ``sm_tables`` (``compile_rules``, or ``depth_cuts``' cuts),
+``relevant_reduct`` numbers the interpretation's atoms once and folds
+the rule instances whose body it satisfies as it instantiates them
+(``evaluation.compile_fold``), and ``is_stable`` searches that folded
+reduct for a smaller model (``stability.has_smaller_model``).
+First-order sentences are evaluated by functions compiled in
 ``evaluation``.  ``depth_cuts`` builds the cuts by which both exhaustive
-searches prune ``enumerate_interpretations``; ``check-equiv``'s cuts
-record the rule bindings its stable-model leaf folds.
+searches prune ``enumerate_interpretations``, and records the rule
+bindings at each interpretation they pass.
 
 Universe elements are canonical ids ``0 .. m-1`` rendered as
 ``e0, e1, ...`` in output.  Interpretations need not be Herbrand: the
@@ -38,8 +36,7 @@ from .evaluation import (
     predicates_read,
 )
 from .stability import (
-    BOT, TOP, Conj, Disj, Imp, atom_numbers, folded_reduct, has_smaller_model,
-    junction,
+    BOT, TOP, Conj, Disj, Imp, atom_numbers, has_smaller_model, junction,
 )
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
@@ -299,53 +296,53 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
 
 GAMMA = "gamma"     # keys of a search's count of dropped interpretations
 REJECT = "reject"
-_RULES = "rules"
 
 
-def depth_cuts(sig: Signature, gamma, sentences, dropped, rules=()) -> tuple:
+def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
     """The ``cuts`` of ``enumerate_interpretations``' walk over ``sig``
-    that keep the models of Gamma's conjuncts ``gamma``, of the other
-    ``sentences`` and of ``rules`` read classically, and a generator
-    function that pairs each interpretation the cuts pass, drawn from
-    the source it is given, with the bindings of ``rules`` there, as
-    ``compile_rules(rules)`` returns them.  Each is read at the depth of
-    the last predicate it reads, no shallower than the kinds before it,
-    and compiled with the rest of its kind and depth; a cut that passes
-    records its rules' bindings for the current path, which the walk
-    overwrites as it advances, so the pairing is made as each
-    interpretation is drawn.  A dropped subtree's weight is counted in
-    ``dropped`` under GAMMA when it fails Gamma, else under REJECT.
-    Tried in depth order, the cuts screen a whole interpretation
-    alike."""
+    that keep the models of ``sentences`` and of ``rules`` read
+    classically, and a generator function that pairs each
+    interpretation the cuts pass, drawn from the source it is given,
+    with the bindings of ``rules`` there, as ``compile_rules(rules)``
+    returns them.  Each is read at the depth of the last predicate it
+    reads, a rule no shallower than the deepest sentence, and compiled
+    with the rest of its kind and depth; a cut that passes records its
+    rules' bindings for the current path, which the walk overwrites as
+    it advances, so the pairing is made as each interpretation is drawn.
+    A dropped subtree's weight is counted in ``dropped`` under GAMMA
+    when it fails a sentence, under REJECT when it fails a rule.  Tried
+    in depth order, the cuts screen a whole interpretation alike.
+    ``check_equivalence`` passes Gamma's conjuncts as the sentences, and
+    ``check_gamma_tight`` Gamma and the completion, with no rules."""
     depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
     levels = [{} for _ in range(len(depth) + 1)]
     heads = [0] * len(levels)
     where = []      # per rule with a head: its depth, its place there
     deepest = 0
-    for key, fs in ((GAMMA, gamma), (REJECT, sentences), (_RULES, rules)):
+    for key, fs in ((GAMMA, sentences), (REJECT, rules)):
         floor = deepest
         for f in fs:
-            read = predicates_read(f if key != _RULES else f.sentence())
+            read = predicates_read(f if key == GAMMA else f.sentence())
             d = max([floor] + [depth.get(p, 0) for p in read])
             levels[d].setdefault(key, []).append(f)
             deepest = max(deepest, d)
-            if key == _RULES and f.head is not None:
+            if key == REJECT and f.head is not None:
                 where.append((d, heads[d]))
                 heads[d] += 1
     found = [None] * len(levels)
 
     def cut(d, level):
-        tests = [(compile_rules(fs) if key == _RULES
+        tests = [(compile_rules(fs) if key == REJECT
                   else compile_sentence(conjoin(fs)), key)
                  for key, fs in level.items()]
 
         def drops(interp, weight) -> bool:
             for test, key in tests:
                 value = test(interp)
-                if key == _RULES and value is not None:
+                if key == REJECT and value is not None:
                     found[d] = value
                 elif not value:
-                    dropped[GAMMA if key == GAMMA else REJECT] += weight
+                    dropped[key] += weight
                     return True
             return False
         return drops
@@ -481,7 +478,7 @@ def ground_program(prog: Program, interp: Interpretation):
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction, reduct, stability
+# Satisfaction and stability
 
 def satisfies(j, g) -> bool:
     """Classical propositional satisfaction; j is a set of ground atoms."""
@@ -497,32 +494,11 @@ def satisfies(j, g) -> bool:
     raise TypeError(f"not a ground formula: {g!r}")
 
 
-def reduct(g, j):
-    """Ferraris-style reduct: every subformula not satisfied by j
-    collapses to false."""
-    if not satisfies(j, g):
-        return BOT
-    cls = type(g)
-    if cls is tuple:
-        return g
-    if cls is Imp:
-        return Imp(reduct(g.left, j), reduct(g.right, j))
-    return cls(tuple(reduct(x, j) for x in g.items))
-
-
-def is_stable(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
-    """True iff j satisfies the reduct of g relative to j and no proper
-    subset of j does.  j's distinct atoms are numbered in sorted order
-    (``atom_numbers``), g's reduct is folded over those numbers
-    (``folded_reduct``), and ``stable_fold`` decides."""
-    numbers = atom_numbers(sorted(j))
-    return stable_fold(folded_reduct(g, numbers), len(numbers), cap)
-
-
-def stable_fold(r, n: int, cap: int) -> bool:
-    """Whether the atoms ``0 .. n-1`` are a stable model of the folded
-    reduct ``r`` relative to them.  ``BOT`` means they do not satisfy
-    it.  Minimality is decided by ``stability.has_smaller_model``: a
+def is_stable(r, numbers: dict, cap: int) -> bool:
+    """Whether the atoms that ``numbers`` numbers ``0 .. n-1`` are a
+    stable model of the reduct ``r`` relative to them, folded over those
+    numbers (``stability``).  ``BOT`` means they do not satisfy it.
+    Minimality is decided by ``stability.has_smaller_model``: a
     depth-first search that assigns the atoms in number order, false
     first, propagates what the reduct's conjuncts force, and ends a
     branch as soon as the three-valued value of the reduct is decided.
@@ -531,6 +507,7 @@ def stable_fold(r, n: int, cap: int) -> bool:
     satisfied and before the search."""
     if r is BOT:
         return False
+    n = len(numbers)
     if n > cap:
         raise ResourceGuardError(
             f"minimality check over {n} atoms exceeds the cap of {cap}")
@@ -547,56 +524,47 @@ def satisfies_fo(interp: Interpretation, sentence) -> bool:
     return compile_sentence(sentence)(interp)
 
 
-def sm_tables(prog: Program, whole_check: bool = True) -> tuple:
+def sm_tables(prog: Program) -> tuple:
     """The stable-model check's tables, built once per check and passed
     to each ``is_sm_model`` call: the desugared program's constraints,
-    then its basic rules, compiled by ``compile_rules``, or None without
-    ``whole_check`` (the caller passes bindings, as ``depth_cuts``
-    records them); each basic rule's instance fold (``compile_fold``);
-    and the rules, in that order."""
+    then its basic rules, which the caller compiles once to read each
+    interpretation's bindings (``compile_rules``, or ``depth_cuts``'
+    cuts), and each basic rule's instance fold (``compile_fold``)."""
     d = desugar(prog)
     basic = [r for r in d.rules if r.kind == BASIC]
-    rules = [r for r in d.rules if r.kind == CONSTRAINT] + basic
-    return (compile_rules(rules) if whole_check else None,
-            [compile_fold(r) for r in basic], rules)
+    return ([r for r in d.rules if r.kind == CONSTRAINT] + basic,
+            [compile_fold(r) for r in basic])
 
 
-def relevant_reduct(tables: tuple, interp: Interpretation, bindings=None):
-    """None when the interpretation violates an instance of a rule in
-    ``tables`` (``sm_tables``).  Else the pair of a folded reduct and the
-    numbers of the true atoms, in sorted order.  The reduct is that of
-    the conjunction of the instances ``body -> head`` of the basic rules
-    whose body the interpretation satisfies, in the order of
+def relevant_reduct(tables: tuple, interp: Interpretation, bindings):
+    """None when ``bindings`` is None: the rules of ``tables``
+    (``sm_tables``), compiled, give None for an interpretation that
+    violates an instance of one.  Else the pair of a folded reduct and
+    the numbers of the true atoms, in sorted order.  The reduct is that
+    of the conjunction of the instances ``body -> head`` of the basic
+    rules whose body the interpretation satisfies, in the order of
     ``ground_program``, and so it is the fold of
     ``ground_program(desugar(prog), interp)[1]``'s: each instance left
     out has the valid reduct ``false -> ...``.  This is relevance-driven
-    grounding, as in gringo, folded as it grounds.  Given ``bindings``,
-    those of a classical model as ``depth_cuts`` records them, it runs
-    no rule check."""
-    compiled, folds, _ = tables
+    grounding, as in gringo, folded as it grounds."""
     if bindings is None:
-        if compiled is None:
-            raise ValueError("tables built without whole_check need the "
-                             "rules' bindings")
-        bindings = compiled(interp)
-        if bindings is None:
-            return None
+        return None
     numbers = atom_numbers(interp.atoms())
     leaf = (numbers, interp.consts, range(interp.universe))
     instances = []
-    for fold, tuples in zip(folds, bindings):
+    for fold, tuples in zip(tables[1], bindings):
         instances += fold(tuples, leaf)
     return junction(Conj, instances), numbers
 
 
-def is_sm_model(tables: tuple, interp: Interpretation,
-                cap: int = DEFAULT_STABILITY_CAP, bindings=None) -> bool:
+def is_sm_model(tables: tuple, interp: Interpretation, bindings,
+                cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """Whether the interpretation is a stable model of the program whose
-    ``sm_tables`` are given: ``relevant_reduct`` (of ``bindings``, when
-    given) is not None, which stops at the first violated rule instance,
-    and ``stable_fold`` holds of it."""
+    ``sm_tables`` are given, ``bindings`` being its rules' bindings
+    there: ``relevant_reduct`` is not None, and ``is_stable`` holds of
+    it."""
     folded = relevant_reduct(tables, interp, bindings)
-    return folded is not None and stable_fold(folded[0], len(folded[1]), cap)
+    return folded is not None and is_stable(*folded, cap)
 
 
 # ---------------------------------------------------------------------------

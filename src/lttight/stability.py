@@ -5,7 +5,7 @@ A ground formula is built from ground atoms with ``Conj``, ``Disj`` and
 ``Imp``.  A ground atom is the tuple ``(predicate, args)``, ``args`` a
 tuple of universe elements; ``TOP`` is ``Conj(())`` and ``BOT`` is
 ``Disj(())``.  ``semantics`` grounds first-order sentences and programs
-into this form; its reduct, satisfaction and printing read it.
+into this form; its satisfaction and printing read it.
 
 The atoms of an atom set J are numbered ``0 .. n-1``, and the reduct of
 a ground formula relative to J is kept *folded*: constant-folded over
@@ -17,14 +17,13 @@ The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
 circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
-``semantics.is_stable`` numbers the atoms (``atom_numbers``) and folds a
-ground formula's reduct (``folded_reduct``) with ``junction`` and
-``implication``, which folds ``F -> false`` to ``false`` unless F folds
-to ``false``: sound for a reduct, not for a classical fold.  The
-stable-model leaf, ``semantics.relevant_reduct``, folds rule instances
-with the same two rules as it instantiates them
-(``evaluation.compile_fold``), with no ground formula in between.
-``has_smaller_model`` decides minimality on either result.
+The stable-model leaf, ``semantics.relevant_reduct``, numbers J's atoms
+(``atom_numbers``) and folds the reduct of each rule instance as it
+instantiates it (``evaluation.compile_fold``), with no ground formula in
+between, by ``junction`` and ``implication``, which folds
+``F -> false`` to ``false`` unless F folds to ``false``: sound for a
+reduct, not for a classical fold.  ``has_smaller_model`` decides
+minimality on the result (``semantics.is_stable``).
 """
 
 from __future__ import annotations
@@ -115,26 +114,6 @@ def atom_numbers(atoms) -> dict:
     for i, a in enumerate(numbers):
         numbers[a] = i
     return numbers
-
-
-def folded_reduct(g, numbers: dict):
-    """The reduct of the ground formula ``g`` relative to j, folded over
-    atom numbers (see above), where ``numbers`` maps each atom
-    of j to its number.  A subformula that j does not satisfy folds to
-    ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
-    ``g``.  The walk takes one stack frame per level of ``g``."""
-    cls = type(g)
-    if cls is tuple:
-        return numbers.get(g, BOT)
-    if cls is Imp:
-        return implication(folded_reduct(g.left, numbers),
-                           folded_reduct(g.right, numbers))
-    if cls is Conj or cls is Disj:
-        items = []
-        for x in g.items:
-            items.append(folded_reduct(x, numbers))
-        return junction(cls, items)
-    raise TypeError(f"not a ground formula: {g!r}")
 
 
 # ---------------------------------------------------------------------------

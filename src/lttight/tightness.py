@@ -95,21 +95,6 @@ class Chain:
     labels: tuple   # label atoms; labels[i-1] links R_{i-1} to R_i
 
 
-def check_chain(c: Chain) -> None:
-    """Validate the chain invariants: adjacent link condition and
-    pairwise variable disjointness."""
-    assert len(c.rules) == len(c.labels) + 1
-    for i, label in enumerate(c.labels):
-        assert label in link_atoms(c.rules[i].body), \
-            "label must occur positively nonnegated"
-        assert label.predicate == c.rules[i + 1].head.predicate
-    seen: set = set()
-    for r in c.rules:
-        vs = r.variables()
-        assert not (vs & seen), "chain rules must be variable-disjoint"
-        seen |= vs
-
-
 def chain_count(rules, n: int) -> int:
     """The number of length-n chains over the basic rules ``rules``,
     counted without enumerating them: a rule starts one chain of length
@@ -464,9 +449,9 @@ def check_gamma_tight(prog: Program, gamma, n: int,
             open_chains.append((c, existential_closure(fc)))
     if not open_chains:
         return TightnessVerdict(ENTAILED, n, universe_bound)
-    # Gamma among the other sentences: the search counts no drops, so no
-    # sentence need wait below Gamma's deepest conjunct
-    cuts, _ = depth_cuts(prog.signature, (), [*gamma, *comp.sentences()],
+    # Gamma and the completion as one list, each sentence at its own
+    # depth: the search counts no drops, so none waits for Gamma
+    cuts, _ = depth_cuts(prog.signature, [*gamma, *comp.sentences()],
                          Counter())
     compiled = [None] * len(open_chains)
     # Only restricted-growth constant maps: a permutation of the universe

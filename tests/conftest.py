@@ -1,8 +1,11 @@
 """Shared test helpers: an independent first-order evaluator and its
 reading of a list of rules (oracles against the grounding path and the
-compiled evaluator), the unfolded relevant grounding (the oracle of the
-stable-model leaf's fold) and random generators for ground formulas and
-ground programs."""
+compiled evaluator), the reduct of a ground formula, plain and folded,
+and stability decided on it (oracles of the stable-model leaf), the
+unfolded relevant grounding (the oracle of the leaf's fold), the rule
+check every caller of the leaf hands it bindings from, the chain
+invariants, and random generators for ground formulas and ground
+programs."""
 
 from __future__ import annotations
 
@@ -11,12 +14,18 @@ from random import Random
 
 import pytest
 
-from lttight.semantics import ground
-from lttight.stability import BOT, Conj, Disj, Imp
+from lttight.evaluation import compile_rules
+from lttight.semantics import (
+    DEFAULT_STABILITY_CAP, ground, is_stable, satisfies,
+)
+from lttight.stability import (
+    BOT, Conj, Disj, Imp, atom_numbers, implication, junction,
+)
 from lttight.syntax import (
     BASIC, And, Atom, Bot, Equality, Exists, Forall, Implies, ObjectConstant,
     Or, Variable,
 )
+from lttight.tightness import link_atoms
 
 
 def fo_eval(f, interp, env=None):
@@ -69,25 +78,88 @@ def rules_eval(rules, interp):
     return bindings
 
 
-def relevant_grounding(tables: tuple, interp):
-    """The unfolded relevant grounding: None when the interpretation
-    violates an instance of a rule in ``tables`` (``sm_tables``), else
-    the conjunction of the instances ``body -> head``, each grounded by
-    ``ground``, of the basic rules whose body it satisfies, in the order
-    of ``ground_program``.  ``semantics.relevant_reduct`` must give its
-    folded reduct."""
-    compiled, _, rules = tables
-    bindings = compiled(interp)
+def rule_check(tables: tuple):
+    """The rules of ``tables`` (``sm_tables``) compiled once, as
+    ``check-prop3`` and ``stable`` compile them: a function that gives an
+    interpretation's rule bindings, which ``is_sm_model`` takes, or None
+    when it violates an instance of a rule."""
+    return compile_rules(tables[0])
+
+
+def relevant_grounding(tables: tuple, interp, bindings):
+    """The unfolded relevant grounding: None when the rule ``bindings``
+    (``rule_check``) are None, else the conjunction of the instances
+    ``body -> head``, each grounded by ``ground``, of the basic rules in
+    ``tables`` (``sm_tables``) whose body the interpretation satisfies,
+    in the order of ``ground_program``.  ``semantics.relevant_reduct``
+    must give its folded reduct."""
     if bindings is None:
         return None
     instances = []
-    for r, tuples in zip([r for r in rules if r.kind == BASIC], bindings):
+    for r, tuples in zip([r for r in tables[0] if r.kind == BASIC], bindings):
         names = [v.name for v in r.free_vars()]
         for values in tuples:
             env = dict(zip(names, values))
             instances.append(Imp(ground(r.body, interp, env),
                                  ground(r.head, interp, env)))
     return Conj(tuple(instances))
+
+
+def reduct(g, j):
+    """Ferraris-style reduct: every subformula not satisfied by j
+    collapses to false."""
+    if not satisfies(j, g):
+        return BOT
+    cls = type(g)
+    if cls is tuple:
+        return g
+    if cls is Imp:
+        return Imp(reduct(g.left, j), reduct(g.right, j))
+    return cls(tuple(reduct(x, j) for x in g.items))
+
+
+def folded_reduct(g, numbers: dict):
+    """The reduct of the ground formula ``g`` relative to j, folded over
+    atom numbers (see ``stability``), where ``numbers`` maps each atom
+    of j to its number.  A subformula that j does not satisfy folds to
+    ``BOT``, so the result is ``BOT`` exactly when j does not satisfy
+    ``g``.  The walk takes one stack frame per level of ``g``."""
+    cls = type(g)
+    if cls is tuple:
+        return numbers.get(g, BOT)
+    if cls is Imp:
+        return implication(folded_reduct(g.left, numbers),
+                           folded_reduct(g.right, numbers))
+    if cls is Conj or cls is Disj:
+        items = []
+        for x in g.items:
+            items.append(folded_reduct(x, numbers))
+        return junction(cls, items)
+    raise TypeError(f"not a ground formula: {g!r}")
+
+
+def is_stable_ground(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
+    """True iff j satisfies the reduct of the ground formula g relative
+    to j and no proper subset of j does: j's distinct atoms numbered in
+    sorted order, g's reduct folded over those numbers, and
+    ``semantics.is_stable`` decides."""
+    numbers = atom_numbers(sorted(j))
+    return is_stable(folded_reduct(g, numbers), numbers, cap)
+
+
+def check_chain(c) -> None:
+    """Validate the chain invariants: adjacent link condition and
+    pairwise variable disjointness."""
+    assert len(c.rules) == len(c.labels) + 1
+    for i, label in enumerate(c.labels):
+        assert label in link_atoms(c.rules[i].body), \
+            "label must occur positively nonnegated"
+        assert label.predicate == c.rules[i + 1].head.predicate
+    seen: set = set()
+    for r in c.rules:
+        vs = r.variables()
+        assert not (vs & seen), "chain rules must be variable-disjoint"
+        seen |= vs
 
 
 def random_ground_formula(rng: Random, atoms, depth: int):

@@ -14,15 +14,18 @@ import pytest
 from lttight import (
     builtin_fixture, chain_formula, chains, check_equivalence,
     check_gamma_tight, check_proposition3, completion, enumerate_interpretations,
-    ground_program, is_sm_model, is_stable, is_supported, is_tight, is_tight_on,
-    make_interpretation, parse_formula, reduct, satisfies, satisfies_fo,
+    ground_program, is_sm_model, is_supported, is_tight, is_tight_on,
+    make_interpretation, parse_formula, satisfies, satisfies_fo,
     simplify_completion, sm_tables,
 )
 from lttight.completion import desugar
 from lttight.stability import BOT, Conj, Disj, Imp
 from lttight.tightness import ENTAILED, COUNTERMODEL
 
-from conftest import random_ground_formula, random_ground_program
+from conftest import (
+    is_stable_ground, random_ground_formula, random_ground_program, reduct,
+    rule_check,
+)
 
 SEED = 20260824
 
@@ -155,6 +158,7 @@ def test_criterion_6_stable_model_oracle():
         atoms = [p0, p1, q0, q1]
 
         tables1 = sm_tables(builtin_fixture("prog1").program)
+        bindings1 = rule_check(tables1)
         # independent oracle: the Herbrand grounding of prog1 is definite,
         # so its unique stable model is the least model
         definite = [(p0, frozenset()), (q1, frozenset()),
@@ -168,11 +172,12 @@ def test_criterion_6_stable_model_oracle():
                     2, {"a": 0, "b": 1},
                     {"p": [t for name, t in chosen if name == "p"],
                      "q": [t for name, t in chosen if name == "q"]})
-                if is_sm_model(tables1, interp):
+                if is_sm_model(tables1, interp, bindings1(interp)):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [expected]
 
         tables2 = sm_tables(builtin_fixture("prog2").program)
+        bindings2 = rule_check(tables2)
         stable_sets = []
         for size in range(len(atoms) + 1):
             for chosen in combinations(atoms, size):
@@ -180,7 +185,7 @@ def test_criterion_6_stable_model_oracle():
                     2, {"a": 0, "b": 1},
                     {"p": [t for name, t in chosen if name == "p"],
                      "q": [t for name, t in chosen if name == "q"]})
-                if is_sm_model(tables2, interp):
+                if is_sm_model(tables2, interp, bindings2(interp)):
                     stable_sets.append(frozenset(chosen))
         assert stable_sets == [frozenset()]
 
@@ -242,7 +247,7 @@ def test_criterion_7b_stable_implies_model():
         for _ in range(1000):
             f = random_ground_formula(rng, atoms, 3)
             j = frozenset(a for a in atoms if rng.random() < 0.5)
-            stable = is_stable(f, j)
+            stable = is_stable_ground(f, j)
             assert stable == _oracle_stable(f, j)
             if stable:
                 stable_seen += 1
@@ -267,7 +272,7 @@ def test_criterion_7c_tight_on_supported_equivalence():
                         continue
                     if not is_tight_on(gp, j):
                         continue
-                    assert is_stable(gf, j) == is_supported(gp, j)
+                    assert is_stable_ground(gf, j) == is_supported(gp, j)
                     qualifying += 1
             if qualifying >= 1000:
                 break

@@ -7,6 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from lttight import semantics
+from lttight.fixtures import builtin_fixture
+
+from conftest import rule_check
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -41,5 +46,40 @@ def test_idle_traced_entry_points_are_pinned():
                    for node in ast.walk(tree)):
             idle.append(f"{module}.{attr}")
     assert idle == ["equiv.satisfies_fo", "semantics.ground_program",
-                    "semantics.is_stable", "tightness.substitute",
-                    "tightness.satisfies_fo"]
+                    "tightness.substitute", "tightness.satisfies_fo"]
+
+
+def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
+    """The tracer's ``semantics.is_stable`` point counts the leaf's
+    minimality checks and takes |J| as ``len(args[1])``: ``is_sm_model``
+    calls it, by that name and positionally, once on each classical
+    model, with J's atom numbers second, and never on a non-model."""
+    calls = []
+    original = semantics.is_stable
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "is_stable", recording)
+    models = non_models = 0
+    for name in ("prog1", "ex1"):
+        prog = builtin_fixture(name).program
+        tables = semantics.sm_tables(prog)
+        bindings = rule_check(tables)
+        for m in (1, 2):
+            for interp in semantics.enumerate_interpretations(
+                    prog.signature, m):
+                found = bindings(interp)
+                calls.clear()
+                semantics.is_sm_model(tables, interp, found)
+                if found is None:
+                    non_models += 1
+                    assert calls == []
+                    continue
+                models += 1
+                [(args, kwargs)] = calls
+                assert kwargs == {}
+                assert len(args[1]) == sum(
+                    len(ts) for ts in interp.extensions.values())
+    assert models > 10 and non_models > 10

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from lttight import equiv, semantics
+from lttight import cli, equiv, semantics
 from lttight.cli import run
 from lttight.completion import completion, desugar
 from lttight.equiv import (
@@ -29,6 +29,7 @@ from lttight.tightness import (
     check_gamma_tight, refute_chain_formula, refuter_tables,
 )
 
+from conftest import rule_check
 from test_properties import SEED, SMALL_FIXTURES, random_program_text
 
 
@@ -95,7 +96,9 @@ def test_argument_validation():
 
 def test_directed_interpretations_cover_both_outcomes():
     tables = sm_tables(builtin_fixture("moving(1)").program)
-    outcomes = {is_sm_model(tables, i) for i in successor_state_interpretations(1)}
+    bindings = rule_check(tables)
+    outcomes = {is_sm_model(tables, i, bindings(i))
+                for i in successor_state_interpretations(1)}
     assert outcomes == {True, False}
 
 
@@ -134,31 +137,36 @@ def test_proposition3_k0():
 
 def test_stable_model_tables_are_built_once_per_check(
         tmp_path, monkeypatch, capsys):
-    """Exhaustive and sampled check-equiv, check-prop3 and the stable
-    command each compile every desugared rule exactly once, not once per
-    interpretation.  check-equiv compiles them by depth into its cuts,
-    the others into one check of the whole program, constraints first.
-    Exhaustive check-equiv runs no rule check on a whole interpretation:
-    its leaves fold the bindings the cuts recorded, and with no Gamma it
-    compiles no sentence in ``semantics``, where the cuts are built."""
+    """``sm_tables`` compiles nothing.  Exhaustive and sampled
+    check-equiv, check-prop3 and the stable command each compile every
+    desugared rule exactly once, not once per interpretation:
+    check-equiv by depth into its cuts, the others into one check of the
+    whole program, constraints first, which stable compiles only once
+    its grounding guard has passed.  Exhaustive check-equiv runs no rule
+    check on a whole interpretation: its leaves fold the bindings the
+    cuts recorded, and with no Gamma it compiles no sentence in
+    ``semantics``, where the cuts are built."""
     compiled, checked, sentences = [], [], []
 
-    def counting(rules):
-        compiled.append(list(rules))
-        check = compile_rules(rules)
+    def counting(caller):
+        def compile_counted(rules):
+            compiled.append((caller, list(rules)))
+            check = compile_rules(rules)
 
-        def recording(interp):
-            checked.append(interp)
-            return check(interp)
-        return recording
+            def recording(interp):
+                checked.append(interp)
+                return check(interp)
+            return recording
+        return compile_counted
 
-    def whole(prog) -> list:
+    def whole(caller, prog) -> list:
         d = desugar(prog).rules
-        return [[r for r in d if r.kind == CONSTRAINT]
-                + [r for r in d if r.kind == BASIC]]
+        return [(caller, [r for r in d if r.kind == CONSTRAINT]
+                 + [r for r in d if r.kind == BASIC])]
 
-    def each_once(prog) -> bool:
-        return (Counter(r for rules in compiled for r in rules)
+    def each_once_in_cuts(prog) -> bool:
+        return (all(caller == "cuts" for caller, _ in compiled)
+                and Counter(r for _, rules in compiled for r in rules)
                 == Counter(desugar(prog).rules))
 
     leaves = []
@@ -169,7 +177,12 @@ def test_stable_model_tables_are_built_once_per_check(
             leaves.append(interp)
             yield interp
 
-    monkeypatch.setattr(semantics, "compile_rules", counting)
+    monkeypatch.setattr(semantics, "compile_rules", counting("cuts"))
+    for name in ("prog2", "ex1", "moving(1)"):
+        sm_tables(builtin_fixture(name).program)
+    assert compiled == []
+    monkeypatch.setattr(equiv, "compile_rules", counting("check-prop3"))
+    monkeypatch.setattr(cli, "compile_rules", counting("stable"))
     monkeypatch.setattr(semantics, "compile_sentence",
                         lambda f, original=compile_sentence:
                         sentences.append(f) or original(f))
@@ -181,21 +194,27 @@ def test_stable_model_tables_are_built_once_per_check(
         leaves.clear()
         report = check_equivalence(prog, (), 2 if name == "ex1" else 3,
                                    sample_count=sample)
-        assert report.both_accept > 1 and each_once(prog) and not sentences
+        assert report.both_accept > 1 and each_once_in_cuts(prog)
+        assert not sentences
         if sample is None:
             assert len(leaves) > 1 and checked
             whole_ids = {id(leaf) for leaf in leaves}
             assert not any(id(i) in whole_ids for i in checked)
     compiled.clear()
     assert check_proposition3(1, sample_count=20).both_accept > 1
-    assert compiled == whole(builtin_fixture("moving(1)").program)
-    assert any(r.kind == CONSTRAINT for r in compiled[0])
+    assert compiled == whole("check-prop3",
+                             builtin_fixture("moving(1)").program)
+    assert any(r.kind == CONSTRAINT for r in compiled[0][1])
     compiled.clear()
     interp = tmp_path / "i.txt"
     interp.write_text("universe=2; a=e0; b=e1; p={(e0),(e1)}; q={(e1)}\n")
     assert run(["stable", "fixture:prog1", "--interp", str(interp)]) == 0
     assert capsys.readouterr().out == "stable\n"
-    assert compiled == whole(builtin_fixture("prog1").program)
+    assert compiled == whole("stable", builtin_fixture("prog1").program)
+    compiled.clear()
+    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "1")
+    assert run(["stable", "fixture:prog1", "--interp", str(interp)]) == 3
+    assert compiled == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +226,7 @@ def reference_report(prog, gamma, m_max, decide=is_sm_model):
     check ``decide`` and the completion on every interpretation that
     ``enumerate_interpretations`` yields."""
     tables = sm_tables(prog)
+    bindings = rule_check(tables)
     gamma_holds = compile_sentence(conjoin(list(gamma)))
     comp_holds = compile_sentence(conjoin(completion(prog).sentences()))
     counts = Counter()
@@ -217,7 +237,7 @@ def reference_report(prog, gamma, m_max, decide=is_sm_model):
                 counts["gamma"] += 1
                 continue
             try:
-                sm = decide(tables, interp)
+                sm = decide(tables, interp, bindings(interp))
             except ResourceGuardError:
                 counts["guard"] += 1
                 continue
@@ -304,8 +324,8 @@ def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
         gamma = random_gamma(rng, prog)
         decide = is_sm_model
         if i % 3 == 0:
-            def decide(tables, interp, bindings=None):
-                return is_sm_model(tables, interp, cap=2, bindings=bindings)
+            def decide(tables, interp, bindings):
+                return is_sm_model(tables, interp, bindings, cap=2)
         monkeypatch.setattr(equiv, "is_sm_model", decide)
         witnesses += assert_matches_reference(prog, gamma, 2, decide)
     assert witnesses > 50
@@ -331,32 +351,30 @@ def test_exhaustive_walk_yields_only_interpretations_no_cut_drops(
         prog = builtin_fixture(name).program
         yielded.clear()
         check_equivalence(prog, (), 3)
-        tables = sm_tables(prog)
+        bindings = rule_check(sm_tables(prog))
         assert yielded == [
             i for m in (1, 2, 3)
             for i in enumerate_interpretations(prog.signature, m, canonical=True)
-            if tables[0](i) is not None]
+            if bindings(i) is not None]
         assert len(yielded) == count
 
 
 def test_cut_bindings_stay_with_their_interpretation():
     """``depth_cuts`` pairs each interpretation the walk yields with the
     bindings the whole-program rule check gives it, also when every pair
-    is drawn before the first is used.  Tables built without the whole
-    check refuse an interpretation that comes without bindings."""
+    is drawn before the first is used."""
     for name in ("ex1", "prog4"):
         prog = builtin_fixture(name).program
         tables = sm_tables(prog)
+        bindings = rule_check(tables)
         cuts, with_bindings = semantics.depth_cuts(
-            prog.signature, (), (), Counter(), rules=tables[2])
+            prog.signature, (), Counter(), rules=tables[0])
         pairs = list(with_bindings(
             i for m in (1, 2)
             for i in enumerate_interpretations(prog.signature, m,
                                                canonical=True, cuts=cuts)))
         assert len({repr(b) for _, b in pairs}) > 1
-        assert all(b == tables[0](i) for i, b in pairs)
-    with pytest.raises(ValueError, match="whole_check"):
-        is_sm_model(sm_tables(prog, whole_check=False), pairs[0][0])
+        assert all(b == bindings(i) for i, b in pairs)
 
 
 def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
@@ -395,8 +413,8 @@ def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
 
 
 def test_exhaustive_check_weights_guard_skips(monkeypatch):
-    def decide(tables, interp, bindings=None):
-        return is_sm_model(tables, interp, cap=2, bindings=bindings)
+    def decide(tables, interp, bindings):
+        return is_sm_model(tables, interp, bindings, cap=2)
     monkeypatch.setattr(equiv, "is_sm_model", decide)
     report = check_equivalence(builtin_fixture("prog2").program, (), 3)
     assert report.guard_skipped > 0

@@ -23,9 +23,9 @@ from lttight import evaluation
 from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
     GroundingError, ResourceGuardError, atom_numbers,
-    enumerate_interpretations, folded_reduct, ground, ground_program,
-    ground_to_str, is_sm_model, is_stable, is_tight_on, make_interpretation,
-    reduct, relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
+    enumerate_interpretations, ground, ground_program,
+    ground_to_str, is_sm_model, is_tight_on, make_interpretation,
+    relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
     sm_tables,
 )
 from lttight.syntax import (
@@ -39,8 +39,8 @@ from lttight.tightness import (
 )
 
 from conftest import (
-    fo_eval, random_ground_formula, random_ground_program, relevant_grounding,
-    rules_eval,
+    fo_eval, folded_reduct, is_stable_ground, random_ground_formula,
+    random_ground_program, reduct, relevant_grounding, rule_check, rules_eval,
 )
 from test_acceptance import _oracle_stable
 from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
@@ -154,15 +154,18 @@ def test_is_sm_model_matches_grounding_reference():
         prog = builtin_fixture(name).program
         d = desugar(prog)
         tables, desugared_tables = sm_tables(prog), sm_tables(d)
+        bindings = rule_check(tables)
+        desugared_bindings = rule_check(desugared_tables)
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
                 _, gf = ground_program(d, interp)
                 j = frozenset(interp.atoms())
-                expected = is_stable(gf, j)
+                expected = is_stable_ground(gf, j)
                 assert _oracle_stable(gf, j) == expected, (name, interp.literal())
-                assert is_sm_model(tables, interp) == expected, \
-                    (name, interp.literal())
-                assert is_sm_model(desugared_tables, interp) == expected
+                assert is_sm_model(tables, interp, bindings(interp)) \
+                    == expected, (name, interp.literal())
+                assert is_sm_model(desugared_tables, interp,
+                                   desugared_bindings(interp)) == expected
                 total += 1
                 stable += expected
     assert stable > 20
@@ -309,7 +312,7 @@ def test_is_stable_matches_subset_sweep_oracle():
                     j = frozenset(head for head, body in gp
                                   if satisfies(j, body))
         expected = _oracle_stable(f, j)
-        assert is_stable(f, j) == expected, (f, j)
+        assert is_stable_ground(f, j) == expected, (f, j)
         stable += expected
         large_stable += expected and len(j) >= 4
     assert stable >= 300 and large_stable >= 30
@@ -336,6 +339,7 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
     program."""
     d = desugar(builtin_fixture("moving(1)").program)
     tables = sm_tables(d)
+    bindings = rule_check(tables)
     outcomes = []
     for base in successor_state_interpretations(1):
         drift = _drift(base)
@@ -343,7 +347,8 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
         for interp in (base, drift):
             _, gf = ground_program(d, interp)
             expected = _oracle_stable(gf, frozenset(interp.atoms()))
-            assert is_sm_model(tables, interp) == expected, interp.literal()
+            assert is_sm_model(tables, interp, bindings(interp)) == expected, \
+                interp.literal()
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
     print(f"is_sm_model vs oracle on directed moving(1): {len(outcomes)} "
@@ -585,12 +590,14 @@ def test_is_sm_model_at_the_nesting_bounds():
     for text in deepest_texts():
         for head in ("goal", "{goal}"):
             prog = parse_program(f"{head} :- {text}.")
-            tables = sm_tables(prog)       # compiles outside the limit
+            tables = sm_tables(prog)
+            bindings = rule_check(tables)      # compiles outside the limit
             interps = list(enumerate_interpretations(prog.signature, 1))
             limit = sys.getrecursionlimit()
             sys.setrecursionlimit(depth + STACK_HEADROOM)
             try:
-                stable += sum(is_sm_model(tables, interp) for interp in interps)
+                stable += sum(is_sm_model(tables, interp, bindings(interp))
+                              for interp in interps)
             finally:
                 sys.setrecursionlimit(limit)
     assert stable > 0
@@ -603,19 +610,22 @@ def _stability(decide):
         return "over the cap"
 
 
-def _same_reduct(d, tables, interp, cap):
+def _same_reduct(d, tables, bindings, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
-    program ``d``, whose ``sm_tables`` are ``tables``: its atoms are
+    program ``d``, whose ``sm_tables`` are ``tables`` and ``rule_check``
+    is ``bindings``: its atoms are
     listed in sorted order, the relevant grounding's reduct folds, under
     that numbering, to the fold of the whole grounding's, relevant_reduct
-    gives that numbering and that fold, and is_sm_model gives is_stable's
-    verdict on the whole grounding, which is returned.  None for any
+    gives that numbering and that fold, and is_sm_model gives the
+    verdict of is_stable_ground on the whole grounding, which is
+    returned.  None for any
     other interpretation, for which relevant_reduct and
     relevant_grounding are None."""
     _, full = ground_program(d, interp)
     j = frozenset(interp.atoms())
-    folded = relevant_reduct(tables, interp)
-    g = relevant_grounding(tables, interp)
+    read = bindings(interp)
+    folded = relevant_reduct(tables, interp, read)
+    g = relevant_grounding(tables, interp, read)
     assert (folded is None) == (g is None) == (not satisfies(j, full)), \
         interp.literal()
     if g is None:
@@ -626,8 +636,9 @@ def _same_reduct(d, tables, interp, cap):
     assert folded_reduct(g, expected) == folded_reduct(full, expected), \
         interp.literal()
     assert folded == (folded_reduct(g, expected), expected), interp.literal()
-    verdict = _stability(lambda: is_sm_model(tables, interp, cap))
-    assert verdict == _stability(lambda: is_stable(full, j, cap)), interp.literal()
+    verdict = _stability(lambda: is_sm_model(tables, interp, read, cap))
+    assert verdict == _stability(lambda: is_stable_ground(full, j, cap)), \
+        interp.literal()
     return verdict
 
 
@@ -702,8 +713,8 @@ def test_relevant_grounding_has_the_same_reduct():
     rng = Random(SEED + 8)
     verdicts = []
 
-    def check(d, tables, interp, cap):
-        verdict = _same_reduct(d, tables, interp, cap)
+    def check(d, tables, bindings, interp, cap):
+        verdict = _same_reduct(d, tables, bindings, interp, cap)
         if verdict is not None:
             verdicts.append(verdict)
 
@@ -713,23 +724,27 @@ def test_relevant_grounding_has_the_same_reduct():
             prog = parse_program(text(rng))
             d = desugar(prog)
             interp = _steered(prog, d, rng.randint(1, 3), rng)
-            check(d, sm_tables(d), interp, rng.choice((1, 3, 24)))
+            tables = sm_tables(d)
+            check(d, tables, rule_check(tables), interp,
+                  rng.choice((1, 3, 24)))
     random_verdicts = set(verdicts)
     random_count = len(verdicts)
     for name in SMALL_FIXTURES:
         prog = builtin_fixture(name).program
         d = desugar(prog)
         tables = sm_tables(d)
+        bindings = rule_check(tables)
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
-                check(d, tables, interp, 24)
-                check(d, tables, interp, 2)
+                check(d, tables, bindings, interp, 24)
+                check(d, tables, bindings, interp, 2)
     d = desugar(builtin_fixture("moving(1)").program)
     tables = sm_tables(d)
+    bindings = rule_check(tables)
     for base in successor_state_interpretations(1):
         for interp in (base, _drift(base)):
-            check(d, tables, interp, 24)
-            check(d, tables, interp, 8)
+            check(d, tables, bindings, interp, 24)
+            check(d, tables, bindings, interp, 8)
     assert random_count > 100
     assert random_verdicts == set(verdicts) == {True, False, "over the cap"}
     print(f"relevant grounding vs ground_program: {len(verdicts)} classical "
@@ -742,9 +757,10 @@ def test_the_fold_reads_every_term_as_ground_does():
     reaches the unmapped constant c."""
     tables = sm_tables(parse_program("p :- q | r(c)."))
     q_true = make_interpretation(1, {}, {"p": [()], "q": [()], "r": []})
+    bindings = rule_check(tables)(q_true)
     for leaf in (relevant_grounding, relevant_reduct, is_sm_model):
         with pytest.raises(GroundingError, match="constant c is not mapped"):
-            leaf(tables, q_true)
+            leaf(tables, q_true, bindings)
 
 
 def test_classical_non_models_falsify_the_completion():

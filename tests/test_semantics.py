@@ -13,10 +13,10 @@ from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     DEFAULT_STABILITY_CAP, GroundingError, Interpretation,
     ResourceGuardError, atom_numbers, enumerate_interpretations,
-    enumeration_key, folded_reduct,
+    enumeration_key,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
-    is_sm_model, is_stable, is_supported, is_tight_on, make_interpretation,
-    orbit, parse_interpretation, pnn, pnn_nnn, reduct,
+    is_sm_model, is_supported, is_tight_on, make_interpretation,
+    orbit, parse_interpretation, pnn, pnn_nnn,
     sample_interpretation, satisfies, satisfies_fo, sm_tables,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
@@ -25,7 +25,10 @@ from lttight.syntax import (
     Rule, Signature, Variable, neg,
 )
 
-from conftest import fo_eval, relevant_grounding, rules_eval
+from conftest import (
+    fo_eval, folded_reduct, is_stable_ground, reduct, relevant_grounding,
+    rule_check, rules_eval,
+)
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
 
@@ -285,30 +288,33 @@ def test_reduct_golden():
 
 
 def test_choice_formula_has_two_stable_sets():
-    assert is_stable(NOT_NOT_P, frozenset())
-    assert is_stable(NOT_NOT_P, frozenset({P}))
+    assert is_stable_ground(NOT_NOT_P, frozenset())
+    assert is_stable_ground(NOT_NOT_P, frozenset({P}))
 
 
 def test_self_supporting_atom_is_not_stable():
-    assert not is_stable(Imp(P, P), frozenset({P}))
-    assert is_stable(Imp(P, P), frozenset())
+    assert not is_stable_ground(Imp(P, P), frozenset({P}))
+    assert is_stable_ground(Imp(P, P), frozenset())
 
 
 def test_stability_cap():
     small = frozenset((f"a{i}", ()) for i in range(4))
     g = Conj(tuple(small))
     with pytest.raises(ResourceGuardError):
-        is_stable(g, small, cap=3)
-    assert is_stable(g, small, cap=4)
+        is_stable_ground(g, small, cap=3)
+    assert is_stable_ground(g, small, cap=4)
     big = frozenset((f"a{i}", ()) for i in range(DEFAULT_STABILITY_CAP + 1))
     with pytest.raises(ResourceGuardError):
-        is_stable(Conj(tuple(big)), big)
+        is_stable_ground(Conj(tuple(big)), big)
 
 
 def test_is_sm_model_on_fixture():
     tables = sm_tables(builtin_fixture("prog1").program)
-    assert is_sm_model(tables, herbrand2(p=[(0,), (1,)], q=[(1,)]))
-    assert not is_sm_model(tables, herbrand2(p=[(0,)], q=[(1,)]))
+    bindings = rule_check(tables)
+    stable = herbrand2(p=[(0,), (1,)], q=[(1,)])
+    unstable = herbrand2(p=[(0,)], q=[(1,)])
+    assert is_sm_model(tables, stable, bindings(stable))
+    assert not is_sm_model(tables, unstable, bindings(unstable))
 
 
 def test_satisfies_fo():
@@ -406,21 +412,23 @@ def test_relevant_reduct_keeps_instances_whose_body_holds():
     tables = sm_tables(d)
     interp = make_interpretation(2, {"a": 0, "b": 1},
                                  {"p": [(0,)], "q": [(0,)]})
+    bindings = rule_check(tables)(interp)
     numbers = atom_numbers(sorted(frozenset(interp.atoms())))
     assert numbers == {("p", (0,)): 0, ("q", (0,)): 1}
     # q(e0) -> p(e0), and the fact q(a), whose body folds to true
-    relevant = relevant_grounding(tables, interp)
+    relevant = relevant_grounding(tables, interp, bindings)
     assert ground_to_str(relevant) == \
         "((q(e0) -> p(e0)) & ((false -> false) -> q(e0)))"
     assert folded_reduct(relevant, numbers) == Conj((Imp(1, 0), 1))
     _, full = ground_program(d, interp)
     assert len(full.items) == 4
     assert folded_reduct(full, numbers) == folded_reduct(relevant, numbers)
-    assert is_sm_model(tables, interp)
+    assert is_sm_model(tables, interp, bindings)
     # a choice rule is grounded as its desugared double-negation rule,
     # ((p -> false) -> false) -> p, which folds to p
     choice = make_interpretation(1, {}, {"p": [()]})
-    relevant = relevant_grounding(sm_tables(parse_program("{p}.")), choice)
+    tables = sm_tables(parse_program("{p}."))
+    relevant = relevant_grounding(tables, choice, rule_check(tables)(choice))
     assert folded_reduct(relevant, atom_numbers([("p", ())])) == 0
 
 
@@ -430,11 +438,13 @@ def test_atoms_are_numbered_once_each():
     duplicated = make_interpretation(1, {"a": 0}, {"q": [(0,), (0,)]})
     assert list(duplicated.atoms()) == [("q", (0,))]
     assert atom_numbers([("q", (0,)), ("q", (0,))]) == {("q", (0,)): 0}
-    assert is_sm_model(sm_tables(parse_program("q(a).")), duplicated)
-    assert is_sm_model(sm_tables(parse_program("p.")),
-                       make_interpretation(1, {}, {"p": [(), ()]}))
-    assert is_stable(Conj((P,)), [P, P])
-    assert not is_stable(Imp(P, P), [P, P])
+    tables = sm_tables(parse_program("q(a)."))
+    assert is_sm_model(tables, duplicated, rule_check(tables)(duplicated))
+    tables = sm_tables(parse_program("p."))
+    fact = make_interpretation(1, {}, {"p": [(), ()]})
+    assert is_sm_model(tables, fact, rule_check(tables)(fact))
+    assert is_stable_ground(Conj((P,)), [P, P])
+    assert not is_stable_ground(Imp(P, P), [P, P])
 
 
 def test_rules_are_read_constraints_first():
@@ -444,19 +454,23 @@ def test_rules_are_read_constraints_first():
     constraint is written; with r false, the rule's head reaches it."""
     q_true = make_interpretation(1, {}, {"p": [], "q": [()], "r": []})
     for text in (":- q. p(c) :- q.", "p(c) :- q. :- q."):
-        assert not is_sm_model(sm_tables(parse_program(text)), q_true)
+        tables = sm_tables(parse_program(text))
+        assert not is_sm_model(tables, q_true, rule_check(tables)(q_true))
+    tables = sm_tables(parse_program(":- r. p(c) :- q."))
     with pytest.raises(GroundingError, match="constant c is not mapped"):
-        is_sm_model(sm_tables(parse_program(":- r. p(c) :- q.")), q_true)
+        is_sm_model(tables, q_true, rule_check(tables)(q_true))
 
 
 def test_relevant_grounding_is_none_on_a_non_model():
     tables = sm_tables(parse_program(":- r. p :- q."))
-    assert relevant_grounding(
-        tables, make_interpretation(1, {}, {"p": [()], "q": [()], "r": [()]})) is None
-    assert relevant_grounding(
-        tables, make_interpretation(1, {}, {"p": [], "q": [()], "r": []})) is None
+    bindings = rule_check(tables)
+    for interp in (
+            make_interpretation(1, {}, {"p": [()], "q": [()], "r": [()]}),
+            make_interpretation(1, {}, {"p": [], "q": [()], "r": []})):
+        assert relevant_grounding(tables, interp, bindings(interp)) is None
     model = make_interpretation(1, {}, {"p": [()], "q": [()], "r": []})
-    assert ground_to_str(relevant_grounding(tables, model)) == "((q -> p))"
+    assert ground_to_str(relevant_grounding(
+        tables, model, bindings(model))) == "((q -> p))"
 
 
 def test_is_sm_model_deep_rule_body_rejects_classically():
@@ -464,7 +478,9 @@ def test_is_sm_model_deep_rule_body_rejects_classically():
     prog = parse_program(f"p(X) :- {body}. {{q(X)}} :- X = X.")
     # q(e0) holds, so the body holds at e0, but p(e0) does not
     breaks_rule = make_interpretation(1, {}, {"p": [], "q": [(0,)]})
-    assert not is_sm_model(sm_tables(prog), breaks_rule)
+    tables = sm_tables(prog)
+    bindings = rule_check(tables)(breaks_rule)
+    assert not is_sm_model(tables, breaks_rule, bindings)
 
 
 # ---------------------------------------------------------------------------

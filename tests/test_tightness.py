@@ -14,11 +14,12 @@ from lttight.syntax import (
 )
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_count, chain_formula,
-    chain_to_str, chains, check_chain, check_gamma_tight, export_dot,
+    chain_to_str, chains, check_gamma_tight, export_dot,
     export_tptp, is_tight, link_atoms, predicate_dependency_graph,
     refute_chain_formula, refuter_tables,
 )
 
+from conftest import check_chain
 from test_properties import SEED, random_formula, random_program_text
 
 
