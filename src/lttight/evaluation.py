@@ -259,7 +259,10 @@ class _Folder:
     an instance's binding, the values of the rule's free variables in
     order of first occurrence, head then body, as ``Rule.free_vars``
     lists them, then one slot per quantifier, counted from the end.
-    ``leaf`` is ``(numbers, consts, range(universe))``."""
+    ``leaf`` is ``(numbers, consts, range(universe), extensions)``: an
+    atom true in ``extensions`` folds to its number in ``numbers``,
+    which numbers it ``len(numbers)`` when the fold first meets it, and
+    any other atom to ``BOT``."""
 
     def __init__(self):
         self.free: dict = {}    # free variable name -> position in env
@@ -283,8 +286,14 @@ class _Folder:
         if cls is Atom:
             p = f.predicate
             terms = [self.element(t, bound) for t in f.args]
-            return lambda env, leaf: leaf[0].get(
-                (p, tuple([t(env, leaf) for t in terms])), BOT)
+
+            def atom(env, leaf):
+                args = tuple([t(env, leaf) for t in terms])
+                if args not in leaf[3].get(p, ()):
+                    return BOT
+                numbers = leaf[0]
+                return numbers.setdefault((p, args), len(numbers))
+            return atom
         if cls is Implies:
             left, right = self.fold(f.left, bound), self.fold(f.right, bound)
             return lambda env, leaf: implication(left(env, leaf), right(env, leaf))
@@ -316,13 +325,15 @@ class _Folder:
 def compile_fold(rule):
     """A function of a rule's bindings, the value tuples of its free
     variables as ``compile_rules`` returns them, and ``leaf``, that is
-    ``(numbers, consts, range(universe))`` for an interpretation whose
-    atoms ``numbers`` numbers: the list of the instances ``body -> head``
-    folded, each equal to the folded reduct of its grounding
-    (``semantics.ground``; ``tests/conftest.py::folded_reduct``).  The
-    rule is read once, into closures over binding positions and constant
-    names; no source is generated.  Every term is read, so
-    GroundingError is raised where ``ground`` raises it."""
+    ``(numbers, consts, range(universe), extensions)`` for an
+    interpretation (``_Folder``): the list of the instances
+    ``body -> head`` folded, each equal to the folded reduct of its
+    grounding (``semantics.ground``; ``tests/conftest.py::folded_reduct``)
+    under any numbering of the true atoms that extends ``numbers`` as
+    the fold leaves it.  The rule is read once, into closures over
+    binding positions and constant names; no source is generated.  Every
+    term is read, so GroundingError is raised where ``ground`` raises
+    it."""
     folder = _Folder()
     head = folder.fold(rule.head, {})
     body = folder.fold(rule.body, {})

@@ -7,10 +7,9 @@ Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 that type.  The stable-model check grounds nothing: ``is_sm_model``
 takes an interpretation's rule bindings, which the caller reads with
 the rules of ``sm_tables`` (``compile_rules``, or ``depth_cuts``' cuts),
-``relevant_reduct`` numbers the interpretation's atoms once and folds
-the rule instances whose body it satisfies as it instantiates them
-(``evaluation.compile_fold``), and ``is_stable`` searches that folded
-reduct for a smaller model (``stability.has_smaller_model``).
+``relevant_reduct`` folds the rule instances whose body it satisfies as
+it instantiates them (``evaluation.compile_fold``), and ``is_sm_model``
+decides on that folded reduct (``stability``).
 First-order sentences are evaluated by functions compiled in
 ``evaluation``.  ``depth_cuts`` builds the cuts by which both exhaustive
 searches prune ``enumerate_interpretations``, and records the rule
@@ -36,7 +35,7 @@ from .evaluation import (
     predicates_read,
 )
 from .stability import (
-    BOT, TOP, Conj, Disj, Imp, atom_numbers, has_smaller_model, junction,
+    BOT, TOP, Conj, Disj, Imp, has_smaller_model, junction,
 )
 from .syntax import (
     BASIC, CONSTRAINT, Atom, Bot, And, Equality, Exists, Forall, Implies,
@@ -494,23 +493,21 @@ def satisfies(j, g) -> bool:
     raise TypeError(f"not a ground formula: {g!r}")
 
 
-def is_stable(r, numbers: dict, cap: int) -> bool:
-    """Whether the atoms that ``numbers`` numbers ``0 .. n-1`` are a
-    stable model of the reduct ``r`` relative to them, folded over those
-    numbers (``stability``).  ``BOT`` means they do not satisfy it.
-    Minimality is decided by ``stability.has_smaller_model``: a
-    depth-first search that assigns the atoms in number order, false
-    first, propagates what the reduct's conjuncts force, and ends a
-    branch as soon as the three-valued value of the reduct is decided.
-    The search is complete for arbitrary ground formulas.  More than
-    ``cap`` atoms raise ResourceGuardError, after the reduct is found
-    satisfied and before the search."""
-    if r is BOT:
-        return False
-    n = len(numbers)
+def _guard(n: int, cap: int) -> None:
     if n > cap:
         raise ResourceGuardError(
             f"minimality check over {n} atoms exceeds the cap of {cap}")
+
+
+def is_stable(r, numbers: dict, cap: int) -> bool:
+    """Whether the atoms ``numbers`` numbers ``0 .. n-1`` are a stable
+    model of the reduct ``r`` relative to them, folded over those numbers
+    (``stability``): not if ``BOT``, more than ``cap`` atoms raise
+    ResourceGuardError, else ``stability.has_smaller_model`` decides."""
+    if r is BOT:
+        return False
+    n = len(numbers)
+    _guard(n, cap)
     return n == 0 or not has_smaller_model(r, n)
 
 
@@ -539,21 +536,18 @@ def sm_tables(prog: Program) -> tuple:
 def relevant_reduct(tables: tuple, interp: Interpretation, bindings):
     """None when ``bindings`` is None: the rules of ``tables``
     (``sm_tables``), compiled, give None for an interpretation that
-    violates an instance of one.  Else the pair of a folded reduct and
-    the numbers of the true atoms, in sorted order.  The reduct is that
-    of the conjunction of the instances ``body -> head`` of the basic
-    rules whose body the interpretation satisfies, in the order of
-    ``ground_program``, and so it is the fold of
-    ``ground_program(desugar(prog), interp)[1]``'s: each instance left
-    out has the valid reduct ``false -> ...``.  This is relevance-driven
-    grounding, as in gringo, folded as it grounds."""
+    violates an instance of one.  Else the folded reduct of the instances
+    ``body -> head`` of the basic rules whose body it satisfies, in the
+    order of ``ground_program``, which is relevance-driven grounding as
+    in gringo, and the numbers of the true atoms in the order the fold
+    first met them.  Each instance left out has the valid reduct
+    ``false -> ...``, so the reduct is ``ground_program``'s folded."""
     if bindings is None:
         return None
-    numbers = atom_numbers(interp.atoms())
-    leaf = (numbers, interp.consts, range(interp.universe))
-    instances = []
-    for fold, tuples in zip(tables[1], bindings):
-        instances += fold(tuples, leaf)
+    numbers = {}
+    leaf = (numbers, interp.consts, range(interp.universe), interp.extensions)
+    instances = [g for fold, tuples in zip(tables[1], bindings)
+                 for g in fold(tuples, leaf)]
     return junction(Conj, instances), numbers
 
 
@@ -561,10 +555,15 @@ def is_sm_model(tables: tuple, interp: Interpretation, bindings,
                 cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """Whether the interpretation is a stable model of the program whose
     ``sm_tables`` are given, ``bindings`` being its rules' bindings
-    there: ``relevant_reduct`` is not None, and ``is_stable`` holds of
-    it."""
+    there.  In order: not if ``relevant_reduct`` is None or ``BOT``; more
+    than ``cap`` true atoms raise ResourceGuardError; not if a true atom
+    has no number (``stability``); else ``is_stable`` decides."""
     folded = relevant_reduct(tables, interp, bindings)
-    return folded is not None and is_stable(*folded, cap)
+    if folded is None or folded[0] is BOT:
+        return False
+    n = sum(map(len, interp.extensions.values()))
+    _guard(n, cap)
+    return len(folded[1]) == n and is_stable(*folded, cap)
 
 
 # ---------------------------------------------------------------------------

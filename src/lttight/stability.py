@@ -17,13 +17,15 @@ The semantics is that of Ferraris, Lee and Lifschitz ("Stable models and
 circumscription", 2011): J is stable for a formula when J satisfies its
 reduct relative to J and no proper subset of J does.
 
-The stable-model leaf, ``semantics.relevant_reduct``, numbers J's atoms
-(``atom_numbers``) and folds the reduct of each rule instance as it
-instantiates it (``evaluation.compile_fold``), with no ground formula in
-between, by ``junction`` and ``implication``, which folds
-``F -> false`` to ``false`` unless F folds to ``false``: sound for a
-reduct, not for a classical fold.  ``has_smaller_model`` decides
-minimality on the result (``semantics.is_stable``).
+The stable-model leaf, ``semantics.relevant_reduct``, folds the reduct
+of each rule instance as it instantiates it (``evaluation.compile_fold``),
+with no ground formula in between, by ``junction`` and ``implication``,
+which folds ``F -> false`` to ``false`` unless F folds to ``false``:
+sound for a reduct, not for a classical fold.  It numbers J's atoms in
+the order the fold first meets them.  An atom of J the fold never meets
+is not read by the reduct, so J without it is a smaller model and J is
+not stable; ``semantics.is_sm_model`` decides that case by counting, and
+``has_smaller_model`` searches only when every atom of J has a number.
 """
 
 from __future__ import annotations
@@ -105,15 +107,6 @@ def implication(left, right):
         return TOP
     return (right if left is TOP or right is TOP or right is BOT
             else Imp(left, right))
-
-
-def atom_numbers(atoms) -> dict:
-    """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
-    the order they first occur."""
-    numbers = dict.fromkeys(atoms)
-    for i, a in enumerate(numbers):
-        numbers[a] = i
-    return numbers
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +194,19 @@ def has_smaller_model(r, n: int) -> bool:
     """Whether some proper subset of the atoms ``0 .. n-1`` satisfies the
     folded formula ``r``, whose atoms are all among them.  Depth-first
     search over the atoms in order, false first, propagating what
-    ``r``'s conjuncts force; a branch ends as soon as ``r`` is
-    decided."""
+    ``r``'s conjuncts force.  At each node the least completion, every
+    unassigned atom false, is tried first: if it satisfies the open
+    conjuncts and makes some atom false, it is a smaller model.  A
+    branch ends as soon as ``r`` is decided."""
 
     def search(conjuncts, val: list, i: int) -> bool:
         conjuncts = _propagate(conjuncts, val)
         if conjuncts is None:
             return False
-        if not conjuncts:
-            # r is true: so is every completion of val, and one is a
-            # proper subset iff some atom is false or still unassigned
-            return None in val or False in val
+        least = [v is True for v in val]
+        if all(_kleene(c, least) for c in conjuncts):
+            # with no atom false, every atom is assigned true: J itself
+            return False in least
         while val[i] is not None:
             i += 1
         lower = val[:]

@@ -19,11 +19,10 @@ from lttight.semantics import (
     DEFAULT_STABILITY_CAP, ground, is_stable, satisfies,
 )
 from lttight.stability import (
-    BOT, Conj, Disj, Imp, atom_numbers, implication, junction,
+    BOT, Conj, Disj, Imp, implication, junction,
 )
 from lttight.syntax import (
-    BASIC, And, Atom, Bot, Equality, Exists, Forall, Implies, ObjectConstant,
-    Or, Variable,
+    BASIC, And, Atom, Bot, Equality, Exists, Forall, Implies, Or, Variable,
 )
 from lttight.tightness import link_atoms
 
@@ -138,6 +137,15 @@ def folded_reduct(g, numbers: dict):
     raise TypeError(f"not a ground formula: {g!r}")
 
 
+def atom_numbers(atoms) -> dict:
+    """The distinct ground atoms of ``atoms`` numbered ``0 .. n-1`` in
+    the order they first occur."""
+    numbers = dict.fromkeys(atoms)
+    for i, a in enumerate(numbers):
+        numbers[a] = i
+    return numbers
+
+
 def is_stable_ground(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of the ground formula g relative
     to j and no proper subset of j does: j's distinct atoms numbered in
@@ -192,6 +200,29 @@ def random_ground_program(rng: Random, atoms, max_rules: int):
         rules.append((head, Conj(tuple(literals))))
     gf = Conj(tuple(Imp(body, head) for head, body in rules))
     return tuple(rules), gf
+
+
+def random_non_horn_formula(rng: Random, atoms):
+    """A random conjunction of ground rules whose consequents are atoms,
+    disjunctions of atoms or nested implications ``(a -> b) -> c``, and
+    whose antecedents are conjunctions of literals: formulas whose least
+    completion after propagation need not be a model."""
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        body = Conj(tuple(
+            rng.choice(atoms) if rng.random() < 0.6
+            else Imp(rng.choice(atoms), BOT)
+            for _ in range(rng.randint(0, 2))))
+        roll = rng.random()
+        if roll < 0.5:
+            head = Disj(tuple(rng.sample(atoms, rng.randint(2, 3))))
+        elif roll < 0.8:
+            head = Imp(Imp(rng.choice(atoms), rng.choice(atoms)),
+                       rng.choice(atoms))
+        else:
+            head = rng.choice(atoms)
+        rules.append(Imp(body, head))
+    return Conj(tuple(rules))
 
 
 @pytest.fixture

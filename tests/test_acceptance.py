@@ -6,10 +6,8 @@ tolerance); runtime bounds are wall-clock."""
 from __future__ import annotations
 
 import time
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
-
-import pytest
 
 from lttight import (
     builtin_fixture, chain_formula, chains, check_equivalence,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from lttight import semantics
 from lttight.fixtures import builtin_fixture
+from lttight.stability import BOT
 
 from conftest import rule_check
 
@@ -53,7 +54,8 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
     """The tracer's ``semantics.is_stable`` point counts the leaf's
     minimality checks and takes |J| as ``len(args[1])``: ``is_sm_model``
     calls it, by that name and positionally, once on each classical
-    model, with J's atom numbers second, and never on a non-model."""
+    model whose folded reduct is not ``BOT`` and whose fold met every
+    atom of J, with J's atom numbers second, and never otherwise."""
     calls = []
     original = semantics.is_stable
 
@@ -62,7 +64,7 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(semantics, "is_stable", recording)
-    models = non_models = 0
+    searched = unread = non_models = 0
     for name in ("prog1", "ex1"):
         prog = builtin_fixture(name).program
         tables = semantics.sm_tables(prog)
@@ -77,9 +79,14 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
                     non_models += 1
                     assert calls == []
                     continue
-                models += 1
+                r, numbers = semantics.relevant_reduct(tables, interp, found)
+                size = sum(len(ts) for ts in interp.extensions.values())
+                if r is BOT or len(numbers) < size:
+                    unread += 1
+                    assert calls == []
+                    continue
+                searched += 1
                 [(args, kwargs)] = calls
                 assert kwargs == {}
-                assert len(args[1]) == sum(
-                    len(ts) for ts in interp.extensions.values())
-    assert models > 10 and non_models > 10
+                assert len(args[1]) == size
+    assert searched > 10 and unread > 10 and non_models > 10

@@ -8,6 +8,7 @@ against the relevant grounding."""
 import json
 import sys
 from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 from random import Random
 
@@ -19,10 +20,10 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import (
     MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
 )
-from lttight import evaluation
+from lttight import evaluation, stability
 from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
-    GroundingError, ResourceGuardError, atom_numbers,
+    GroundingError, ResourceGuardError,
     enumerate_interpretations, ground, ground_program,
     ground_to_str, is_sm_model, is_tight_on, make_interpretation,
     relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
@@ -39,8 +40,9 @@ from lttight.tightness import (
 )
 
 from conftest import (
-    fo_eval, folded_reduct, is_stable_ground, random_ground_formula,
-    random_ground_program, reduct, relevant_grounding, rule_check, rules_eval,
+    atom_numbers, fo_eval, folded_reduct, is_stable_ground,
+    random_ground_formula, random_ground_program, random_non_horn_formula,
+    reduct, relevant_grounding, rule_check, rules_eval,
 )
 from test_acceptance import _oracle_stable
 from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
@@ -317,8 +319,44 @@ def test_is_stable_matches_subset_sweep_oracle():
         large_stable += expected and len(j) >= 4
     assert stable >= 300 and large_stable >= 30
     assert cases - stable >= 300
+    non_horn = _non_horn_against_oracle(rng)
     print(f"is_stable vs subset-sweep oracle: {cases} cases, {stable} "
-          f"stable, {large_stable} of them with |J| >= 4")
+          f"stable, {large_stable} of them with |J| >= 4; non-Horn: "
+          f"{dict(non_horn)}")
+
+
+def _non_horn_against_oracle(rng: Random) -> Counter:
+    """is_stable_ground against the subset-sweep oracle on non-Horn
+    formulas, J random or shrunk greedily to a classical minimal model.
+    Where the reduct has two or more minimal models within J, or none,
+    it has no least one, so no completion of what propagation forces is
+    a model and the search must branch."""
+    outcomes = Counter()
+    for k in range(400):
+        atoms = [(f"a{i}", ()) for i in range(rng.randint(4, 9))]
+        f = random_non_horn_formula(rng, atoms)
+        j = frozenset(a for a in atoms if rng.random() < 0.75)
+        if k % 2 and satisfies(j, f):
+            for a in sorted(j):
+                if satisfies(j - {a}, f):
+                    j -= {a}
+        expected = _oracle_stable(f, j)
+        assert is_stable_ground(f, j) == expected, (f, j)
+        if satisfies(j, f):
+            r = reduct(f, j)
+            models = [s for s in _subsets(j) if satisfies(s, r)]
+            least = [s for s in models if all(s <= t for t in models)]
+            outcomes[expected, "least" if least else "no least"] += 1
+    assert outcomes[True, "no least"] == 0
+    assert outcomes[False, "no least"] >= 30
+    assert outcomes[True, "least"] >= 50 and outcomes[False, "least"] >= 50
+    return outcomes
+
+
+def _subsets(j: frozenset):
+    members = sorted(j)
+    return [frozenset(c) for size in range(len(members) + 1)
+            for c in combinations(members, size)]
 
 
 def _drift(interp):
@@ -610,17 +648,30 @@ def _stability(decide):
         return "over the cap"
 
 
+def _preorder_atoms(g):
+    """The atoms of the ground formula ``g``, left to right, in the
+    order a depth-first walk first meets them."""
+    if type(g) is tuple:
+        yield g
+    elif type(g) is stability.Imp:
+        yield from _preorder_atoms(g.left)
+        yield from _preorder_atoms(g.right)
+    else:
+        for x in g.items:
+            yield from _preorder_atoms(x)
+
+
 def _same_reduct(d, tables, bindings, interp, cap):
     """For an interpretation that satisfies every rule of the desugared
     program ``d``, whose ``sm_tables`` are ``tables`` and ``rule_check``
-    is ``bindings``: its atoms are
-    listed in sorted order, the relevant grounding's reduct folds, under
-    that numbering, to the fold of the whole grounding's, relevant_reduct
-    gives that numbering and that fold, and is_sm_model gives the
+    is ``bindings``: relevant_reduct numbers the atoms of J that the
+    relevant grounding mentions, 0 .. k-1 in the order it first mentions
+    them, and the leaf's numbering, extended with J's other atoms
+    numbered after those, folds the relevant grounding's reduct and the
+    whole grounding's to relevant_reduct's.  is_sm_model gives the
     verdict of is_stable_ground on the whole grounding, which is
-    returned.  None for any
-    other interpretation, for which relevant_reduct and
-    relevant_grounding are None."""
+    returned.  None for any other interpretation, for which
+    relevant_reduct and relevant_grounding are None."""
     _, full = ground_program(d, interp)
     j = frozenset(interp.atoms())
     read = bindings(interp)
@@ -630,12 +681,13 @@ def _same_reduct(d, tables, bindings, interp, cap):
         interp.literal()
     if g is None:
         return None
-    expected = {a: i for i, a in enumerate(sorted(j))}
-    assert atom_numbers(sorted(j)) == expected
-    assert list(interp.atoms()) == sorted(j), interp.literal()
-    assert folded_reduct(g, expected) == folded_reduct(full, expected), \
+    r, met = folded
+    assert met == atom_numbers(a for a in _preorder_atoms(g) if a in j), \
         interp.literal()
-    assert folded == (folded_reduct(g, expected), expected), interp.literal()
+    assert list(interp.atoms()) == sorted(j), interp.literal()
+    numbers = atom_numbers([*met, *sorted(j)])
+    assert folded_reduct(g, numbers) == folded_reduct(full, numbers) == r, \
+        interp.literal()
     verdict = _stability(lambda: is_sm_model(tables, interp, read, cap))
     assert verdict == _stability(lambda: is_stable_ground(full, j, cap)), \
         interp.literal()
@@ -750,6 +802,44 @@ def test_relevant_grounding_has_the_same_reduct():
     print(f"relevant grounding vs ground_program: {len(verdicts)} classical "
           f"models ({random_count} random), {verdicts.count(True)} stable, "
           f"{verdicts.count('over the cap')} over the cap")
+
+
+def test_atoms_no_relevant_instance_reads_decide_after_the_cap():
+    """An atom of J that no relevant rule instance reads makes J not
+    stable, and the cap is checked first.  Random literal programs with
+    a constraint on ``s``, which heads no rule, so no instance the leaf
+    folds reads an ``s`` atom; J is steered through the
+    immediate-consequence operator, then given random ``s`` atoms and
+    random unsupported atoms.  is_sm_model against is_stable_ground on
+    the whole grounding, both raising ResourceGuardError over the cap."""
+    rng = Random(SEED + 10)
+    outcomes = Counter()
+    for _ in range(500):
+        prog = parse_program(random_program_text(rng) + " :- s(X), q(X, X).")
+        d = desugar(prog)
+        m = rng.randint(1, 3)
+        steered = _steered(prog, d, m, rng)
+        exts = {p: set(ts) for p, ts in steered.extensions.items()}
+        exts["s"] = {(e,) for e in range(m) if rng.random() < 0.5}
+        for p, arity in prog.predicates:
+            exts[p] |= {t for t in product(range(m), repeat=arity)
+                        if rng.random() < 0.1}
+        interp = make_interpretation(m, dict(steered.consts), exts)
+        tables = sm_tables(d)
+        read = rule_check(tables)(interp)
+        if read is None:
+            continue
+        _, met = relevant_reduct(tables, interp, read)
+        j = frozenset(interp.atoms())
+        cap = rng.choice((2, 4, 24))
+        verdict = _stability(lambda: is_sm_model(tables, interp, read, cap))
+        _, full = ground_program(d, interp)
+        assert verdict == _stability(lambda: is_stable_ground(full, j, cap)), \
+            interp.literal()
+        outcomes[verdict, len(met) < len(j)] += 1
+    assert outcomes[False, True] > 30 and outcomes["over the cap", True] > 30
+    assert outcomes[True, False] > 10 and outcomes[False, False] > 0
+    print(f"unread atoms and the cap: {dict(outcomes)}")
 
 
 def test_the_fold_reads_every_term_as_ground_does():

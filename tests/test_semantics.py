@@ -12,7 +12,7 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     DEFAULT_STABILITY_CAP, GroundingError, Interpretation,
-    ResourceGuardError, atom_numbers, enumerate_interpretations,
+    ResourceGuardError, enumerate_interpretations,
     enumeration_key,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
     is_sm_model, is_supported, is_tight_on, make_interpretation,
@@ -26,7 +26,7 @@ from lttight.syntax import (
 )
 
 from conftest import (
-    fo_eval, folded_reduct, is_stable_ground, reduct, relevant_grounding,
+    atom_numbers, fo_eval, folded_reduct, is_stable_ground, reduct, relevant_grounding,
     rule_check, rules_eval,
 )
 
