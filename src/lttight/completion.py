@@ -14,14 +14,23 @@ from itertools import count
 from .syntax import (
     BASIC, BOT, CHOICE, TOP, And, Atom, Bot, Equality, Exists, Forall, Implies,
     Or, Program, Rule, Variable, conjoin, disjoin, flatten_and, iff, neg,
-    substitute, universal_closure, universal_closure_ordered,
+    substitute, universal_closure_ordered,
 )
 
 
 @dataclass(frozen=True)
 class CompletionResult:
-    completed_definitions: tuple   # tuple[(predicate, sentence), ...]
+    """A completion: ``definitions``, one rule ``p(X1, ..., Xk) :- D``
+    per completed predicate, and the constraints' sentences.  Each
+    completed definition is built from its rule (``_completed``)."""
+    definitions: tuple             # tuple[Rule, ...]
     constraint_sentences: tuple    # tuple[sentence, ...]
+
+    @property
+    def completed_definitions(self) -> tuple:
+        """``(predicate, sentence)`` per definition: the universal
+        closure of ``p(X1, ..., Xk) <-> D``."""
+        return tuple((d.head.predicate, _completed(d)) for d in self.definitions)
 
     def definition_for(self, predicate: str):
         for p, s in self.completed_definitions:
@@ -104,9 +113,10 @@ def _completed(d: Rule):
 
 
 def completion(prog: Program) -> CompletionResult:
-    """Completed definitions for the predicates that are intensional or
-    head a basic rule, plus one sentence (the universally closed negated
-    body) per constraint.
+    """The definitions of the predicates that are intensional or head a
+    basic rule, whose completed definitions the result builds, plus one
+    sentence per constraint, its ``Rule.sentence``: the universally
+    closed negated body.
 
     The definitions are those of the desugared program, which is in Clark
     normal form over all its predicates (Ferraris, Lee and Lifschitz,
@@ -117,10 +127,8 @@ def completion(prog: Program) -> CompletionResult:
     """
     d = desugar(prog)
     defined = prog.intensional | {r.head.predicate for r in prog.basic_rules()}
-    defs = [(r.head.predicate, _completed(r))
-            for r in _definitions(d, sorted(defined))]
-    constraints = tuple(universal_closure(neg(r.body)) for r in d.constraints())
-    return CompletionResult(tuple(defs), constraints)
+    return CompletionResult(tuple(_definitions(d, sorted(defined))),
+                            tuple(r.sentence() for r in d.constraints()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,10 @@ def simplify(f):
 
 
 def simplify_completion(result: CompletionResult) -> CompletionResult:
+    """Each definition's body ``D`` and each constraint sentence
+    simplified.  A completed definition simplifies to the one built from
+    its simplified ``D``: no rewrite reaches past ``D``."""
     return CompletionResult(
-        tuple((p, simplify(s)) for p, s in result.completed_definitions),
+        tuple(Rule(BASIC, d.head, simplify(d.body)) for d in result.definitions),
         tuple(simplify(s) for s in result.constraint_sentences),
     )

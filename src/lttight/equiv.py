@@ -25,7 +25,7 @@ from .semantics import (
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
     sm_tables,
 )
-from .syntax import Program, conjoin
+from .syntax import Program, conjoin, formula_to_str
 
 SM_ONLY = "sm_only"
 COMP_ONLY = "comp_only"
@@ -75,7 +75,6 @@ class EquivReport:
 
 
 def _gamma_desc(gamma) -> str:
-    from .syntax import formula_to_str
     if not gamma:
         return "(empty)"
     return "; ".join(formula_to_str(g) for g in gamma)

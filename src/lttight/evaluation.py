@@ -256,16 +256,15 @@ def compile_rules(rules):
 
 class _Folder:
     """Reads one rule into closures of ``(env, leaf)``.  ``env`` holds
-    an instance's binding, the values of the rule's free variables in
-    order of first occurrence, head then body, as ``Rule.free_vars``
-    lists them, then one slot per quantifier, counted from the end.
-    ``leaf`` is ``(numbers, consts, range(universe), extensions)``: an
-    atom true in ``extensions`` folds to its number in ``numbers``,
-    which numbers it ``len(numbers)`` when the fold first meets it, and
-    any other atom to ``BOT``."""
+    an instance's binding, the values of the rule's free variables at
+    the positions ``free`` gives them, then one slot per quantifier,
+    counted from the end.  ``leaf`` is ``(numbers, consts,
+    range(universe), extensions)``: an atom true in ``extensions`` folds
+    to its number in ``numbers``, which numbers it ``len(numbers)`` when
+    the fold first meets it, and any other atom to ``BOT``."""
 
-    def __init__(self):
-        self.free: dict = {}    # free variable name -> position in env
+    def __init__(self, free: dict):
+        self.free = free        # free variable name -> position in env
         self.slots = 0          # quantifier slots taken
 
     def element(self, t, bound: dict):
@@ -273,9 +272,7 @@ class _Folder:
         constant's under the constant map ``leaf[1]``, which raises
         KeyError when it has none."""
         if type(t) is Variable:
-            i = bound.get(t.name)
-            if i is None:
-                i = self.free.setdefault(t.name, len(self.free))
+            i = bound[t.name] if t.name in bound else self.free[t.name]
             return lambda env, leaf: env[i]
         return lambda env, leaf: leaf[1][t.name]
 
@@ -330,11 +327,12 @@ def compile_fold(rule):
     ``body -> head`` folded, each equal to the folded reduct of its
     grounding (``semantics.ground``; ``tests/conftest.py::folded_reduct``)
     under any numbering of the true atoms that extends ``numbers`` as
-    the fold leaves it.  The rule is read once, into closures over
-    binding positions and constant names; no source is generated.  Every
-    term is read, so GroundingError is raised where ``ground`` raises
-    it."""
-    folder = _Folder()
+    the fold leaves it.  A binding's values are those of
+    ``Rule.free_vars``, in its order.  The rule is read once, into
+    closures over binding positions and constant names; no source is
+    generated.  Every term is read, so GroundingError is raised where
+    ``ground`` raises it."""
+    folder = _Folder({v.name: i for i, v in enumerate(rule.free_vars())})
     head = folder.fold(rule.head, {})
     body = folder.fold(rule.body, {})
     extra = [None] * folder.slots

@@ -31,7 +31,8 @@ from typing import Iterator, Optional
 
 from .completion import desugar
 from .evaluation import (
-    GroundingError, compile_fold, compile_rules, compile_sentence,
+    GroundingError,  # noqa: F401 -- what _element raises, importable here
+    _unbound, _unmapped, compile_fold, compile_rules, compile_sentence,
     predicates_read,
 )
 from .stability import (
@@ -118,11 +119,6 @@ class Interpretation:
     def __repr__(self):
         return (f"Interpretation({self.universe!r}, {self.consts!r}, "
                 f"{self.extensions!r})")
-
-    def atoms(self) -> Iterator[tuple]:
-        """The true atoms ``(predicate, args)``, in sorted order."""
-        return ((p, t) for p, tuples in sorted(self.extensions.items())
-                for t in sorted(tuples))
 
     def literal(self) -> str:
         parts = [f"universe={self.universe}"]
@@ -236,16 +232,17 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
     visited stands for the ``orbit_size`` maps a permutation carries it
     to (see ``orbit``).  The ceiling still counts every interpretation.
 
-    ``cuts``, one entry per depth 0..n for the n predicates, prunes the
-    walk, which assigns one predicate at a time on its own stack, as
-    finite model finders do (SEM; Mace4).  At depth d, with the first d
-    predicates assigned, a cut that is not None is called with the
-    partial interpretation, one object per constant map written in
-    place, and the number of interpretations below it (orbits counted
-    with ``canonical``).  It must read only assigned predicates; a true
-    return drops the subtree.  Past the deepest cut the walk is one
-    ``product``, as it is without cuts, and what is left comes in the
-    unpruned order.  ``depth_cuts`` builds them for a model search."""
+    The walk assigns one predicate at a time on its own stack, as
+    finite model finders do (SEM; Mace4): a node at depth d has the
+    first d predicates assigned, and a node at depth n, for the n
+    predicates, is an interpretation.  ``cuts``, one entry per depth
+    0..n, prunes it.  A cut that is not None is called at each node of
+    its depth with the partial interpretation, one object per constant
+    map written in place, and the number of interpretations below it
+    (orbits counted with ``canonical``).  It must read only assigned
+    predicates; a true return drops the subtree, and what is left comes
+    in the unpruned order.  ``depth_cuts`` builds them for a model
+    search."""
     if m < 1:
         raise ValueError("universe size must be at least 1")
     limit = guard_ceiling()
@@ -256,39 +253,37 @@ def enumerate_interpretations(sig: Signature, m: int, canonical: bool = False,
             f"ceiling of {limit}; use sampling mode")
     # One frozenset per subset, shared by every candidate that has it,
     # and one dict per constant map, shared by its candidates.
-    ext_choices = []
+    names, ext_choices = [], []
     for p, arity in sig.predicates:
         tuples = list(product(range(m), repeat=arity))
+        names.append(p)
         ext_choices.append([
-            (p, frozenset(t for i, t in enumerate(tuples) if mask >> i & 1))
+            frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
             for mask in range(2 ** len(tuples))])
     # the tuples of the predicates not yet assigned at each depth
     bits = [m ** arity for _, arity in reversed(sig.predicates)]
     free = list(accumulate(bits, initial=0))[::-1]
     cuts = cuts or [None] * len(free)
-    deepest = max((d for d, cut in enumerate(cuts) if cut is not None), default=0)
     for cvals in product(range(m), repeat=len(sig.constants)):
         if canonical and not _restricted_growth(cvals):
             continue
         consts = dict(zip(sig.constants, cvals))
         partial = Interpretation(m, consts, {})
         assigned = partial.extensions
-        orbit_weight = perm(m, len(set(cvals))) if canonical else 1
+        weight = orbit_size(partial) if canonical else 1
         stack = [iter((None,))]     # the root, at depth 0
         while stack:
             depth = len(stack) - 1
             for choice in stack[-1]:
                 if depth:
-                    assigned[choice[0]] = choice[1]
+                    assigned[names[depth - 1]] = choice
                 cut = cuts[depth]
-                if cut is not None and cut(partial, orbit_weight << free[depth]):
+                if cut is not None and cut(partial, weight << free[depth]):
                     continue
-                if depth < deepest:
+                if depth < len(names):
                     stack.append(iter(ext_choices[depth]))
                     break
-                for extensions in product(*ext_choices[depth:]):
-                    assigned.update(extensions)
-                    yield Interpretation(m, consts, assigned)
+                yield Interpretation(m, consts, assigned)
             else:
                 stack.pop()
 
@@ -304,7 +299,7 @@ def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
     interpretation the cuts pass, drawn from the source it is given,
     with the bindings of ``rules`` there, as ``compile_rules(rules)``
     returns them.  Each is read at the depth of the last predicate it
-    reads, a rule no shallower than the deepest sentence, and compiled
+    reads, a rule no shallower than any sentence, and compiled
     with the rest of its kind and depth; a cut that passes records its
     rules' bindings for the current path, which the walk overwrites as
     it advances, so the pairing is made as each interpretation is drawn.
@@ -317,14 +312,14 @@ def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
     levels = [{} for _ in range(len(depth) + 1)]
     heads = [0] * len(levels)
     where = []      # per rule with a head: its depth, its place there
-    deepest = 0
+    reached = 0
     for key, fs in ((GAMMA, sentences), (REJECT, rules)):
-        floor = deepest
+        floor = reached
         for f in fs:
             read = predicates_read(f if key == GAMMA else f.sentence())
             d = max([floor] + [depth.get(p, 0) for p in read])
             levels[d].setdefault(key, []).append(f)
-            deepest = max(deepest, d)
+            reached = max(reached, d)
             if key == REJECT and f.head is not None:
                 where.append((d, heads[d]))
                 heads[d] += 1
@@ -411,14 +406,15 @@ def sample_interpretation(sig: Signature, m: int, rng: Random) -> Interpretation
 
 def _element(t, interp: Interpretation, env: dict) -> int:
     """The element the term ``t`` denotes: a variable's value in ``env``
-    (variable name -> element), a constant's under ``interp``."""
+    (variable name -> element), a constant's under ``interp``; else
+    GroundingError, as the compiled evaluator raises it."""
     if type(t) is Variable:
         if t.name in env:
             return env[t.name]
-        raise GroundingError(f"unbound variable {t.name}")
+        _unbound(t.name)
     if t.name in interp.consts:
         return interp.consts[t.name]
-    raise GroundingError(f"constant {t.name} is not mapped by the interpretation")
+    raise _unmapped(t.name)
 
 
 def ground(f, interp: Interpretation, env: Optional[dict] = None):
@@ -602,10 +598,6 @@ def pnn_nnn(g):
     raise TypeError(f"not a ground formula: {g!r}")
 
 
-def pnn(g) -> frozenset:
-    return pnn_nnn(g)[0]
-
-
 def is_acyclic(succ: dict) -> bool:
     """Whether the directed graph ``succ`` (vertex -> successors, each
     successor itself a vertex) has no cycle; a self-loop is a cycle.
@@ -642,5 +634,5 @@ def is_tight_on(rules, j) -> bool:
     parents: dict = {a: set() for a in j}
     for head, body in rules:
         if head in j and satisfies(j, body):
-            parents[head] |= pnn(body) & j
+            parents[head] |= pnn_nnn(body)[0] & j
     return is_acyclic(parents)

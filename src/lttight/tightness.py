@@ -355,27 +355,23 @@ def refuter_tables(gamma, comp: CompletionResult):
     """The refuter's tables for one check: the expansion table and
     Gamma's ground disequalities as pairs of term numbers.
 
-    Each completed definition ``forall x ((p(x) -> D) & (D -> p(x)))``
-    is encoded once, as the *template* of ``simplify(D)``: its disjuncts
-    other than false, each a tuple of encoded conjuncts in which head
-    variable i is numbered ``~i`` and every other term takes its number
+    Each definition ``p(X1, ..., Xk) :- D`` of the completion is encoded
+    once, as the *template* of ``simplify(D)``: its disjuncts other than
+    false, each a tuple of encoded conjuncts in which head variable
+    ``X(i+1)`` is numbered ``~i`` and every other term takes its number
     from the expansion table's term table.  The template is None when a
     conjunct is opaque."""
     expansions = _Expansions()
     number = expansions.number
-    for p, sentence in comp.completed_definitions:
-        f, head = sentence, {}
-        while isinstance(f, Forall):
-            head[f.var] = ~len(head)
-            f = f.body
+    for d in comp.definitions:
+        head = {x: ~i for i, x in enumerate(d.head.args)}
 
         def term(t, head=head):
             return head[t] if t in head else number(t)
-        body = simplify(f.items[0].right)
-        disjuncts = [tuple(_encode(c, term) for c in flatten_and(d))
-                     for d in flatten_or(body) if d != BOT]
-        expansions.templates[p] = (None if any(None in d for d in disjuncts)
-                                   else tuple(disjuncts))
+        disjuncts = [tuple(_encode(c, term) for c in flatten_and(g))
+                     for g in flatten_or(simplify(d.body)) if g != BOT]
+        expansions.templates[d.head.predicate] = (
+            None if any(None in g for g in disjuncts) else tuple(disjuncts))
     return expansions, [_encode(e, number)[1:]
                         for e in _ground_disequalities(gamma)]
 

@@ -1,8 +1,9 @@
 """Shared test helpers: an independent first-order evaluator and its
 reading of a list of rules (oracles against the grounding path and the
-compiled evaluator), the reduct of a ground formula, plain and folded,
-and stability decided on it (oracles of the stable-model leaf), the
-unfolded relevant grounding (the oracle of the leaf's fold), the rule
+compiled evaluator), an interpretation's true atoms in sorted order,
+the reduct of a ground formula, plain and folded, and stability
+decided on it (oracles of the stable-model leaf), the unfolded
+relevant grounding (the oracle of the leaf's fold), the rule
 check every caller of the leaf hands it bindings from, the chain
 invariants, and random generators for ground formulas and ground
 programs."""
@@ -135,6 +136,13 @@ def folded_reduct(g, numbers: dict):
             items.append(folded_reduct(x, numbers))
         return junction(cls, items)
     raise TypeError(f"not a ground formula: {g!r}")
+
+
+def true_atoms(interp) -> list:
+    """The interpretation's true atoms ``(predicate, args)``, in sorted
+    order, the order ``atom_numbers(sorted(j))`` numbers J in."""
+    return [(p, t) for p, tuples in sorted(interp.extensions.items())
+            for t in sorted(tuples)]
 
 
 def atom_numbers(atoms) -> dict:

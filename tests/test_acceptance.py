@@ -22,7 +22,7 @@ from lttight.tightness import ENTAILED, COUNTERMODEL
 
 from conftest import (
     is_stable_ground, random_ground_formula, random_ground_program, reduct,
-    rule_check,
+    rule_check, true_atoms,
 )
 
 SEED = 20260824
@@ -288,7 +288,7 @@ def test_criterion_7d_completion_supported_characterization():
             for m in (1, 2):
                 for interp in enumerate_interpretations(prog.signature, m):
                     gp, gf = ground_program(d, interp)
-                    j = frozenset(interp.atoms())
+                    j = frozenset(true_atoms(interp))
                     lhs = all(satisfies_fo(interp, s) for s in comp)
                     rhs = satisfies(j, gf) and is_supported(gp, j)
                     assert lhs == rhs, (name, interp.literal())

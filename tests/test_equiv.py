@@ -18,7 +18,7 @@ from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
     ResourceGuardError, compile_sentence, enumerate_interpretations,
-    interpretation_count, is_sm_model, make_interpretation,
+    interpretation_count, is_sm_model, make_interpretation, orbit_size,
     parse_interpretation, sm_tables,
 )
 from lttight.syntax import (
@@ -410,6 +410,62 @@ def test_exhaustive_walk_is_not_bounded_by_the_stack(monkeypatch):
         f"guard_skipped=0 checked={2 ** (n - 1)} both_accept=1 "
         f"both_reject={2 ** (n - 1) - 1} disagree=0")
     assert report.verdict == "agree"
+
+
+def test_walk_with_no_cut_at_its_last_depth(tmp_path, capsys):
+    """Cuts at shallow depths only: the walk yields the plain canonical
+    enumeration less what those cuts drop, in order, and calls each cut
+    once per node of its depth with the weight of the interpretations
+    below it, orbits counted.  On the command line: a countermodel
+    search whose completion reads no z, so its last depth has no cut,
+    and a program with no predicate, whose only depth is the root."""
+    sig = Signature((("p", 1), ("q", 0), ("r", 1)), ("a", "b"))
+
+    def drops(depth, consts, prefix) -> bool:
+        return consts == (0, 1) if depth == 0 else (consts[0],) in prefix[0]
+
+    def key(depth, interp) -> tuple:
+        return (depth, (interp.consts["a"], interp.consts["b"]),
+                tuple(interp.extensions[p] for p, _ in sig.predicates[:depth]))
+
+    for m in (1, 2, 3):
+        calls = []
+
+        def cut(depth):
+            def call(interp, weight):
+                calls.append((key(depth, interp), weight))
+                return drops(*key(depth, interp))
+            return call
+
+        walked = list(enumerate_interpretations(
+            sig, m, canonical=True, cuts=[cut(0), cut(1), None, None]))
+        expected, expected_calls, seen = [], [], set()
+        for interp in enumerate_interpretations(sig, m, canonical=True):
+            for depth in (0, 1):
+                node = key(depth, interp)
+                if node not in seen:
+                    seen.add(node)
+                    below = Signature(sig.predicates[depth:], ())
+                    expected_calls.append((node, orbit_size(interp)
+                                           * interpretation_count(below, m)))
+                if drops(*node):
+                    break
+            else:
+                expected.append(interp)
+        assert walked == expected and calls == expected_calls
+        assert 0 < len(walked) < sum(1 for _ in enumerate_interpretations(
+            sig, m, canonical=True))
+    nocut = tmp_path / "nocut.lp"
+    nocut.write_text("#extensional z/1. p(X) :- q(X). q(a) :- p(b).\n")
+    assert run(["check-gamma-tight", str(nocut), "--n", "1", "--bound", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "universe=1; a=e0; b=e0; p={(e0)}; q={(e0)}; z={}")
+    nopred = tmp_path / "nopred.lp"
+    nopred.write_text(":- a = b.\n")
+    assert run(["check-equiv", str(nopred), "--m-max", "3", "--stats"]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "stats: examined=14 gamma_skipped=0 guard_skipped=0 checked=14 "
+        "both_accept=8 both_reject=6 disagree=0")
 
 
 def test_exhaustive_check_weights_guard_skips(monkeypatch):

@@ -42,7 +42,7 @@ from lttight.tightness import (
 from conftest import (
     atom_numbers, fo_eval, folded_reduct, is_stable_ground,
     random_ground_formula, random_ground_program, random_non_horn_formula,
-    reduct, relevant_grounding, rule_check, rules_eval,
+    reduct, relevant_grounding, rule_check, rules_eval, true_atoms,
 )
 from test_acceptance import _oracle_stable
 from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
@@ -115,7 +115,7 @@ def test_grounding_matches_direct_evaluation():
         env = random_env(rng, f, m)
         direct = fo_eval(f, interp, env)
         names = {v.name: e for v, e in env.items()}
-        via_ground = satisfies(frozenset(interp.atoms()), ground(f, interp, names))
+        via_ground = satisfies(frozenset(true_atoms(interp)), ground(f, interp, names))
         assert direct == via_ground, formula_to_str(f)
     print("grounding faithfulness: 1000 cases")
 
@@ -130,7 +130,7 @@ def test_evaluation_matches_oracles():
     def check(f, interp):
         expected = fo_eval(f, interp)
         assert satisfies_fo(interp, f) == expected, formula_to_str(f)
-        assert satisfies(frozenset(interp.atoms()), ground(f, interp)) == expected
+        assert satisfies(frozenset(true_atoms(interp)), ground(f, interp)) == expected
 
     for i in range(1000):
         interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
@@ -161,7 +161,7 @@ def test_is_sm_model_matches_grounding_reference():
         for m in (1, 2):
             for interp in enumerate_interpretations(prog.signature, m):
                 _, gf = ground_program(d, interp)
-                j = frozenset(interp.atoms())
+                j = frozenset(true_atoms(interp))
                 expected = is_stable_ground(gf, j)
                 assert _oracle_stable(gf, j) == expected, (name, interp.literal())
                 assert is_sm_model(tables, interp, bindings(interp)) \
@@ -279,7 +279,7 @@ def test_chain_refutation_implies_tight_on():
                            for s in list(fx.gamma) + comp):
                     continue
                 gp, _ = ground_program(d, interp)
-                assert is_tight_on(gp, frozenset(interp.atoms())), \
+                assert is_tight_on(gp, frozenset(true_atoms(interp))), \
                     (name, interp.literal())
                 total += 1
     assert total > 20
@@ -384,7 +384,7 @@ def test_is_sm_model_on_directed_interpretations_matches_oracle():
         assert drift != base
         for interp in (base, drift):
             _, gf = ground_program(d, interp)
-            expected = _oracle_stable(gf, frozenset(interp.atoms()))
+            expected = _oracle_stable(gf, frozenset(true_atoms(interp)))
             assert is_sm_model(tables, interp, bindings(interp)) == expected, \
                 interp.literal()
             outcomes.append(expected)
@@ -673,7 +673,7 @@ def _same_reduct(d, tables, bindings, interp, cap):
     returned.  None for any other interpretation, for which
     relevant_reduct and relevant_grounding are None."""
     _, full = ground_program(d, interp)
-    j = frozenset(interp.atoms())
+    j = frozenset(true_atoms(interp))
     read = bindings(interp)
     folded = relevant_reduct(tables, interp, read)
     g = relevant_grounding(tables, interp, read)
@@ -684,7 +684,7 @@ def _same_reduct(d, tables, bindings, interp, cap):
     r, met = folded
     assert met == atom_numbers(a for a in _preorder_atoms(g) if a in j), \
         interp.literal()
-    assert list(interp.atoms()) == sorted(j), interp.literal()
+    assert true_atoms(interp) == sorted(j), interp.literal()
     numbers = atom_numbers([*met, *sorted(j)])
     assert folded_reduct(g, numbers) == folded_reduct(full, numbers) == r, \
         interp.literal()
@@ -746,7 +746,7 @@ def _steered(prog, d, m: int, rng: Random):
     the desugared ``d``'s grounding, so that many are classical models."""
     interp = sample_interpretation(prog.signature, m, rng)
     gp, _ = ground_program(d, interp)
-    j = frozenset(interp.atoms())
+    j = frozenset(true_atoms(interp))
     for _ in range(4):
         j = frozenset(head for head, body in gp if satisfies(j, body))
     exts = {p: [t for q, t in j if q == p] for p, _ in prog.predicates}
@@ -830,7 +830,7 @@ def test_atoms_no_relevant_instance_reads_decide_after_the_cap():
         if read is None:
             continue
         _, met = relevant_reduct(tables, interp, read)
-        j = frozenset(interp.atoms())
+        j = frozenset(true_atoms(interp))
         cap = rng.choice((2, 4, 24))
         verdict = _stability(lambda: is_sm_model(tables, interp, read, cap))
         _, full = ground_program(d, interp)
