@@ -68,19 +68,17 @@ def _load_program(spec: str):
     return parse_program(_read(spec)), None
 
 
-def _load_gamma(path, fixture):
+def _load_gamma(path, fixture, prog):
     """Gamma from the file at ``path``; without one, the fixture's
-    (parsed only now), and none for a program read from a file."""
+    (parsed only now), and none for a program read from a file.  Checked
+    against the program, as ``_load_interp`` checks an interpretation:
+    every constant it names is the program's, and every predicate too, at
+    the program's arity.  The parser already keeps each predicate at one
+    arity within Gamma."""
     if path is not None:
-        return parse_sentences(_read(path))
-    return list(fixture.gamma) if fixture is not None else []
-
-
-def _check_gamma(gamma, prog):
-    """Check Gamma against the program, as ``_load_interp`` checks an
-    interpretation: every constant it names is the program's, and every
-    predicate too, at the program's arity.  The parser already keeps
-    each predicate at one arity within Gamma."""
+        gamma = parse_sentences(_read(path))
+    else:
+        gamma = list(fixture.gamma) if fixture is not None else []
     constants, arities = set(), {}
     stack = list(gamma)
     while stack:
@@ -110,6 +108,7 @@ def _check_gamma(gamma, prog):
         if arity != program_arities[p]:
             raise UsageError(f"gamma uses {p}/{arity}, "
                              f"but the program has {p}/{program_arities[p]}")
+    return gamma
 
 
 def _load_interp(path, prog):
@@ -318,8 +317,7 @@ def _dispatch(args) -> int:
         if args.bound < 1:
             raise UsageError("--bound must be at least 1")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture)
-        _check_gamma(gamma, prog)
+        gamma = _load_gamma(args.gamma, fixture, prog)
         verdict = check_gamma_tight(prog, gamma, args.n, args.bound)
         if verdict.status == ENTAILED:
             print("entailed (syntactic)")
@@ -352,8 +350,7 @@ def _dispatch(args) -> int:
         if args.sample is not None and args.sample < 0:
             raise UsageError("--sample must be nonnegative")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture)
-        _check_gamma(gamma, prog)
+        gamma = _load_gamma(args.gamma, fixture, prog)
         report = check_equivalence(
             prog, gamma, args.m_max, sample_count=args.sample,
             seed=args.seed, program_id=args.input)
@@ -362,7 +359,7 @@ def _dispatch(args) -> int:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
         _check_guard_ceiling()
-        gamma = _load_gamma(args.gamma, fixture)
+        gamma = _load_gamma(args.gamma, fixture, prog)
         comp = completion(prog)
         problems = [export_tptp(gamma, comp, chain_formula(c))
                     for c in chains(prog, args.n)]

@@ -33,20 +33,16 @@ from .syntax import (
 # limit of 1,000 frames.
 MAX_NESTING = 50
 
-# Deepest nesting of ``<->`` along one path of a formula.  ``F <-> G``
-# becomes ``(F -> G) & (G -> F)``, two copies of each side, so each atom
-# of the input is copied at most 2**MAX_IFF_NESTING times.  At 8, ``chains
-# --n 1`` on a body ``q(X) <-> q(X) <-> ...`` of that depth takes 1.3 s
-# (2-core Xeon VM, Python 3.11), and each further level four times more.
-MAX_IFF_NESTING = 8
-
-# Most atom and equality copies that expanding every ``<->`` of a rule
-# body or sentence may add to it.  The per-path bound above leaves a
-# balanced nesting free to grow fourfold per level.  ``chains --n 1`` on
-# ``p(X) :- B. {q(X)}.``, with B the balanced nesting of ``q(X)`` of
-# height h, takes 0.13 s at h = 4 (240 copies), 1.8 s at h = 5 (992) and
-# 32 s at h = 6 (4,032); on the deepest chain the per-path bound admits
-# (757 copies) it takes 1.2 s (2-core Xeon VM, Python 3.11).
+# Most leaf copies that expanding every ``<->`` of a rule body or
+# sentence may add to it.  ``F <-> G`` becomes ``(F -> G) & (G -> F)``,
+# two copies of each side, and every atom, equality, ``true`` and
+# ``false`` counts as a leaf.  Each side holds a leaf, so one more level
+# of ``<->`` at least doubles the expansion: eight levels over single
+# leaves add 757 copies and parse, nine add 1,524 and do not.  ``chains
+# --n 1`` on ``p(X) :- B. {q(X)}.``, with B the balanced nesting of
+# ``q(X)`` of height h, takes 0.13 s at h = 4 (240 copies), 1.8 s at
+# h = 5 (992) and 32 s at h = 6 (4,032); on a chain of eight ``<->`` (757
+# copies) it takes 1.2 s (2-core Xeon VM, Python 3.11).
 MAX_IFF_COPIES = 1024
 
 
@@ -123,8 +119,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.iff_depth = 0      # deepest <-> nesting in the current formula
-        # atom and equality occurrences of the current top-level formula,
+        # leaf occurrences of the current top-level formula,
         # in its text and once every <-> is expanded (see MAX_IFF_COPIES)
         self.leaves = 0
         self.size = 0
@@ -251,7 +246,8 @@ class _Parser:
     # -- formulas
 
     def leaf(self, f):
-        """An atom or equality just read: one occurrence more."""
+        """An atom, equality, ``true`` or ``false`` just read: one
+        occurrence more."""
         self.leaves += 1
         self.size += 1
         return f
@@ -259,24 +255,16 @@ class _Parser:
     def formula(self):
         if self.depth == 0:     # a rule body or sentence starts
             self.leaves = self.size = 0
-        outer, self.iff_depth = self.iff_depth, 0
         start = self.size
         f = self.impl()
-        depth = self.iff_depth
         while self.peek().kind == "IFF":
             tok = self.next()
-            self.iff_depth = 0
             g = self.impl()
-            depth = 1 + max(depth, self.iff_depth)
-            if depth > MAX_IFF_NESTING:
-                self.error(f"'<->' nested more than {MAX_IFF_NESTING} "
-                           "levels deep", tok)
             self.size += self.size - start      # a second copy of f and g
             if self.size - self.leaves > MAX_IFF_COPIES:
                 self.error(f"'<->' expands to more than {MAX_IFF_COPIES} "
                            "atom copies", tok)
             f = iff(f, g)
-        self.iff_depth = max(outer, depth)
         return f
 
     def impl(self):
@@ -310,10 +298,10 @@ class _Parser:
         if tok.kind == "KEYWORD":
             if tok.value == "true":
                 self.next()
-                return TOP
+                return self.leaf(TOP)
             if tok.value == "false":
                 self.next()
-                return BOT
+                return self.leaf(BOT)
             if tok.value in ("forall", "exists"):
                 self.next()
                 var_tok = self.expect("VAR", "variable")

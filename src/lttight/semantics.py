@@ -489,22 +489,12 @@ def satisfies(j, g) -> bool:
     raise TypeError(f"not a ground formula: {g!r}")
 
 
-def _guard(n: int, cap: int) -> None:
-    if n > cap:
-        raise ResourceGuardError(
-            f"minimality check over {n} atoms exceeds the cap of {cap}")
-
-
-def is_stable(r, numbers: dict, cap: int) -> bool:
-    """Whether the atoms ``numbers`` numbers ``0 .. n-1`` are a stable
-    model of the reduct ``r`` relative to them, folded over those numbers
-    (``stability``): not if ``BOT``, more than ``cap`` atoms raise
-    ResourceGuardError, else ``stability.has_smaller_model`` decides."""
-    if r is BOT:
-        return False
-    n = len(numbers)
-    _guard(n, cap)
-    return n == 0 or not has_smaller_model(r, n)
+def is_stable(r, numbers: dict) -> bool:
+    """Whether no proper subset of the atoms ``numbers`` numbers
+    ``0 .. n-1`` satisfies ``r``, their reduct folded over those numbers
+    (``stability``) and not ``BOT``: the minimality half of the check,
+    which ``stability.has_smaller_model`` decides."""
+    return not has_smaller_model(r, len(numbers))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +548,10 @@ def is_sm_model(tables: tuple, interp: Interpretation, bindings,
     if folded is None or folded[0] is BOT:
         return False
     n = sum(map(len, interp.extensions.values()))
-    _guard(n, cap)
-    return len(folded[1]) == n and is_stable(*folded, cap)
+    if n > cap:
+        raise ResourceGuardError(
+            f"minimality check over {n} atoms exceeds the cap of {cap}")
+    return len(folded[1]) == n and is_stable(*folded)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from lttight.evaluation import compile_rules
 from lttight.semantics import (
-    DEFAULT_STABILITY_CAP, ground, is_stable, satisfies,
+    DEFAULT_STABILITY_CAP, ResourceGuardError, ground, is_stable, satisfies,
 )
 from lttight.stability import (
     BOT, Conj, Disj, Imp, implication, junction,
@@ -157,10 +157,17 @@ def atom_numbers(atoms) -> dict:
 def is_stable_ground(g, j, cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """True iff j satisfies the reduct of the ground formula g relative
     to j and no proper subset of j does: j's distinct atoms numbered in
-    sorted order, g's reduct folded over those numbers, and
-    ``semantics.is_stable`` decides."""
+    sorted order and g's reduct folded over those numbers.  Not if the
+    fold is ``BOT``; more than ``cap`` atoms raise ResourceGuardError, as
+    in ``is_sm_model``; else ``semantics.is_stable`` decides."""
     numbers = atom_numbers(sorted(j))
-    return is_stable(folded_reduct(g, numbers), numbers, cap)
+    r = folded_reduct(g, numbers)
+    if r is BOT:
+        return False
+    if len(numbers) > cap:
+        raise ResourceGuardError(f"minimality check over {len(numbers)} "
+                                 f"atoms exceeds the cap of {cap}")
+    return is_stable(r, numbers)
 
 
 def check_chain(c) -> None:

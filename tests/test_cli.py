@@ -16,6 +16,8 @@ from lttight.fixtures import MAX_STEP_BOUND
 from lttight.parser import parse_program
 from lttight.syntax import pretty_print
 
+from test_parser import IFF_COPIES
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -159,13 +161,23 @@ def test_gamma_outside_the_program_is_usage_error(tmp_path, capsys, sentences,
     gamma = tmp_path / "gamma.txt"
     gamma.write_text(sentences + "\n")
     for argv in (("check-equiv", "fixture:prog2", "--m-max", "1"),
-                 ("check-gamma-tight", "fixture:prog2", "--n", "1")):
+                 ("check-gamma-tight", "fixture:prog2", "--n", "1"),
+                 ("export-tptp", "fixture:prog2", "--n", "1")):
         code, out, err = invoke(capsys, *argv, "--gamma", str(gamma))
         assert (code, out, err) == (2, "", f"error: {message}\n")
-    # export-tptp hands Gamma to a prover as it is
-    code, out, _ = invoke(capsys, "export-tptp", "fixture:prog2", "--n", "1",
-                          "--gamma", str(gamma))
-    assert code == 0 and out
+
+
+def test_export_tptp_refuses_gamma_outside_the_program(tmp_path, capsys):
+    # q(a, b) beside the completion's q(X1) would use q at two arities in
+    # one FOF problem
+    path = tmp_path / "loop.lp"
+    path.write_text("p(X) :- q(X). q(X) :- p(X).\n")
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("q(a, b).\n")
+    code, out, err = invoke(capsys, "export-tptp", str(path), "--n", "1",
+                            "--gamma", str(gamma))
+    assert (code, out) == (2, "")
+    assert err == "error: gamma names constant a, which the program does not have\n"
 
 
 def test_tight_long_acyclic_chain(tmp_path, capsys):
@@ -641,14 +653,15 @@ def test_long_iff_chain_is_a_parse_error(tmp_path, capsys, links, command):
     code, out, err = invoke(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
-    assert "'<->' nested more than" in err and "Traceback" not in err
+    # the 9th <->, where a bound on <-> nesting along one path refused it
+    assert err == f"parse error: 1:86: {IFF_COPIES}\n"
 
 
 @pytest.mark.parametrize("command", [["parse"], ["chains", "--n", "1"]],
                          ids=["parse", "chains"])
 def test_balanced_iff_nesting_is_a_parse_error(tmp_path, capsys, command):
-    # six levels deep on every path, within MAX_IFF_NESTING, but 4,032
-    # atom copies once expanded, past MAX_IFF_COPIES
+    # six levels deep on every path, but 4,032 atom copies once
+    # expanded, past MAX_IFF_COPIES
     body = "q(X)"
     for _ in range(6):
         body = f"({body}) <-> ({body})"
@@ -657,7 +670,24 @@ def test_balanced_iff_nesting_is_a_parse_error(tmp_path, capsys, command):
     code, out, err = invoke(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and err.count("\n") == 1
-    assert "'<->' expands to more than 1024 atom copies" in err
+    assert IFF_COPIES in err
+
+
+@pytest.mark.parametrize("command", [["parse"], ["chains", "--n", "1"],
+                                     ["export-tptp", "--n", "1"]],
+                         ids=["parse", "chains", "export-tptp"])
+def test_constant_leaves_under_iff_are_a_parse_error(tmp_path, capsys, command):
+    # a thousand true under eight levels of <-> false: no atom is copied,
+    # but every true and false is
+    body = " & ".join(["true"] * 1000)
+    for _ in range(8):
+        body = f"({body}) <-> false"
+    path = tmp_path / "iff.lp"
+    path.write_text(f"p(X) :- q(X) & ({body}).  {{q(X)}}.\n")
+    code, out, err = invoke(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert IFF_COPIES in err
 
 
 def test_deepest_body_gets_a_verdict(tmp_path, capsys):

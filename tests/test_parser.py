@@ -3,8 +3,7 @@
 import pytest
 
 from lttight.parser import (
-    MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
-    parse_sentences,
+    MAX_NESTING, ParseError, parse_formula, parse_program, parse_sentences,
 )
 from lttight.syntax import (
     BOT, TOP, And, Atom, Equality, Exists, Forall, Implies, ObjectConstant,
@@ -134,31 +133,44 @@ def test_nesting_past_the_bound_is_a_parse_error(shape):
 # Each shape puts its argument under one more <->.
 IFF_SHAPES = ["{} <-> q", "q <-> ({})", "not ({} <-> q)",
               "forall X (p(X) <-> {})"]
+# The deepest <-> nesting over single leaves that the copies bound
+# admits: 757 copies at 8 levels, 1,524 at 9.
+IFF_DEPTH = 8
+IFF_COPIES = "'<->' expands to more than 1024 atom copies"
 
 
 @pytest.mark.parametrize("shape", IFF_SHAPES)
 def test_iff_nesting_up_to_the_bound_parses_and_prints(shape):
-    f = parse_formula(nested(shape, MAX_IFF_NESTING))
+    f = parse_formula(nested(shape, IFF_DEPTH))
     assert parse_formula(formula_to_str(f)) == f
+
+
+# Where each shape is refused at depths 9 and 10: the line:col at which
+# a bound on <-> nesting along one path refused it before.
+IFF_REFUSED_AT = {"{} <-> q": ("1:51", "1:51"), "q <-> ({})": ("1:3", "1:10"),
+                  "not ({} <-> q)": ("1:104", "1:109"),
+                  "forall X (p(X) <-> {})": ("1:16", "1:35")}
 
 
 @pytest.mark.parametrize("shape", IFF_SHAPES)
 def test_iff_nesting_past_the_bound_is_a_parse_error(shape):
-    with pytest.raises(ParseError,
-                       match=f"'<->' nested more than {MAX_IFF_NESTING} levels"):
-        parse_formula(nested(shape, MAX_IFF_NESTING + 1))
+    for depth, where in zip((IFF_DEPTH + 1, IFF_DEPTH + 2),
+                            IFF_REFUSED_AT[shape]):
+        with pytest.raises(ParseError) as info:
+            parse_formula(nested(shape, depth))
+        assert str(info.value) == f"{where}: {IFF_COPIES}"
 
 
-def test_iff_bound_counts_one_path_not_every_iff():
-    """<-> side by side, or nested inside both operands of one <->, adds
-    no depth beyond the deepest path."""
-    side_by_side = " & ".join(["(p <-> q)"] * (2 * MAX_IFF_NESTING))
-    assert len(flatten_and(parse_formula(side_by_side))) == 4 * MAX_IFF_NESTING
+def test_iff_bound_counts_copies_not_iffs():
+    """Many <-> side by side add few copies, and <-> nested inside both
+    operands of one <-> parse while their copies stay within the bound."""
+    side_by_side = " & ".join(["(p <-> q)"] * (2 * IFF_DEPTH))
+    assert len(flatten_and(parse_formula(side_by_side))) == 4 * IFF_DEPTH
     both = "r"
     for _ in range(5):      # 31 <-> on paths 5 deep, 992 copies
         both = f"({both}) <-> ({both.replace('r', 'q')})"
     parse_formula(both)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=IFF_COPIES):
         parse_formula(f"({both}) <-> (q <-> {both})")
 
 

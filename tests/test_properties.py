@@ -18,7 +18,7 @@ from lttight.completion import completion, desugar, simplify
 from lttight.equiv import successor_state_interpretations
 from lttight.fixtures import builtin_fixture
 from lttight.parser import (
-    MAX_IFF_NESTING, MAX_NESTING, ParseError, parse_formula, parse_program,
+    MAX_IFF_COPIES, MAX_NESTING, ParseError, parse_formula, parse_program,
 )
 from lttight import evaluation, stability
 from lttight.evaluation import compile_rules, compile_sentence
@@ -45,7 +45,9 @@ from conftest import (
     reduct, relevant_grounding, rule_check, rules_eval, true_atoms,
 )
 from test_acceptance import _oracle_stable
-from test_parser import IFF_SHAPES, NESTING_SHAPES, nested
+from test_parser import (
+    IFF_COPIES, IFF_DEPTH, IFF_SHAPES, NESTING_SHAPES, nested,
+)
 
 SEED = 97
 SMALL_FIXTURES = ("prog1", "prog2", "prog4", "ex1", "ex2", "example1",
@@ -104,6 +106,75 @@ def test_print_parse_round_trip():
         f = random_formula(rng, 3)
         assert parse_formula(formula_to_str(f)) == f, formula_to_str(f)
     print("round trip: 1000 cases")
+
+
+IFF_LEAVES = ["q(X)", "r", "X = a", "X != Y", "true", "false"]
+
+
+def random_iff_tree(rng: Random, depth: int):
+    """A random formula of ``<->``, ``not``, ``&``, quantifiers and
+    leaves, as a tree: a leaf's text, or an operator and its operands."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(IFF_LEAVES)
+    op = rng.choice(["<->", "<->", "<->", "&", "not", "forall", "exists"])
+    if op in ("<->", "&"):
+        return (op, random_iff_tree(rng, depth - 1),
+                random_iff_tree(rng, depth - 1))
+    return (op, random_iff_tree(rng, depth - 1))
+
+
+def iff_tree_text(tree) -> str:
+    if type(tree) is str:
+        return tree
+    op, *args = tree
+    parts = [f"({iff_tree_text(a)})" for a in args]
+    if op == "not":
+        return f"not {parts[0]}"
+    if op in ("forall", "exists"):
+        return f"{op} X {parts[0]}"
+    return f"{parts[0]} {op} {parts[1]}"
+
+
+def iff_tree_copies(tree, counted=IFF_LEAVES) -> tuple:
+    """The ``counted`` leaf occurrences of the tree: as written, and as
+    often as expanding each ``F <-> G`` into ``(F -> G) & (G -> F)``
+    copies them."""
+    if type(tree) is str:
+        return (1, 1) if tree in counted else (0, 0)
+    op, *args = tree
+    written = expanded = 0
+    for a in args:
+        w, e = iff_tree_copies(a, counted)
+        written, expanded = written + w, expanded + e
+    return written, 2 * expanded if op == "<->" else expanded
+
+
+def test_iff_expansion_stays_within_the_copies_bound():
+    """A formula parses if and only if expanding its ``<->`` copies at
+    most MAX_IFF_COPIES leaves beyond those of its text, and the copies
+    bound refuses the rest.  Some are refused only because ``true`` and
+    ``false`` count."""
+    rng = Random(SEED + 13)
+    accepted = refused = by_constants = 0
+    for _ in range(2000):
+        tree = random_iff_tree(rng, rng.randint(4, 10))
+        written, expanded = iff_tree_copies(tree)
+        try:
+            parse_formula(iff_tree_text(tree))
+        except ParseError as exc:
+            assert IFF_COPIES in str(exc), (tree, exc)
+            assert expanded - written > MAX_IFF_COPIES, tree
+            refused += 1
+            written, expanded = iff_tree_copies(tree, IFF_LEAVES[:4])
+            by_constants += expanded - written <= MAX_IFF_COPIES
+        else:
+            assert expanded - written <= MAX_IFF_COPIES, tree
+            accepted += 1
+    assert accepted > 1000 and refused > 50 and by_constants > 10, \
+        (accepted, refused, by_constants)
+    print(f"<-> expansion vs the copies bound: {accepted} accepted, "
+          f"{refused} refused, {by_constants} of them only for their "
+          f"true and false")
 
 
 def test_grounding_matches_direct_evaluation():
@@ -497,7 +568,7 @@ def test_compiled_biconditional_chain_grows_linearly(monkeypatch):
     monkeypatch.setattr(evaluation, "_build", recording)
     for shape in IFF_SHAPES:
         sizes.clear()
-        for depth in range(1, MAX_IFF_NESTING + 1):
+        for depth in range(1, IFF_DEPTH + 1):
             compile_sentence(parse_formula(nested(shape, depth)))
         steps = {b - a for a, b in zip(sizes, sizes[1:])}
         assert len(steps) == 1, (shape, sizes)
@@ -586,7 +657,7 @@ def deepest_texts() -> list:
     """A formula of each test shape, nested as deep as the parser
     allows."""
     return ([nested(shape, MAX_NESTING) for shape in NESTING_SHAPES]
-            + [nested(shape, MAX_IFF_NESTING) for shape in IFF_SHAPES]
+            + [nested(shape, IFF_DEPTH) for shape in IFF_SHAPES]
             + [deepest(shape, "exists Y (p | q & r)")
                for shape in DEEP_CODE_SHAPES])
 
