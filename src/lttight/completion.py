@@ -135,6 +135,18 @@ def completion(prog: Program) -> CompletionResult:
 # Equality-driven simplification
 
 def _simplify_exists(var: Variable, body):
+    """``exists var (body)`` with its one-point equality read off, or
+    None.  ``body`` is read through a run ``exists V1 (... exists Vk
+    (C))``, k >= 0: a conjunct of C that is ``var = t`` or ``t = var``,
+    with t neither var nor any Vi, goes, and the run is rebuilt over
+    the rest of C with var replaced by t.  When some Vi is var, C's
+    equalities name Vi, so none is read for var."""
+    run = []
+    while isinstance(body, Exists):
+        run.append(body.var)
+        body = body.body
+    if var in run:
+        return None
     conjuncts = flatten_and(body)
     for i, c in enumerate(conjuncts):
         if not isinstance(c, Equality):
@@ -145,12 +157,15 @@ def _simplify_exists(var: Variable, body):
             t = c.left
         else:
             continue
-        if t == var:
-            # X = X carries no binding; the rewrite requires X not in vars(t)
+        if t == var or t in run:
+            # X = X carries no binding, and X = Vi is left to Vi's own
+            # rewrite, which keeps the name X
             continue
         rest = conjuncts[:i] + conjuncts[i + 1:]
-        rest = [substitute(g, {var: t}) for g in rest]
-        return conjoin(rest)
+        inner = conjoin([substitute(g, {var: t}) for g in rest])
+        for v in reversed(run):
+            inner = Exists(v, inner)
+        return inner
     return None
 
 
@@ -181,9 +196,10 @@ def simplify(f):
 
     Only these rewrites are applied: ``exists X (X = t & F)`` becomes
     ``F[X := t]`` when X does not occur in t (either orientation of the
-    equality); ``F & true``/``true & F`` become ``F``; ``F | false`` /
-    ``false | F`` become ``F``.  The result is logically equivalent to
-    the input.
+    equality), also through a run of existentials between them
+    (``_simplify_exists``); ``F & true``/``true & F`` become ``F``;
+    ``F | false`` / ``false | F`` become ``F``.  The result is logically
+    equivalent to the input.
     """
     while True:
         g = _simplify_once(f)

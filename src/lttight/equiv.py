@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from random import Random
 
-from .completion import completion
+from .completion import completion, simplify_completion
 from .fixtures import (
     builtin_fixture, moving_constraint_formulas,
     moving_successor_state_formulas,
@@ -146,15 +146,16 @@ def check_equivalence(prog: Program, gamma, m_max: int,
     check: the completion holds the constraints, and every rule is the
     if-half of its head's completed definition.  Gamma and the rules are
     compiled once per check, only into ``depth_cuts``, as
-    ``check_gamma_tight`` compiles Gamma and the completion; the
-    stable-model check folds the rule bindings the cuts record.  A
-    sample is screened by all of them.  An exhaustive check walks the
-    interpretations one predicate at a time and drops a subtree at the
-    first cut that fails, so only those that pass every cut are built
-    whole.  It visits one constant map per orbit under permutations of
-    the universe and counts each interpretation for its orbit; the
-    report is the one enumerating and screening every interpretation
-    would give."""
+    ``check_gamma_tight`` compiles Gamma and the completion, and a
+    sample is screened by all of them; the stable-model check folds the
+    rule bindings the cuts record.  The completion is simplified
+    (``simplify_completion``) and compiled once, in ``_check``.  An
+    exhaustive check walks the interpretations one predicate at a time
+    and drops a subtree at the first cut that fails, so only those that
+    pass every cut are built whole.  It visits one constant map per
+    orbit under permutations of the universe and counts each
+    interpretation for its orbit; the report is the one enumerating and
+    screening every interpretation would give."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = list(gamma)
@@ -175,7 +176,8 @@ def check_equivalence(prog: Program, gamma, m_max: int,
                                        list(range(1, m_max + 1)),
                                        sample_count, seed)
                    if not any(cut(i, 1) for cut in cuts if cut is not None))
-    return _check(tables, completion(prog).sentences(), gamma,
+    return _check(tables, simplify_completion(completion(prog)).sentences(),
+                  gamma,
                   with_bindings(interps), program_id, mode_desc, dropped,
                   orbits=sample_count is None)
 

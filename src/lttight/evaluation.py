@@ -3,9 +3,9 @@
 A formula is translated once into the source of a Python function of an
 interpretation (see ``semantics.Interpretation``), which is compiled and
 then called on every interpretation a check examines.  A biconditional
-compiles to one comparison, each side once, and an existential's
-leading ``X = Y`` reads Y off X instead of looping.  The checks of
-``equiv`` and ``tightness`` compile their sentences once each, and each
+compiles to one comparison, each side once.  The checks of
+``equiv`` and ``tightness`` compile their sentences once each, the
+completion as ``completion.simplify_completion`` gives it, and each
 command its rules once (``compile_rules``), whole for ``check-prop3``
 and ``stable`` and by depth in ``semantics.depth_cuts``, into functions
 that both read them classically and yield each rule body's bindings;
@@ -54,15 +54,14 @@ class _Codegen:
     (``syntax.iff``: ``F -> G`` then ``G -> F`` in a conjunction) the
     bool comparison ``F == G``, which evaluates F, then G, as the
     implications do.  A run of like quantifiers becomes one
-    ``all``/``any`` over ``range(m)`` (or its product), less what
-    ``one_point`` reads off; an atom a tuple membership test in the
-    predicate's extension, read once per call, and a constant a lookup
-    in ``consts`` made where it is evaluated.  Python evaluates left to
-    right and short-circuits, so
-    evaluation stops where ``fo_eval`` could first tell the value, and
-    an unmapped constant fails only when it is reached.  Variables
-    become locals ``v0, v1, ...``; user names appear only as ``repr``
-    string literals.
+    ``all``/``any`` over ``range(m)`` (or its product); an atom a tuple
+    membership test in the predicate's extension, read once per call,
+    and a constant a lookup in ``consts`` made where it is evaluated.
+    Python evaluates left to right and short-circuits, so evaluation
+    stops where ``fo_eval`` could first tell the value, and an unmapped
+    constant fails only when it is reached.  Variables become locals
+    ``v0, v1, ...``, one per binding; user names appear only as
+    ``repr`` string literals.
 
     ``expr`` returns the source with its bracket depth; past
     MAX_CODE_DEPTH the source moves into a helper ``h0, h1, ...`` that
@@ -88,9 +87,8 @@ class _Codegen:
         source, depth = self.node(f, scope)
         if depth <= MAX_CODE_DEPTH:
             return source, depth
-        # two variables may share a local (``one_point``)
         params = ", ".join(["C", "R", *self.extensions.values(),
-                            *dict.fromkeys(scope.values())])
+                            *scope.values()])
         name = f"h{len(self.helpers)}"
         self.helpers.append(f"def {name}({params}):\n    return {source}\n")
         return f"{name}({params})", 1
@@ -137,43 +135,12 @@ class _Codegen:
                 scope = {**scope, f.var.name: self.fresh()}
                 names.append(scope[f.var.name])
                 f = f.body
-            if cls is Exists:
-                f, scope = self.one_point(f, names, scope)
-            body, depth = self.expr(f, scope) if f is not None else ("True", 0)
-            if not names:
-                return body, depth
+            body, depth = self.expr(f, scope)
             return (f"{'all' if cls is Forall else 'any'}({body} "
                     f"for {self.loop(names)})", 1 + max(depth, 1))
         if cls is Bot:
             return "False", 0
         raise TypeError(f"not a formula: {f!r}")
-
-    @staticmethod
-    def one_point(f, names: list, scope: dict) -> tuple:
-        """The body ``f`` of existentials over the locals ``names``,
-        None for true, and its scope, less each leading ``V = W`` where
-        V is one of ``names`` and W a variable bound before it: V leaves
-        ``names`` and reads W's local.  The rest meets the same
-        instances in the same order, so value and errors are kept."""
-        items = list(f.items) if type(f) is And else [f]
-        kept = []
-        for i, g in enumerate(items):
-            if type(g) is not Equality:
-                kept += items[i:]
-                break
-            rank = {local: k for k, local in enumerate(names)}
-            sides = [scope.get(t.name) if type(t) is Variable else None
-                     for t in (g.left, g.right)]
-            w, v = sorted(sides, key=lambda local: rank.get(local, -1))
-            if v not in rank or w is None or w == v:
-                kept.append(g)
-                continue
-            names.remove(v)
-            scope = {name: w if local == v else local
-                     for name, local in scope.items()}
-        if len(kept) == len(items):
-            return f, scope
-        return (And(*kept) if len(kept) > 1 else kept[0] if kept else None), scope
 
     @staticmethod
     def loop(names: list) -> str:

@@ -263,7 +263,7 @@ class _Parser:
             self.size += self.size - start      # a second copy of f and g
             if self.size - self.leaves > MAX_IFF_COPIES:
                 self.error(f"'<->' expands to more than {MAX_IFF_COPIES} "
-                           "atom copies", tok)
+                           "leaf copies", tok)
             f = iff(f, g)
         return f
 

@@ -53,16 +53,20 @@ class ResourceGuardError(Exception):
 
 def guard_ceiling() -> int:
     """The enumeration ceiling: LT_TIGHT_GUARD_CEILING when set, else
-    DEFAULT_ENUMERATION_CEILING.  A value that is not an integer raises
-    ValueError."""
+    DEFAULT_ENUMERATION_CEILING.  A value that is not a nonnegative
+    integer raises ValueError."""
     value = os.environ.get("LT_TIGHT_GUARD_CEILING")
     if not value:
         return DEFAULT_ENUMERATION_CEILING
+    refused = ValueError("LT_TIGHT_GUARD_CEILING must be a nonnegative "
+                         f"integer, not {value!r}")
     try:
-        return int(value)
+        ceiling = int(value)
     except ValueError:
-        raise ValueError(
-            f"LT_TIGHT_GUARD_CEILING must be an integer, not {value!r}") from None
+        raise refused from None
+    if ceiling < 0:
+        raise refused
+    return ceiling
 
 
 # ---------------------------------------------------------------------------

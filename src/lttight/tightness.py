@@ -11,7 +11,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .completion import CompletionResult, completion, desugar, simplify
+from .completion import (
+    CompletionResult, completion, desugar, simplify, simplify_completion,
+)
 from .semantics import (
     Interpretation, ResourceGuardError, compile_sentence, depth_cuts,
     enumerate_interpretations, guard_ceiling, is_acyclic,
@@ -356,7 +358,8 @@ def refuter_tables(gamma, comp: CompletionResult):
     Gamma's ground disequalities as pairs of term numbers.
 
     Each definition ``p(X1, ..., Xk) :- D`` of the completion is encoded
-    once, as the *template* of ``simplify(D)``: its disjuncts other than
+    once, as the *template* of D as given, which the caller has
+    simplified (``simplify_completion``): its disjuncts other than
     false, each a tuple of encoded conjuncts in which head variable
     ``X(i+1)`` is numbered ``~i`` and every other term takes its number
     from the expansion table's term table.  The template is None when a
@@ -369,7 +372,7 @@ def refuter_tables(gamma, comp: CompletionResult):
         def term(t, head=head):
             return head[t] if t in head else number(t)
         disjuncts = [tuple(_encode(c, term) for c in flatten_and(g))
-                     for g in flatten_or(simplify(d.body)) if g != BOT]
+                     for g in flatten_or(d.body) if g != BOT]
         expansions.templates[d.head.predicate] = (
             None if any(None in g for g in disjuncts) else tuple(disjuncts))
     return expansions, [_encode(e, number)[1:]
@@ -380,8 +383,8 @@ def refute_chain_formula(fc, tables) -> bool:
     """Sound syntactic refutation of a chain formula: literal clash and
     congruence closure over the chain's equalities, with bounded
     expansion of atoms through their (simplified) completed definitions.
-    ``tables`` is ``refuter_tables(gamma, comp)``; Gamma contributes its
-    ground disequalities.
+    ``tables`` is ``refuter_tables(gamma, comp)`` for a simplified
+    completion ``comp``; Gamma contributes its ground disequalities.
 
     Atoms whose definition has one disjunct are expanded in place, for at
     most ``MAX_SATURATION_ROUNDS`` rounds; then the formula is split over
@@ -423,20 +426,22 @@ def check_gamma_tight(prog: Program, gamma, n: int,
     Returns ``entailed`` only when the syntactic refuter closes every
     chain; ``countermodel`` when some interpretation within the universe
     bound satisfies Gamma, the completion, and the existential closure
-    of a chain formula; ``unknown`` otherwise.  The refuter's tables are
-    built once, before the chain loop, and serve every chain.  The
-    search walks the interpretations as an exhaustive
-    ``check_equivalence`` does, dropping a subtree at the first depth
-    where a sentence of Gamma or the completion fails (``depth_cuts``),
-    so only their models are built whole.  The cuts are compiled once
-    some chain stays open, and each closure when the first such model
-    reaches it.  Raises ``ResourceGuardError`` as ``chains`` does,
-    before refuting any chain."""
+    of a chain formula; ``unknown`` otherwise.  The completion is
+    simplified once (``simplify_completion``), and the refuter's tables
+    and the cuts both read it; the tables are built before the chain
+    loop and serve every chain.  The search walks the interpretations
+    as an exhaustive ``check_equivalence`` does, dropping a subtree at
+    the first depth where a sentence of Gamma or the completion fails
+    (``depth_cuts``), so only their models are built whole.  The cuts
+    are compiled once some chain stays open, and each closure,
+    simplified, when the first such model reaches it.  Raises
+    ``ResourceGuardError`` as ``chains`` does, before refuting any
+    chain."""
     if n < 1:
         raise ValueError("chain length must be at least 1")
     if universe_bound < 1:
         raise ValueError("universe bound must be at least 1")
-    comp = completion(prog)
+    comp = simplify_completion(completion(prog))
     tables = refuter_tables(gamma, comp)
     open_chains = []
     for c in chains(prog, n):
@@ -459,7 +464,7 @@ def check_gamma_tight(prog: Program, gamma, n: int,
                                                 canonical=True, cuts=cuts):
             for i, (c, closed) in enumerate(open_chains):
                 if compiled[i] is None:
-                    compiled[i] = compile_sentence(closed)
+                    compiled[i] = compile_sentence(simplify(closed))
                 if compiled[i](interp):
                     return TightnessVerdict(COUNTERMODEL, n, universe_bound,
                                             chain=c, interpretation=interp)

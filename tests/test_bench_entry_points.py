@@ -36,7 +36,7 @@ def test_idle_traced_entry_points_are_pinned():
     """The points whose name their module only imports or defines and
     never loads, so their metrics always read 0.  A refactor that stops
     a module calling a traced name adds to this list and fails here;
-    ROADMAP item 8 is where the list shrinks, by deleting or retargeting
+    ROADMAP item 10 is where the list shrinks, by deleting or retargeting
     these points."""
     idle = []
     for module, attr, _ in _points():

@@ -316,16 +316,17 @@ def test_interp_with_unknown_predicate_is_usage_error(tmp_path, capsys):
 
 
 def test_non_integer_guard_ceiling_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", "lots")
-    for argv in (("check-equiv", "fixture:prog1", "--m-max", "1"),
-                 ("check-gamma-tight", "fixture:prog2", "--n", "1"),
-                 ("chains", "fixture:prog2", "--n", "1"),
-                 ("chain-formulas", "fixture:prog2", "--n", "1"),
-                 ("export-tptp", "fixture:prog2", "--n", "1")):
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == ("error: LT_TIGHT_GUARD_CEILING must be an integer, "
-                       "not 'lots'\n")
+    for value in ("lots", "-1"):
+        monkeypatch.setenv("LT_TIGHT_GUARD_CEILING", value)
+        for argv in (("check-equiv", "fixture:prog1", "--m-max", "1"),
+                     ("check-gamma-tight", "fixture:prog2", "--n", "1"),
+                     ("chains", "fixture:prog2", "--n", "1"),
+                     ("chain-formulas", "fixture:prog2", "--n", "1"),
+                     ("export-tptp", "fixture:prog2", "--n", "1")):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == ("error: LT_TIGHT_GUARD_CEILING must be a "
+                           f"nonnegative integer, not {value!r}\n")
 
 
 def test_chain_commands_guard_the_chain_count(tmp_path, monkeypatch, capsys):

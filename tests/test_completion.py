@@ -2,8 +2,8 @@
 equality-driven simplifier."""
 
 from lttight.completion import (
-    completed_definition, completion, definition_of, desugar, simplify,
-    simplify_completion,
+    _simplify_exists, completed_definition, completion, definition_of,
+    desugar, simplify, simplify_completion,
 )
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
@@ -151,7 +151,33 @@ def test_simplify_under_binders_only_when_safe():
     assert simplify(f) == f
 
 
+def test_simplify_reads_through_a_run_of_existentials():
+    """The equality for X sits under a run of existentials: it is read
+    off there unless a variable of the run rebinds X or is its value."""
+    cases = [
+        ("exists X (exists Z (X1 = X & q(X, Z)))", "exists Z (q(X1, Z))"),
+        # the inner X shadows the outer one
+        ("exists X (exists X (X = a & p(X)))", "exists X (p(a))"),
+        # Y, bound in the run, is no value for X; Y's own rule reads X
+        ("exists X (exists Y (X = Y & p(X, Y)))", "exists X (p(X, X))"),
+    ]
+    for text, expected in cases:
+        assert simplify(parse_formula(text)) == parse_formula(expected), text
+    # one step, before the run's own equalities are read off
+    for text in cases[1][0], cases[2][0]:
+        f = parse_formula(text)
+        assert _simplify_exists(f.var, f.body) is None, text
+
+
 def test_simplify_completion_matches_paper_style_forms():
     result = simplify_completion(completion(builtin_fixture("prog1").program))
     assert result.definition_for("q") == parse_formula(
         "forall X1 ((q(X1) -> X1 = b) & (X1 = b -> q(X1)))")
+    # each rule's body variables Z stay, under no equality
+    result = simplify_completion(
+        completion(builtin_fixture("moving(1)").program))
+    assert result.definition_for("at") == parse_formula(
+        "forall X4 (forall X5 (forall X6 (at(X4, X5, X6) <-> "
+        "exists Z (move(X4, X5, Z) & next(Z, X6)) | "
+        "X6 = s0 & object(X4) & place(X5) & not not at(X4, X5, s0) | "
+        "exists Z (at(X4, X5, Z) & next(Z, X6) & not not at(X4, X5, X6)))))")

@@ -8,7 +8,7 @@ import pytest
 
 from lttight import cli, equiv, semantics
 from lttight.cli import run
-from lttight.completion import completion, desugar
+from lttight.completion import completion, desugar, simplify_completion
 from lttight.equiv import (
     COMP_ONLY, SM_ONLY, EquivReport, check_equivalence, check_proposition3,
     successor_state_interpretations,
@@ -481,7 +481,7 @@ def reference_gamma_tight(prog, gamma, n, bound):
     """The countermodel search by plain enumeration: the status, the
     first countermodel and its chain."""
     comp = completion(prog)
-    tables = refuter_tables(gamma, comp)
+    tables = refuter_tables(gamma, simplify_completion(comp))
     open_chains = []
     for c in chains(prog, n):
         fc = chain_formula(c)

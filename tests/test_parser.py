@@ -136,7 +136,7 @@ IFF_SHAPES = ["{} <-> q", "q <-> ({})", "not ({} <-> q)",
 # The deepest <-> nesting over single leaves that the copies bound
 # admits: 757 copies at 8 levels, 1,524 at 9.
 IFF_DEPTH = 8
-IFF_COPIES = "'<->' expands to more than 1024 atom copies"
+IFF_COPIES = "'<->' expands to more than 1024 leaf copies"
 
 
 @pytest.mark.parametrize("shape", IFF_SHAPES)

@@ -14,7 +14,9 @@ from random import Random
 
 import pytest
 
-from lttight.completion import completion, desugar, simplify
+from lttight.completion import (
+    completion, desugar, simplify, simplify_completion,
+)
 from lttight.equiv import successor_state_interpretations
 from lttight.fixtures import builtin_fixture
 from lttight.parser import (
@@ -294,6 +296,9 @@ def test_substitution_commutes_with_evaluation():
 
 
 def test_simplify_preserves_evaluation():
+    """Random formulas, then runs of existentials with equalities, whose
+    simplified forms are what the checks compile: every constant is
+    mapped, as in every interpretation a check examines."""
     rng = Random(SEED + 3)
     for i in range(1000):
         f = random_formula(rng, 3)
@@ -303,7 +308,14 @@ def test_simplify_preserves_evaluation():
         env = random_env(rng, f, m)
         assert fo_eval(f, interp, env) == fo_eval(g, interp, env), \
             formula_to_str(f)
-    print("simplify soundness: 1000 cases")
+    rng = Random(SEED + 14)
+    for i in range(600):
+        f = one_point_sentence(rng)
+        g = simplify(f)
+        interp = sample_interpretation(SIG, rng.randint(1, 3), rng)
+        assert fo_eval(f, interp) == fo_eval(g, interp) == \
+            compile_sentence(g)(interp), formula_to_str(f)
+    print("simplify soundness: 1000 formulas, 600 one-point runs")
 
 
 def test_reduct_is_idempotent():
@@ -489,9 +501,9 @@ def iff_sentence(rng: Random):
 def one_point_sentence(rng: Random):
     """A run of existentials whose body begins with equalities between
     a variable of the run and a variable or a constant, either way
-    round: some ``V = W`` the evaluator reads as one point, some it must
-    not (a constant, ``V = V``, and, now and then, every equality after
-    a non-equality conjunct)."""
+    round, and now and then a non-equality conjunct first: ``simplify``
+    reads the equalities off as one point, through the rest of the run,
+    and keeps ``V = V``."""
     run = rng.sample(VARS, rng.randint(1, 3))
     items = []
     for _ in range(rng.randint(1, 3)):
@@ -508,8 +520,8 @@ def one_point_sentence(rng: Random):
 
 
 # Sentences that reach the constant ``c``, unmapped, at every
-# interpretation: through a one-point run, an equality the evaluator
-# must keep, and a biconditional.
+# interpretation: through a run of existentials with equalities, and a
+# biconditional.
 UNMAPPED = ["exists Y (Y = c)", "forall X (exists Y (X = Y & Y = c))",
             "forall X (exists Y (exists Z (Z = X & Y = Z & q(Y, c))))",
             "exists Y (Y = a & p(c))", "r <-> p(c)"]
@@ -518,9 +530,9 @@ UNMAPPED = ["exists Y (Y = c)", "forall X (exists Y (X = Y & Y = c))",
 def test_compiled_evaluator_matches_fo_eval_on_random_sentences():
     """Each compiled sentence is evaluated on several sampled
     interpretations (constants merge freely) and on an m <= 2 one: first
-    random sentences, then biconditionals and runs of existentials with
-    leading equalities, which the evaluator compiles in shapes of their
-    own, and sentences that reach an unmapped constant."""
+    random sentences, then biconditionals, which the evaluator compiles
+    in a shape of its own, runs of existentials with leading equalities,
+    and sentences that reach an unmapped constant."""
     rng = Random(SEED + 7)
     merged = 0
     enumerated = [i for m in (1, 2) for i in enumerate_interpretations(SIG, m)]
@@ -992,7 +1004,7 @@ def plain_countermodel_search(prog, gamma, n: int, bound: int) -> tuple:
     fo_eval: every constant map, no cuts, and the first interpretation
     where Gamma, the completion and an open chain's closure hold."""
     comp = completion(prog)
-    tables = refuter_tables(gamma, comp)
+    tables = refuter_tables(gamma, simplify_completion(comp))
     open_chains = [(c, existential_closure(chain_formula(c)))
                    for c in chains(prog, n)
                    if not refute_chain_formula(chain_formula(c), tables)]

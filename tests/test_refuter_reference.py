@@ -16,7 +16,7 @@ import pytest
 
 import lttight.tightness as tightness
 from lttight.cli import run
-from lttight.completion import completion, simplify
+from lttight.completion import completion, simplify, simplify_completion
 from lttight.fixtures import builtin_fixture, fixture_names
 from lttight.parser import parse_formula, parse_program
 from lttight.syntax import (
@@ -173,7 +173,8 @@ def assert_reference_verdicts(prog, gammas, lengths) -> list:
     verdicts."""
     comp = completion(prog)
     defs = _reference_defs(comp)
-    tables = [(gamma, refuter_tables(gamma, comp)) for gamma in gammas]
+    simplified = simplify_completion(comp)
+    tables = [(gamma, refuter_tables(gamma, simplified)) for gamma in gammas]
     verdicts = []
     for n in lengths:
         for c in chains(prog, n):
@@ -356,7 +357,7 @@ def _decode(literal, terms) -> str:
      [["X_2 = a"], ["r(X_2, b)"]]),
 ])
 def test_templates_by_hand(rules, atom, expected):
-    comp = completion(parse_program(rules))
+    comp = simplify_completion(completion(parse_program(rules)))
     expansions, _ = refuter_tables((), comp)
     entry = expansions[tightness._encode(parse_formula(atom),
                                          expansions.number)]
