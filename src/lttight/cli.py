@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import signal
 import sys
 
 from . import __version__
@@ -372,6 +373,8 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):      # a closed pipe ends us as it ends cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

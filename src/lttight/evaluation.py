@@ -12,10 +12,10 @@ that both read them classically and yield each rule body's bindings;
 ``tests/conftest.py::fo_eval`` is the independent oracle the tests hold
 the compiled functions to.
 
-``compile_fold`` reads a rule once into closures, not source, that fold
-each of its instances straight to the folded reduct over atom numbers
-(``stability``) for the stable-model leaf; ``tests/conftest.py``'s
-``relevant_grounding``, which grounds the instances first, is its oracle.
+``compile_fold`` reads a rule once into closures, not source, that give
+its instances' heads and fold each instance to the folded reduct over
+atom numbers (``stability``) for the stable-model leaf; its oracle is
+``tests/conftest.py``'s ``relevant_grounding``, which grounds first.
 """
 
 from __future__ import annotations
@@ -287,22 +287,31 @@ class _Folder:
 
 
 def compile_fold(rule):
-    """A function of a rule's bindings, the value tuples of its free
-    variables as ``compile_rules`` returns them, and ``leaf``, that is
-    ``(numbers, consts, range(universe), extensions)`` for an
-    interpretation (``_Folder``): the list of the instances
-    ``body -> head`` folded, each equal to the folded reduct of its
-    grounding (``semantics.ground``; ``tests/conftest.py::folded_reduct``)
-    under any numbering of the true atoms that extends ``numbers`` as
-    the fold leaves it.  A binding's values are those of
-    ``Rule.free_vars``, in its order.  The rule is read once, into
-    closures over binding positions and constant names; no source is
-    generated.  Every term is read, so GroundingError is raised where
-    ``ground`` raises it."""
+    """Two functions of a basic rule's bindings, the value tuples of its
+    free variables as ``compile_rules`` returns them, and ``leaf``, that
+    is ``(numbers, consts, range(universe), extensions)`` for an
+    interpretation (``_Folder``).  ``heads`` gives the list of the
+    instances' head atoms ``(predicate, args)``; ``fold`` the list of
+    the instances ``body -> head`` folded, each equal to the folded
+    reduct of its grounding (``semantics.ground``;
+    ``tests/conftest.py::folded_reduct``) under any numbering of the
+    true atoms that extends ``numbers`` as the fold leaves it.  A
+    binding's values are those of ``Rule.free_vars``, in its order.  The
+    rule is read once, into closures; no source is generated.  Each
+    reads the terms it reaches as ``ground`` does (``heads`` the head's),
+    so GroundingError is raised where ``ground`` raises it."""
     folder = _Folder({v.name: i for i, v in enumerate(rule.free_vars())})
     head = folder.fold(rule.head, {})
     body = folder.fold(rule.body, {})
     extra = [None] * folder.slots
+    p = rule.head.predicate
+    terms = [folder.element(t, {}) for t in rule.head.args]
+
+    def heads(bindings, leaf):
+        try:
+            return [(p, tuple([t(v, leaf) for t in terms])) for v in bindings]
+        except KeyError as exc:
+            raise _unmapped(exc.args[0]) from None
 
     def fold(bindings, leaf):
         out = []
@@ -313,4 +322,4 @@ def compile_fold(rule):
         except KeyError as exc:
             raise _unmapped(exc.args[0]) from None
         return out
-    return fold
+    return heads, fold

@@ -7,9 +7,9 @@ Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 that type.  The stable-model check grounds nothing: ``is_sm_model``
 takes an interpretation's rule bindings, which the caller reads with
 the rules of ``sm_tables`` (``compile_rules``, or ``depth_cuts``' cuts),
-``relevant_reduct`` folds the rule instances whose body it satisfies as
-it instantiates them (``evaluation.compile_fold``), and ``is_sm_model``
-decides on that folded reduct (``stability``).
+ends at an unsupported true atom, and only then has ``relevant_reduct``
+fold the instances whose body it satisfies (``evaluation.compile_fold``)
+and decides on that folded reduct (``stability``).
 First-order sentences are evaluated by functions compiled in
 ``evaluation``.  ``depth_cuts`` builds the cuts by which both exhaustive
 searches prune ``enumerate_interpretations``, and records the rule
@@ -516,7 +516,8 @@ def sm_tables(prog: Program) -> tuple:
     to each ``is_sm_model`` call: the desugared program's constraints,
     then its basic rules, which the caller compiles once to read each
     interpretation's bindings (``compile_rules``, or ``depth_cuts``'
-    cuts), and each basic rule's instance fold (``compile_fold``)."""
+    cuts), and each basic rule's ``(heads, fold)`` pair
+    (``compile_fold``)."""
     d = desugar(prog)
     basic = [r for r in d.rules if r.kind == BASIC]
     return ([r for r in d.rules if r.kind == CONSTRAINT] + basic,
@@ -530,13 +531,14 @@ def relevant_reduct(tables: tuple, interp: Interpretation, bindings):
     ``body -> head`` of the basic rules whose body it satisfies, in the
     order of ``ground_program``, which is relevance-driven grounding as
     in gringo, and the numbers of the true atoms in the order the fold
-    first met them.  Each instance left out has the valid reduct
-    ``false -> ...``, so the reduct is ``ground_program``'s folded."""
+    first met them, every one when each heads a relevant instance.  Each
+    instance left out has the valid reduct ``false -> ...``, so the
+    reduct is ``ground_program``'s folded."""
     if bindings is None:
         return None
     numbers = {}
     leaf = (numbers, interp.consts, range(interp.universe), interp.extensions)
-    instances = [g for fold, tuples in zip(tables[1], bindings)
+    instances = [g for (_, fold), tuples in zip(tables[1], bindings)
                  for g in fold(tuples, leaf)]
     return junction(Conj, instances), numbers
 
@@ -545,17 +547,22 @@ def is_sm_model(tables: tuple, interp: Interpretation, bindings,
                 cap: int = DEFAULT_STABILITY_CAP) -> bool:
     """Whether the interpretation is a stable model of the program whose
     ``sm_tables`` are given, ``bindings`` being its rules' bindings
-    there.  In order: not if ``relevant_reduct`` is None or ``BOT``; more
-    than ``cap`` true atoms raise ResourceGuardError; not if a true atom
-    has no number (``stability``); else ``is_stable`` decides."""
-    folded = relevant_reduct(tables, interp, bindings)
-    if folded is None or folded[0] is BOT:
+    there.  In order: not if ``bindings`` is None; more than ``cap``
+    true atoms raise ResourceGuardError; not if a true atom heads no
+    relevant instance (``stability``); else ``is_stable`` decides on
+    ``relevant_reduct``, the only step that folds a rule body."""
+    if bindings is None:
         return False
     n = sum(map(len, interp.extensions.values()))
     if n > cap:
         raise ResourceGuardError(
             f"minimality check over {n} atoms exceeds the cap of {cap}")
-    return len(folded[1]) == n and is_stable(*folded)
+    leaf = ({}, interp.consts, range(interp.universe), interp.extensions)
+    supported = set()
+    for (heads, _), tuples in zip(tables[1], bindings):
+        supported.update(heads(tuples, leaf))
+    return (len(supported) == n
+            and is_stable(*relevant_reduct(tables, interp, bindings)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ of each rule instance as it instantiates it (``evaluation.compile_fold``),
 with no ground formula in between, by ``junction`` and ``implication``,
 which folds ``F -> false`` to ``false`` unless F folds to ``false``:
 sound for a reduct, not for a classical fold.  It numbers J's atoms in
-the order the fold first meets them.  An atom of J the fold never meets
-is not read by the reduct, so J without it is a smaller model and J is
-not stable; ``semantics.is_sm_model`` decides that case by counting, and
-``has_smaller_model`` searches only when every atom of J has a number.
+the order the fold first meets them.  If an atom of J heads no relevant
+instance, J without it is a smaller model: ``semantics.is_sm_model``
+tells that by counting heads before it folds.  Otherwise the fold meets
+every atom of J, and ``has_smaller_model`` searches.
 """
 
 from __future__ import annotations

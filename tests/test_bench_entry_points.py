@@ -8,8 +8,8 @@ import importlib.util
 from pathlib import Path
 
 from lttight import semantics
+from lttight.completion import desugar
 from lttight.fixtures import builtin_fixture
-from lttight.stability import BOT
 
 from conftest import rule_check
 
@@ -54,8 +54,10 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
     """The tracer's ``semantics.is_stable`` point counts the leaf's
     minimality checks and takes |J| as ``len(args[1])``: ``is_sm_model``
     calls it, by that name and positionally, once on each classical
-    model whose folded reduct is not ``BOT`` and whose fold met every
-    atom of J, with J's atom numbers second, and never otherwise."""
+    model whose every true atom heads a relevant rule instance
+    (``semantics.is_supported`` on the whole grounding), with J's atom
+    numbers second, and never otherwise.  prog2 adds searched leaves
+    that are not stable."""
     calls = []
     original = semantics.is_stable
 
@@ -64,9 +66,11 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(semantics, "is_stable", recording)
-    searched = unread = non_models = 0
-    for name in ("prog1", "ex1"):
+    searched = unsupported = non_models = 0
+    verdicts = set()
+    for name in ("prog1", "ex1", "prog2"):
         prog = builtin_fixture(name).program
+        d = desugar(prog)
         tables = semantics.sm_tables(prog)
         bindings = rule_check(tables)
         for m in (1, 2):
@@ -74,19 +78,22 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
                     prog.signature, m):
                 found = bindings(interp)
                 calls.clear()
-                semantics.is_sm_model(tables, interp, found)
+                verdict = semantics.is_sm_model(tables, interp, found)
                 if found is None:
                     non_models += 1
                     assert calls == []
                     continue
-                r, numbers = semantics.relevant_reduct(tables, interp, found)
-                size = sum(len(ts) for ts in interp.extensions.values())
-                if r is BOT or len(numbers) < size:
-                    unread += 1
-                    assert calls == []
+                j = {(p, t) for p, ts in interp.extensions.items()
+                     for t in ts}
+                rules, _ = semantics.ground_program(d, interp)
+                if not semantics.is_supported(rules, j):
+                    unsupported += 1
+                    assert calls == [] and verdict is False
                     continue
                 searched += 1
+                verdicts.add(verdict)
                 [(args, kwargs)] = calls
                 assert kwargs == {}
-                assert len(args[1]) == size
-    assert searched > 10 and unread > 10 and non_models > 10
+                assert len(args[1]) == len(j)
+    assert searched > 10 and unsupported > 10 and non_models > 10
+    assert verdicts == {True, False}

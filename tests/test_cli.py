@@ -4,10 +4,16 @@ Exit code contract: 0 success/agree, 1 disagreement or countermodel,
 2 usage or input error, 3 resource guard."""
 
 import argparse
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lttight
 import lttight.cli as cli
 import lttight.tightness as tightness
 from lttight.cli import GROUND_BINDING_LIMIT, run
@@ -712,3 +718,23 @@ def test_deepest_body_gets_a_verdict(tmp_path, capsys):
                             "--bound", "1")
     assert (code, out.splitlines()[:2], err) == (
         1, ["countermodel", "universe=1; p={()}; q={}; r={()}"], "")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_pipe_ends_the_command_silently():
+    """A reader that closes stdout early, as ``head`` does, ends the
+    command by SIGPIPE with nothing on stderr, as it ends ``cat``.  The
+    read end is closed before the process starts, so its first write
+    meets a closed pipe whatever the timing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(lttight.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lttight.cli", "complete",
+             "fixture:moving(40)"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")

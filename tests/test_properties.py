@@ -27,7 +27,8 @@ from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
     GroundingError, ResourceGuardError,
     enumerate_interpretations, ground, ground_program,
-    ground_to_str, is_sm_model, is_tight_on, make_interpretation,
+    ground_to_str, is_sm_model, is_supported, is_tight_on,
+    make_interpretation,
     relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
     sm_tables,
 )
@@ -925,11 +926,74 @@ def test_atoms_no_relevant_instance_reads_decide_after_the_cap():
     print(f"unread atoms and the cap: {dict(outcomes)}")
 
 
+def test_unsupported_atoms_end_the_leaf_before_the_fold():
+    """The leaf's support test against the whole grounding.  Random
+    literal and formula programs, J steered through the
+    immediate-consequence operator and, half the time, given random
+    atoms that may head no rule instance.  On each classical model: the
+    folded reduct is not ``BOT``; the relevant heads cover J exactly when
+    ``is_supported`` holds on ``ground_program``'s rule view; an
+    unsupported J is not stable by ``is_stable_ground``; and is_sm_model
+    gives is_stable_ground's verdict at caps 2, 4 and 24."""
+    rng = Random(SEED + 16)
+    outcomes = Counter()
+    for text, count in ((random_program_text, 400),
+                        (random_formula_program_text, 200)):
+        for _ in range(count):
+            prog = parse_program(text(rng))
+            d = desugar(prog)
+            m = rng.randint(1, 3)
+            interp = _steered(prog, d, m, rng)
+            if rng.random() < 0.5:
+                arity = dict(prog.predicates)
+                exts = {p: set(ts) | {t for t in product(range(m),
+                                                         repeat=arity[p])
+                                      if rng.random() < 0.1}
+                        for p, ts in interp.extensions.items()}
+                interp = make_interpretation(m, dict(interp.consts), exts)
+            tables = sm_tables(d)
+            read = rule_check(tables)(interp)
+            if read is None:
+                continue
+            r, _ = relevant_reduct(tables, interp, read)
+            assert r is not stability.BOT, interp.literal()
+            leaf = ({}, interp.consts, range(m), interp.extensions)
+            heads = {a for (h, _), ts in zip(tables[1], read)
+                     for a in h(ts, leaf)}
+            j = frozenset(true_atoms(interp))
+            rules, full = ground_program(d, interp)
+            supported = is_supported(rules, j)
+            assert (heads == j) == supported, interp.literal()
+            if not supported:
+                assert is_stable_ground(full, j) is False, interp.literal()
+            for cap in (2, 4, 24):
+                verdict = _stability(lambda: is_sm_model(tables, interp,
+                                                         read, cap))
+                assert verdict == _stability(
+                    lambda: is_stable_ground(full, j, cap)), interp.literal()
+                outcomes[supported, cap, verdict] += 1
+    assert outcomes[False, 24, False] > 50 and outcomes[True, 24, True] > 50
+    assert outcomes[True, 24, False] > 10
+    assert outcomes[False, 2, "over the cap"] > 10
+    print(f"support, cap and the leaf's verdict: {dict(outcomes)}")
+
+
 def test_the_fold_reads_every_term_as_ground_does():
     """The classical check stops at q, and the fold, like ground, still
-    reaches the unmapped constant c."""
-    tables = sm_tables(parse_program("p :- q | r(c)."))
+    reaches the unmapped constant c.  is_sm_model folds no body while
+    some true atom heads no relevant instance: with q unsupported it is
+    False without reading r(c), and with q a fact it reaches c.  The
+    command line never gets here: ``stable`` refuses an interpretation
+    that leaves a program constant unmapped, and the searches map every
+    constant."""
     q_true = make_interpretation(1, {}, {"p": [()], "q": [()], "r": []})
+    tables = sm_tables(parse_program("p :- q | r(c)."))
+    bindings = rule_check(tables)(q_true)
+    for leaf in (relevant_grounding, relevant_reduct):
+        with pytest.raises(GroundingError, match="constant c is not mapped"):
+            leaf(tables, q_true, bindings)
+    assert is_sm_model(tables, q_true, bindings) is False
+    tables = sm_tables(parse_program("p :- q | r(c). q."))
     bindings = rule_check(tables)(q_true)
     for leaf in (relevant_grounding, relevant_reduct, is_sm_model):
         with pytest.raises(GroundingError, match="constant c is not mapped"):
