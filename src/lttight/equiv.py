@@ -19,9 +19,9 @@ from .fixtures import (
     moving_successor_state_formulas,
 )
 from .semantics import (
-    GAMMA, REJECT, Interpretation, ResourceGuardError, compile_rules,
-    compile_sentence, depth_cuts, enumerate_interpretations, enumeration_key,
-    is_sm_model, orbit, orbit_size, sample_interpretation,
+    DEFAULT_STABILITY_CAP, GAMMA, REJECT, Interpretation, ResourceGuardError,
+    compile_rules, compile_sentence, depth_cuts, enumerate_interpretations,
+    enumeration_key, is_sm_model, orbit, orbit_size, sample_interpretation,
     satisfies_fo,  # noqa: F401 -- kept importable: bench/tracer.py wraps it
     sm_tables,
 )
@@ -80,29 +80,30 @@ def _gamma_desc(gamma) -> str:
     return "; ".join(formula_to_str(g) for g in gamma)
 
 
-def _check(tables: tuple, comp_sentences, gamma, interps, program_id: str,
-           mode_desc: str, dropped: Counter, orbits=False) -> EquivReport:
+def _check(tables: tuple, comp_holds, gamma, interps, program_id: str,
+           mode_desc: str, dropped: Counter, orbits=False,
+           cap: int = DEFAULT_STABILITY_CAP) -> EquivReport:
     """Compare every interpretation of the source ``interps``, each
     with its rules' bindings, None on a classical non-model; one whose
-    stability check trips the cap is counted as guard-skipped instead of
+    stability check trips ``cap`` is counted as guard-skipped instead of
     checked.  ``tables`` are the program's ``sm_tables``, passed to
-    every ``is_sm_model`` call; the completion is compiled once here.
+    every ``is_sm_model`` call, and ``comp_holds`` tells a completion
+    model.
 
     The source is screened, by ``depth_cuts`` or none: what it dropped is
     counted in ``dropped``, under GAMMA as skipped by Gamma and under
-    REJECT as checked and both-reject.  Every model of ``comp_sentences``
+    REJECT as checked and both-reject.  Every model of the completion
     satisfies the program read classically, as every stable model does,
     so such an interpretation needs neither check.  With ``orbits``, each
     interpretation stands for its orbit under permutations of the
     universe: it is counted ``orbit_size`` times, and a disagreement is
     reported for each member of its ``orbit``, in enumeration order."""
-    comp_holds = compile_sentence(conjoin(comp_sentences))
     disagreements = []
     checked = guard_skipped = both_accept = both_reject = 0
     for interp, bindings in interps:
         weight = orbit_size(interp) if orbits else 1
         try:
-            sm = is_sm_model(tables, interp, bindings)
+            sm = is_sm_model(tables, interp, bindings, cap)
         except ResourceGuardError:
             guard_skipped += weight
             continue
@@ -134,35 +135,43 @@ def _sampled(sig, sizes: list, count: int, seed: int):
 
 def check_equivalence(prog: Program, gamma, m_max: int,
                       sample_count: int | None = None, seed: int = 0,
-                      program_id: str = "program") -> EquivReport:
+                      program_id: str = "program",
+                      cap: int = DEFAULT_STABILITY_CAP) -> EquivReport:
     """Compare stable models with completion models over the
     interpretations with universe size up to ``m_max`` that satisfy
     Gamma: all of them when ``sample_count`` is None, else that many
     seeded samples.  Both sides see the constraint sentences and Gamma
-    identically.
+    identically, and the cuts and the leaf read one stability ``cap``.
 
     An interpretation that violates the program read classically (the
     rules of its ``sm_tables``) is counted as both-reject without either
     check: the completion holds the constraints, and every rule is the
-    if-half of its head's completed definition.  Gamma and the rules are
-    compiled once per check, only into ``depth_cuts``, as
-    ``check_gamma_tight`` compiles Gamma and the completion, and a
-    sample is screened by all of them; the stable-model check folds the
-    rule bindings the cuts record.  The completion is simplified
-    (``simplify_completion``) and compiled once, in ``_check``.  An
-    exhaustive check walks the interpretations one predicate at a time
-    and drops a subtree at the first cut that fails, so only those that
-    pass every cut are built whole.  It visits one constant map per
-    orbit under permutations of the universe and counts each
-    interpretation for its orbit; the report is the one enumerating and
-    screening every interpretation would give."""
+    if-half of its head's completed definition.  So is one where a true
+    p-atom heads no instance of p's rules whose body holds and p's
+    completed definition is false, when no leaf below trips ``cap``.
+    Gamma, the rules and each simplified completed definition are
+    compiled once per check for ``depth_cuts``' cuts, and a sample is
+    screened by all of them; the stable-model check folds the rule
+    bindings the cuts record, and the completion check reads the same
+    definitions.  An exhaustive check walks the interpretations one
+    predicate at a time and drops a subtree at the first cut that
+    fails, so only those that pass every cut are built whole.  It
+    visits one constant map per orbit under permutations of the
+    universe and counts each interpretation for its orbit; the report
+    is the one enumerating and screening every interpretation would
+    give."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     gamma = list(gamma)
     tables = sm_tables(prog)
+    comp = simplify_completion(completion(prog))
+    definitions = [(p, s, compile_sentence(s))
+                   for p, s in comp.completed_definitions]
     dropped = Counter()
-    cuts, with_bindings = depth_cuts(prog.signature, gamma, dropped,
-                                     rules=tables[0])
+    cuts, with_bindings = depth_cuts(
+        prog.signature, gamma, dropped, rules=tables[0],
+        heads=[heads for heads, _ in tables[1]], definitions=definitions,
+        cap=cap)
     if sample_count is None:
         mode_desc = f"exhaustive m<={m_max}"
         interps = chain.from_iterable(
@@ -176,10 +185,13 @@ def check_equivalence(prog: Program, gamma, m_max: int,
                                        list(range(1, m_max + 1)),
                                        sample_count, seed)
                    if not any(cut(i, 1) for cut in cuts if cut is not None))
-    return _check(tables, simplify_completion(completion(prog)).sentences(),
-                  gamma,
-                  with_bindings(interps), program_id, mode_desc, dropped,
-                  orbits=sample_count is None)
+    comp_tests = [test for _, _, test in definitions]
+    if comp.constraint_sentences:
+        comp_tests.append(compile_sentence(conjoin(comp.constraint_sentences)))
+    return _check(tables, lambda i: all(test(i) for test in comp_tests),
+                  gamma, with_bindings(interps),
+                  program_id, mode_desc, dropped,
+                  orbits=sample_count is None, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +265,7 @@ def check_proposition3(k: int, sample_count: int = 1000,
                     _sampled(prog.signature, sizes, sample_count, seed))
     tables = sm_tables(prog)
     bindings = compile_rules(tables[0])
-    return _check(tables, rhs, (), ((i, bindings(i)) for i in interps),
+    return _check(tables, compile_sentence(conjoin(rhs)), (),
+                  ((i, bindings(i)) for i in interps),
                   f"moving({k}) vs successor-state formulas", mode_desc,
                   Counter())

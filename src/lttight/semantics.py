@@ -1,5 +1,5 @@
-"""Finite first-order interpretations, grounding, and the stable,
-supported and tight-on checks.
+"""Finite first-order interpretations, grounding, and the stable-model
+check.
 
 Ground formulas have one type, ``stability``'s: ``Conj``, ``Disj`` and
 ``Imp`` over ground atoms ``(predicate, args)``, with ``TOP`` and
@@ -296,7 +296,8 @@ GAMMA = "gamma"     # keys of a search's count of dropped interpretations
 REJECT = "reject"
 
 
-def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
+def depth_cuts(sig: Signature, sentences, dropped, rules=(), heads=(),
+               definitions=(), cap: int = DEFAULT_STABILITY_CAP) -> tuple:
     """The ``cuts`` of ``enumerate_interpretations``' walk over ``sig``
     that keep the models of ``sentences`` and of ``rules`` read
     classically, and a generator function that pairs each
@@ -310,29 +311,53 @@ def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
     A dropped subtree's weight is counted in ``dropped`` under GAMMA
     when it fails a sentence, under REJECT when it fails a rule.  Tried
     in depth order, the cuts screen a whole interpretation alike.
-    ``check_equivalence`` passes Gamma's conjuncts as the sentences, and
-    ``check_gamma_tight`` Gamma and the completion, with no rules."""
+
+    ``definitions`` are ``(p, completed definition, its compiled
+    test)``, and ``heads`` the ``heads`` of ``compile_fold`` for each
+    rule with a head.  Each p is tested at the deepest of Gamma's
+    deepest sentence, its rules and what its definition reads; there
+    the subtree is dropped under REJECT when some true p-atom heads no
+    instance recorded for p's rules, so no leaf below is stable
+    (``is_sm_model``), when the definition is false, so no leaf is a
+    completion model, and when no leaf below has more than ``cap`` true
+    atoms, which the leaf would guard-skip.  ``check_equivalence``
+    passes Gamma's conjuncts as the sentences, and ``check_gamma_tight``
+    Gamma and the completion, with no rules."""
     depth = {p: d for d, (p, _) in enumerate(sig.predicates, 1)}
     levels = [{} for _ in range(len(depth) + 1)]
-    heads = [0] * len(levels)
+    places = [0] * len(levels)
     where = []      # per rule with a head: its depth, its place there
     reached = 0
     for key, fs in ((GAMMA, sentences), (REJECT, rules)):
-        floor = reached
+        floor = reached     # for the rules, Gamma's deepest depth
         for f in fs:
             read = predicates_read(f if key == GAMMA else f.sentence())
             d = max([floor] + [depth.get(p, 0) for p in read])
             levels[d].setdefault(key, []).append(f)
             reached = max(reached, d)
             if key == REJECT and f.head is not None:
-                where.append((d, heads[d]))
-                heads[d] += 1
+                where.append((d, places[d]))
+                places[d] += 1
+    by_head = {}    # predicate -> its rules' depths, places and heads
+    for r, (d, i), h in zip([r for r in rules if r.head is not None],
+                            where, heads):
+        by_head.setdefault(r.head.predicate, []).append((d, i, h))
+    supports = [[] for _ in levels]
+    for p, sentence, test in definitions:
+        d = max([floor] + [dr for dr, _, _ in by_head.get(p, ())]
+                + [depth[q] for q in predicates_read(sentence)])
+        supports[d].append((p, by_head.get(p, ()), test))
     found = [None] * len(levels)
+    arities = [arity for _, arity in sig.predicates]
+    # universe size -> per depth, cap less the tuples below it, or None
+    # when every tuple of the signature fits under the cap
+    room = {}
 
-    def cut(d, level):
+    def cut(d, level, supports):
         tests = [(compile_rules(fs) if key == REJECT
                   else compile_sentence(conjoin(fs)), key)
                  for key, fs in level.items()]
+        assigned = list(depth)[:d]
 
         def drops(interp, weight) -> bool:
             for test, key in tests:
@@ -342,13 +367,30 @@ def depth_cuts(sig: Signature, sentences, dropped, rules=()) -> tuple:
                 elif not value:
                     dropped[key] += weight
                     return True
+            ext, m = interp.extensions, interp.universe
+            for p, by_rule, defined in supports:
+                leaf = ({}, interp.consts, range(m), ext)
+                supported = set()
+                for dr, i, h in by_rule:
+                    supported.update(h(found[dr][i], leaf))
+                if len(supported) < len(ext[p]) and not defined(interp):
+                    if m not in room:
+                        below = [sum(m ** a for a in arities[k:])
+                                 for k in range(len(levels))]
+                        room[m] = [None if below[0] <= cap else cap - b
+                                   for b in below]
+                    if (room[m][d] is not None and
+                            sum(len(ext[q]) for q in assigned) > room[m][d]):
+                        return False
+                    dropped[REJECT] += weight
+                    return True
             return False
         return drops
 
     def with_bindings(interps):
         for interp in interps:
             yield interp, [found[d][i] for d, i in where]
-    return [cut(d, level) if level else None
+    return [cut(d, level, supports[d]) if level or supports[d] else None
             for d, level in enumerate(levels)], with_bindings
 
 
@@ -477,21 +519,7 @@ def ground_program(prog: Program, interp: Interpretation):
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction and stability
-
-def satisfies(j, g) -> bool:
-    """Classical propositional satisfaction; j is a set of ground atoms."""
-    cls = type(g)
-    if cls is tuple:
-        return g in j
-    if cls is Conj:
-        return all(satisfies(j, x) for x in g.items)
-    if cls is Disj:
-        return any(satisfies(j, x) for x in g.items)
-    if cls is Imp:
-        return not satisfies(j, g.left) or satisfies(j, g.right)
-    raise TypeError(f"not a ground formula: {g!r}")
-
+# Stability, first-order satisfaction and the stable-model check
 
 def is_stable(r, numbers: dict) -> bool:
     """Whether no proper subset of the atoms ``numbers`` numbers
@@ -500,9 +528,6 @@ def is_stable(r, numbers: dict) -> bool:
     which ``stability.has_smaller_model`` decides."""
     return not has_smaller_model(r, len(numbers))
 
-
-# ---------------------------------------------------------------------------
-# First-order satisfaction and the stable-model check
 
 def satisfies_fo(interp: Interpretation, sentence) -> bool:
     """First-order satisfaction of ``sentence``, compiled and evaluated
@@ -565,42 +590,6 @@ def is_sm_model(tables: tuple, interp: Interpretation, bindings,
             and is_stable(*relevant_reduct(tables, interp, bindings)))
 
 
-# ---------------------------------------------------------------------------
-# Supportedness, Pnn/Nnn, tightness on an interpretation
-
-def is_supported(rules, j) -> bool:
-    """Every atom of j heads some rule whose body j satisfies; ``rules``
-    is ``ground_program``'s rule view."""
-    j = frozenset(j)
-    for a in j:
-        if not any(head == a and satisfies(j, body) for head, body in rules):
-            return False
-    return True
-
-
-def pnn_nnn(g):
-    """Positive-nonnegated and negative-nonnegated atom sets of a ground
-    formula; implications with a false consequent contribute nothing."""
-    cls = type(g)
-    if cls is tuple:
-        return frozenset([g]), frozenset()
-    if cls is Conj or cls is Disj:
-        pos: frozenset = frozenset()
-        negs: frozenset = frozenset()
-        for x in g.items:
-            p, n = pnn_nnn(x)
-            pos |= p
-            negs |= n
-        return pos, negs
-    if cls is Imp:
-        if g.right == BOT:
-            return frozenset(), frozenset()
-        lp, ln = pnn_nnn(g.left)
-        rp, rn = pnn_nnn(g.right)
-        return ln | rp, lp | rn
-    raise TypeError(f"not a ground formula: {g!r}")
-
-
 def is_acyclic(succ: dict) -> bool:
     """Whether the directed graph ``succ`` (vertex -> successors, each
     successor itself a vertex) has no cycle; a self-loop is a cycle.
@@ -625,17 +614,3 @@ def is_acyclic(succ: dict) -> bool:
                 color[node] = 2
                 stack.pop()
     return True
-
-
-def is_tight_on(rules, j) -> bool:
-    """Acyclicity of the parent relation over ``ground_program``'s rule
-    view: A' is a parent of A when some rule with head A has a body
-    satisfied by j in which A' occurs as a positive nonnegated atom.
-    For finite j an infinite descending sequence is exactly a reachable
-    cycle."""
-    j = frozenset(j)
-    parents: dict = {a: set() for a in j}
-    for head, body in rules:
-        if head in j and satisfies(j, body):
-            parents[head] |= pnn_nnn(body)[0] & j
-    return is_acyclic(parents)

@@ -1,8 +1,9 @@
 """Shared test helpers: an independent first-order evaluator and its
 reading of a list of rules (oracles against the grounding path and the
 compiled evaluator), an interpretation's true atoms in sorted order,
-the reduct of a ground formula, plain and folded, and stability
-decided on it (oracles of the stable-model leaf), the unfolded
+propositional satisfaction, supportedness, Pnn/Nnn and tightness on a
+set of ground atoms, the reduct of a ground formula, plain and folded,
+and stability decided on it (oracles of the stable-model leaf), the unfolded
 relevant grounding (the oracle of the leaf's fold), the rule
 check every caller of the leaf hands it bindings from, the chain
 invariants, and random generators for ground formulas and ground
@@ -17,7 +18,7 @@ import pytest
 
 from lttight.evaluation import compile_rules
 from lttight.semantics import (
-    DEFAULT_STABILITY_CAP, ResourceGuardError, ground, is_stable, satisfies,
+    DEFAULT_STABILITY_CAP, ResourceGuardError, ground, is_acyclic, is_stable,
 )
 from lttight.stability import (
     BOT, Conj, Disj, Imp, implication, junction,
@@ -103,6 +104,67 @@ def relevant_grounding(tables: tuple, interp, bindings):
             instances.append(Imp(ground(r.body, interp, env),
                                  ground(r.head, interp, env)))
     return Conj(tuple(instances))
+
+
+def satisfies(j, g) -> bool:
+    """Classical propositional satisfaction; j is a set of ground atoms."""
+    cls = type(g)
+    if cls is tuple:
+        return g in j
+    if cls is Conj:
+        return all(satisfies(j, x) for x in g.items)
+    if cls is Disj:
+        return any(satisfies(j, x) for x in g.items)
+    if cls is Imp:
+        return not satisfies(j, g.left) or satisfies(j, g.right)
+    raise TypeError(f"not a ground formula: {g!r}")
+
+
+def is_supported(rules, j) -> bool:
+    """Every atom of j heads some rule whose body j satisfies; ``rules``
+    is ``ground_program``'s rule view."""
+    j = frozenset(j)
+    for a in j:
+        if not any(head == a and satisfies(j, body) for head, body in rules):
+            return False
+    return True
+
+
+def pnn_nnn(g):
+    """Positive-nonnegated and negative-nonnegated atom sets of a ground
+    formula; implications with a false consequent contribute nothing."""
+    cls = type(g)
+    if cls is tuple:
+        return frozenset([g]), frozenset()
+    if cls is Conj or cls is Disj:
+        pos: frozenset = frozenset()
+        negs: frozenset = frozenset()
+        for x in g.items:
+            p, n = pnn_nnn(x)
+            pos |= p
+            negs |= n
+        return pos, negs
+    if cls is Imp:
+        if g.right == BOT:
+            return frozenset(), frozenset()
+        lp, ln = pnn_nnn(g.left)
+        rp, rn = pnn_nnn(g.right)
+        return ln | rp, lp | rn
+    raise TypeError(f"not a ground formula: {g!r}")
+
+
+def is_tight_on(rules, j) -> bool:
+    """Acyclicity of the parent relation over ``ground_program``'s rule
+    view: A' is a parent of A when some rule with head A has a body
+    satisfied by j in which A' occurs as a positive nonnegated atom.
+    For finite j an infinite descending sequence is exactly a reachable
+    cycle."""
+    j = frozenset(j)
+    parents: dict = {a: set() for a in j}
+    for head, body in rules:
+        if head in j and satisfies(j, body):
+            parents[head] |= pnn_nnn(body)[0] & j
+    return is_acyclic(parents)
 
 
 def reduct(g, j):

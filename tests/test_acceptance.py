@@ -12,17 +12,16 @@ from random import Random
 from lttight import (
     builtin_fixture, chain_formula, chains, check_equivalence,
     check_gamma_tight, check_proposition3, completion, enumerate_interpretations,
-    ground_program, is_sm_model, is_supported, is_tight, is_tight_on,
-    make_interpretation, parse_formula, satisfies, satisfies_fo,
-    simplify_completion, sm_tables,
+    ground_program, is_sm_model, is_tight, make_interpretation, parse_formula,
+    satisfies_fo, simplify_completion, sm_tables,
 )
 from lttight.completion import desugar
 from lttight.stability import BOT, Conj, Disj, Imp
 from lttight.tightness import ENTAILED, COUNTERMODEL
 
 from conftest import (
-    is_stable_ground, random_ground_formula, random_ground_program, reduct,
-    rule_check, true_atoms,
+    is_stable_ground, is_supported, is_tight_on, random_ground_formula,
+    random_ground_program, reduct, rule_check, satisfies, true_atoms,
 )
 
 SEED = 20260824

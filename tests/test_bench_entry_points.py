@@ -11,7 +11,7 @@ from lttight import semantics
 from lttight.completion import desugar
 from lttight.fixtures import builtin_fixture
 
-from conftest import rule_check
+from conftest import is_supported, rule_check
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -55,7 +55,7 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
     minimality checks and takes |J| as ``len(args[1])``: ``is_sm_model``
     calls it, by that name and positionally, once on each classical
     model whose every true atom heads a relevant rule instance
-    (``semantics.is_supported`` on the whole grounding), with J's atom
+    (``conftest.is_supported`` on the whole grounding), with J's atom
     numbers second, and never otherwise.  prog2 adds searched leaves
     that are not stable."""
     calls = []
@@ -86,7 +86,7 @@ def test_the_leaf_calls_the_traced_stability_check(monkeypatch):
                 j = {(p, t) for p, ts in interp.extensions.items()
                      for t in ts}
                 rules, _ = semantics.ground_program(d, interp)
-                if not semantics.is_supported(rules, j):
+                if not is_supported(rules, j):
                     unsupported += 1
                     assert calls == [] and verdict is False
                     continue

@@ -8,7 +8,9 @@ import pytest
 
 from lttight import cli, equiv, semantics
 from lttight.cli import run
-from lttight.completion import completion, desugar, simplify_completion
+from lttight.completion import (
+    CompletionResult, completion, desugar, simplify_completion,
+)
 from lttight.equiv import (
     COMP_ONLY, SM_ONLY, EquivReport, check_equivalence, check_proposition3,
     successor_state_interpretations,
@@ -17,12 +19,13 @@ from lttight.evaluation import compile_rules
 from lttight.fixtures import builtin_fixture
 from lttight.parser import parse_formula, parse_program
 from lttight.semantics import (
-    ResourceGuardError, compile_sentence, enumerate_interpretations,
-    interpretation_count, is_sm_model, make_interpretation, orbit_size,
-    parse_interpretation, sm_tables,
+    DEFAULT_STABILITY_CAP, ResourceGuardError, compile_sentence,
+    enumerate_interpretations, interpretation_count, is_sm_model,
+    make_interpretation, orbit_size, parse_interpretation, sm_tables,
 )
 from lttight.syntax import (
-    BASIC, CONSTRAINT, Signature, conjoin, existential_closure, formula_to_str,
+    BASIC, CONSTRAINT, Rule, Signature, conjoin, disjoin, existential_closure,
+    formula_to_str,
 )
 from lttight.tightness import (
     COUNTERMODEL, ENTAILED, UNKNOWN, chain_formula, chains,
@@ -221,14 +224,17 @@ def test_stable_model_tables_are_built_once_per_check(
 # Plain enumeration as the oracle of the orbit-weighted exhaustive check
 # and of the countermodel search
 
-def reference_report(prog, gamma, m_max, decide=is_sm_model):
-    """The exhaustive report by plain enumeration: Gamma, the stable-model
-    check ``decide`` and the completion on every interpretation that
-    ``enumerate_interpretations`` yields."""
+def reference_report(prog, gamma, m_max, cap=DEFAULT_STABILITY_CAP,
+                     comp_sentences=None):
+    """The exhaustive report by plain enumeration: Gamma, ``is_sm_model``
+    with ``cap`` and the completion, or ``comp_sentences`` in its place,
+    on every interpretation that ``enumerate_interpretations`` yields."""
     tables = sm_tables(prog)
     bindings = rule_check(tables)
     gamma_holds = compile_sentence(conjoin(list(gamma)))
-    comp_holds = compile_sentence(conjoin(completion(prog).sentences()))
+    if comp_sentences is None:
+        comp_sentences = completion(prog).sentences()
+    comp_holds = compile_sentence(conjoin(list(comp_sentences)))
     counts = Counter()
     disagreements = []
     for m in range(1, m_max + 1):
@@ -237,7 +243,7 @@ def reference_report(prog, gamma, m_max, decide=is_sm_model):
                 counts["gamma"] += 1
                 continue
             try:
-                sm = decide(tables, interp, bindings(interp))
+                sm = is_sm_model(tables, interp, bindings(interp), cap)
             except ResourceGuardError:
                 counts["guard"] += 1
                 continue
@@ -259,12 +265,14 @@ def _outcome(run):
         return f"ResourceGuardError: {exc}"
 
 
-def assert_matches_reference(prog, gamma, m_max, decide=is_sm_model) -> int:
+def assert_matches_reference(prog, gamma, m_max, cap=DEFAULT_STABILITY_CAP,
+                             comp_sentences=None) -> int:
     """check_equivalence against ``reference_report``: the same report
     text, --stats line and witness values; the number of witnesses."""
     new = _outcome(lambda: check_equivalence(prog, gamma, m_max,
-                                             program_id="p"))
-    ref = _outcome(lambda: reference_report(prog, gamma, m_max, decide))
+                                             program_id="p", cap=cap))
+    ref = _outcome(lambda: reference_report(prog, gamma, m_max, cap,
+                                            comp_sentences))
     if isinstance(ref, str):
         assert new == ref
         return 0
@@ -312,32 +320,29 @@ def random_gamma(rng: Random, prog) -> tuple:
     return rng.choice(choices)
 
 
-def test_exhaustive_check_matches_plain_enumeration_on_random_programs(
-        monkeypatch):
+def test_exhaustive_check_matches_plain_enumeration_on_random_programs():
     """Seeded random programs at m <= 2, some under Gamma, and a third
     with a stability cap of 2, so that guard-skipped counts are weighted
     too."""
     rng = Random(SEED + 10)
     witnesses = 0
-    for i in range(100):
+    for i in range(200):
         prog = parse_program(random_program_text(rng))
         gamma = random_gamma(rng, prog)
-        decide = is_sm_model
-        if i % 3 == 0:
-            def decide(tables, interp, bindings):
-                return is_sm_model(tables, interp, bindings, cap=2)
-        monkeypatch.setattr(equiv, "is_sm_model", decide)
-        witnesses += assert_matches_reference(prog, gamma, 2, decide)
-    assert witnesses > 50
+        cap = 2 if i % 3 == 0 else DEFAULT_STABILITY_CAP
+        witnesses += assert_matches_reference(prog, gamma, 2, cap)
+    assert witnesses > 100
     print(f"orbit-weighted check vs plain enumeration: {witnesses} witnesses")
 
 
 def test_exhaustive_walk_yields_only_interpretations_no_cut_drops(
         monkeypatch):
     """The exhaustive walk builds whole only the interpretations that
-    satisfy Gamma and the program read classically, in enumeration
-    order: plain enumeration of the restricted-growth maps yields 4,368
-    on ex2 at m <= 3 and 1,028 on prog4."""
+    satisfy Gamma, the program read classically and its completion, in
+    enumeration order, when no interpretation has more true atoms than
+    the stability cap: of the 4,368 interpretations plain enumeration of
+    the restricted-growth maps yields on ex2 at m <= 3, and of the 1,028
+    on prog4, 3 and 8."""
     yielded = []
     walk = equiv.enumerate_interpretations
 
@@ -347,15 +352,18 @@ def test_exhaustive_walk_yields_only_interpretations_no_cut_drops(
             yield interp
 
     monkeypatch.setattr(equiv, "enumerate_interpretations", recording)
-    for name, count in (("ex2", 155), ("prog4", 234)):
+    for name, count in (("ex2", 3), ("prog4", 8)):
         prog = builtin_fixture(name).program
+        assert sum(3 ** arity for _, arity in prog.predicates) \
+            <= DEFAULT_STABILITY_CAP
         yielded.clear()
         check_equivalence(prog, (), 3)
         bindings = rule_check(sm_tables(prog))
+        comp_holds = compile_sentence(conjoin(completion(prog).sentences()))
         assert yielded == [
             i for m in (1, 2, 3)
             for i in enumerate_interpretations(prog.signature, m, canonical=True)
-            if bindings(i) is not None]
+            if bindings(i) is not None and comp_holds(i)]
         assert len(yielded) == count
 
 
@@ -468,13 +476,46 @@ def test_walk_with_no_cut_at_its_last_depth(tmp_path, capsys):
         "both_accept=8 both_reject=6 disagree=0")
 
 
-def test_exhaustive_check_weights_guard_skips(monkeypatch):
-    def decide(tables, interp, bindings):
-        return is_sm_model(tables, interp, bindings, cap=2)
-    monkeypatch.setattr(equiv, "is_sm_model", decide)
-    report = check_equivalence(builtin_fixture("prog2").program, (), 3)
+def test_exhaustive_check_weights_guard_skips():
+    report = check_equivalence(builtin_fixture("prog2").program, (), 3, cap=2)
     assert report.guard_skipped > 0
-    assert_matches_reference(builtin_fixture("prog2").program, (), 3, decide)
+    assert_matches_reference(builtin_fixture("prog2").program, (), 3, cap=2)
+
+
+def test_support_cut_waits_for_leaves_past_the_cap():
+    """p true and q false leave p unsupported and its completed
+    definition false once q is assigned, but at m = 2 a leaf below may
+    make both r-tuples true, 3 atoms against a cap of 2, and the leaf
+    guard-skips it: so the subtree is walked, not dropped as
+    both-reject."""
+    prog = parse_program("p :- q. {q}. {r(X)}.")
+    report = check_equivalence(prog, (), 2, cap=2)
+    assert report.stats_line() == (
+        "stats: examined=24 gamma_skipped=0 guard_skipped=5 checked=19 "
+        "both_accept=8 both_reject=11 disagree=0")
+    assert_matches_reference(prog, (), 2, cap=2)
+
+
+def test_exhaustive_check_matches_plain_enumeration_under_a_broken_completion(
+        monkeypatch):
+    """prog1's completed definition of p with its disjunct X1 = a
+    dropped, and with p(X1) added, which asks for no support: under each
+    broken completion the check reports what plain enumeration reports,
+    disagreements included, since a cut drops a subtree only when the
+    support test and the definition both reject it.  The check counts a
+    classical non-model as both-reject, taking every rule for the
+    if-half of its head's completed definition, so the reference reads
+    the rules beside the broken completion."""
+    prog = builtin_fixture("prog1").program
+    right = simplify_completion(completion(prog))
+    rules = [r.sentence() for r in sm_tables(prog)[0]]
+    p, q = right.definitions
+    for body in (p.body.items[1], disjoin([*p.body.items, p.head])):
+        broken = CompletionResult((Rule(BASIC, p.head, body), q),
+                                  right.constraint_sentences)
+        monkeypatch.setattr(equiv, "simplify_completion", lambda _: broken)
+        assert assert_matches_reference(
+            prog, (), 3, comp_sentences=broken.sentences() + rules) > 0
 
 
 def reference_gamma_tight(prog, gamma, n, bound):

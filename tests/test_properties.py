@@ -27,10 +27,8 @@ from lttight.evaluation import compile_rules, compile_sentence
 from lttight.semantics import (
     GroundingError, ResourceGuardError,
     enumerate_interpretations, ground, ground_program,
-    ground_to_str, is_sm_model, is_supported, is_tight_on,
-    make_interpretation,
-    relevant_reduct, sample_interpretation, satisfies, satisfies_fo,
-    sm_tables,
+    ground_to_str, is_sm_model, make_interpretation, relevant_reduct,
+    sample_interpretation, satisfies_fo, sm_tables,
 )
 from lttight.syntax import (
     BASIC, BOT, CHOICE, CONSTRAINT, TOP, And, Atom, Equality, Exists, Forall,
@@ -43,9 +41,10 @@ from lttight.tightness import (
 )
 
 from conftest import (
-    atom_numbers, fo_eval, folded_reduct, is_stable_ground,
-    random_ground_formula, random_ground_program, random_non_horn_formula,
-    reduct, relevant_grounding, rule_check, rules_eval, true_atoms,
+    atom_numbers, fo_eval, folded_reduct, is_stable_ground, is_supported,
+    is_tight_on, random_ground_formula, random_ground_program,
+    random_non_horn_formula, reduct, relevant_grounding, rule_check,
+    rules_eval, satisfies, true_atoms,
 )
 from test_acceptance import _oracle_stable
 from test_parser import (

@@ -15,9 +15,8 @@ from lttight.semantics import (
     ResourceGuardError, enumerate_interpretations,
     enumeration_key,
     ground, ground_program, ground_to_str, interpretation_count, is_acyclic,
-    is_sm_model, is_supported, is_tight_on, make_interpretation,
-    orbit, parse_interpretation, pnn_nnn,
-    sample_interpretation, satisfies, satisfies_fo, sm_tables,
+    is_sm_model, make_interpretation, orbit, parse_interpretation,
+    sample_interpretation, satisfies_fo, sm_tables,
 )
 from lttight.stability import BOT, TOP, Conj, Disj, Imp
 from lttight.syntax import (
@@ -26,8 +25,9 @@ from lttight.syntax import (
 )
 
 from conftest import (
-    atom_numbers, fo_eval, folded_reduct, is_stable_ground, reduct, relevant_grounding,
-    rule_check, rules_eval, true_atoms,
+    atom_numbers, fo_eval, folded_reduct, is_stable_ground, is_supported,
+    is_tight_on, pnn_nnn, reduct, relevant_grounding, rule_check, rules_eval,
+    satisfies, true_atoms,
 )
 
 SIG2 = builtin_fixture("prog2").program.signature   # a, b; p/1, q/1
